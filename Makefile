@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels trace-smoke chaos-smoke serve-smoke cluster-smoke failover-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels trace-smoke chaos-smoke serve-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -89,35 +89,14 @@ serve-smoke:
 	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
 	$(GO) run ./scripts/servesmoke -bin $(SERVE_BIN)
 
-# Cluster smoke: a real three-process cluster (coordinator + two
-# workers), a sharded resilience sweep, one worker SIGKILLed mid-shard,
-# the orphaned shard reassigned, and the merged report required to be
-# byte-identical to a fresh single-process run of the same request.
-cluster-smoke:
-	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
-	$(GO) run ./scripts/clustersmoke -bin $(SERVE_BIN)
-
-# Fail-over smoke: primary + standby coordinators sharing a checkpoint
-# directory under deterministic transport chaos; the primary is frozen
-# (SIGSTOP) mid-sweep, the standby promotes off the stale lease and
-# finishes byte-identical to a single-process run, and the thawed zombie
-# primary must fence itself instead of writing to the usurped journal.
-failover-smoke:
-	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
-	$(GO) run ./scripts/failoversmoke -bin $(SERVE_BIN)
-
 # Silent-data-corruption drill: a degraded crophe-sim run pricing the
-# detect-recompute-escalate recovery (malformed flip/scrub specs must
-# exit 2), then a sharded sweep with every coordinator→worker link
-# flipping one bit of most response bodies — the merged report must stay
-# byte-identical to a single-process run, with the refused shard
-# payloads visible at /debug/vars.
+# detect-recompute-escalate recovery; malformed flip/scrub specs must
+# exit 2.
 SIM_BIN ?= /tmp/crophe-sim-smoke
 
 sdc-smoke:
-	$(GO) build -o $(SERVE_BIN) ./cmd/crophe-serve
 	$(GO) build -o $(SIM_BIN) ./cmd/crophe-sim
-	$(GO) run ./scripts/sdcsmoke -bin $(SERVE_BIN) -sim $(SIM_BIN)
+	$(GO) run ./scripts/sdcsmoke -sim $(SIM_BIN)
 
 clean:
 	$(GO) clean ./...

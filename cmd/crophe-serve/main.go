@@ -7,39 +7,20 @@
 //
 // Usage:
 //
-//	crophe-serve [-addr host:port] [-role single|coordinator] [-standby]
-//	             [-workers N | -workers url,url,...] [-queue N]
+//	crophe-serve [-addr host:port] [-workers N] [-queue N]
 //	             [-queue-wait D] [-drain-timeout D]
-//	             [-heartbeat D] [-worker-timeout D] [-poll D]
-//	             [-takeover D] [-checkpoint-dir DIR] [-chaos]
-//	             [-chaos-net SPEC] [-chaos-net-seed N]
-//
-// The -workers flag is role-dependent: for the default single role it is
-// the numeric request-concurrency bound; for -role=coordinator it is the
-// comma-separated list of worker base URLs the coordinator shards sweep
-// jobs across (each worker being an ordinary single-role crophe-serve).
-//
-// -standby (coordinator role only) starts the process passive: it
-// watches the primary's lease in the shared -checkpoint-dir and, when
-// the lease goes stale past -takeover, promotes itself — replaying the
-// sweep journals, bumping the persisted coordinator epoch, and fencing
-// the old primary out of workers and journal alike.
+//	             [-checkpoint-dir DIR] [-chaos]
 //
 // Endpoints:
 //
 //	GET  /healthz               liveness
-//	GET  /readyz                readiness (503 while draining; on a
-//	                            coordinator also 503 when standby, fenced,
-//	                            or with zero healthy workers)
+//	GET  /readyz                readiness (503 while draining)
 //	GET  /debug/vars            admission, request, memo and sweep counters
-//	GET  /v1/cluster            role, worker liveness and shard lease state
 //	POST /v1/schedule           dataflow search for one workload
 //	POST /v1/simulate           schedule + cycle-level simulation
 //	POST /v1/simulate-degraded  seeded fault plan + degraded simulation
 //	POST /v1/sweeps             start (or re-address) a resilience sweep job
-//	GET  /v1/sweeps/{id}        poll a sweep job (?raw=1: exact rungs)
-//	GET  /v1/memo/snapshot      export the schedule-memo warm-start snapshot
-//	POST /v1/memo/snapshot      import a snapshot into the warm memo tier
+//	GET  /v1/sweeps/{id}        poll a sweep job
 //
 // A request carries its deadline in the X-Crophe-Deadline header (a Go
 // duration) or a deadline_ms body field; a request whose deadline
@@ -48,11 +29,8 @@
 // -checkpoint-dir, so a killed and restarted server resumes from the
 // last completed rung and produces a byte-identical journal. -chaos
 // honours the chaos_panic request field (handlers panic on purpose) and
-// exists for smoke drills only. -chaos-net wraps every
-// coordinator→worker link in a deterministic seeded fault injector
-// ("drop:0.1,reset:0.05,trunc:0.05,err500:0.1,lat:0.3@5"); with
-// -chaos-net-seed the whole run is replayable. Malformed flag values
-// print usage and exit 2.
+// exists for smoke drills only. Malformed flag values print usage and
+// exit 2.
 package main
 
 import (
@@ -60,12 +38,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"crophe/internal/cliutil"
 	"crophe/internal/serve"
-	"crophe/internal/serve/chaos"
 )
 
 // usageExit reports a malformed flag value, prints usage, and exits 2 —
@@ -79,20 +55,12 @@ func usageExit(format string, a ...any) {
 
 func main() {
 	addrSpec := flag.String("addr", ":8080", "listen address (host:port)")
-	roleSpec := flag.String("role", "single", `cluster role: "single" or "coordinator"`)
-	workersSpec := flag.String("workers", "", "single role: max concurrently executing requests (default: worker pool size); coordinator role: comma-separated worker base URLs")
+	workersSpec := flag.String("workers", "", "max concurrently executing requests (default: worker pool size)")
 	queueSpec := flag.String("queue", "", "admission queue depth before load shedding (default 64)")
 	queueWaitSpec := flag.String("queue-wait", "", "max time a queued request waits for a slot (default 5s)")
 	drainSpec := flag.String("drain-timeout", "", "graceful shutdown drain budget (default 15s)")
-	heartbeatSpec := flag.String("heartbeat", "", "coordinator: worker liveness probe period (default 500ms)")
-	workerTimeoutSpec := flag.String("worker-timeout", "", "coordinator: silence after which a worker forfeits its shard leases (default 5s)")
-	pollSpec := flag.String("poll", "", "coordinator: shard progress poll period (default 100ms)")
-	standby := flag.Bool("standby", false, "coordinator: start passive, promote when the primary's lease goes stale")
-	takeoverSpec := flag.String("takeover", "", "standby: lease staleness before promotion (default 4x heartbeat)")
 	checkpointDir := flag.String("checkpoint-dir", "", "journal sweep jobs here for crash-safe resume (empty: no persistence)")
 	chaosPanic := flag.Bool("chaos", false, "honour the chaos_panic request field (smoke drills only)")
-	chaosNetSpec := flag.String("chaos-net", "", `coordinator: seeded transport chaos on worker links, e.g. "drop:0.1,reset:0.05,lat:0.3@5" (drills only)`)
-	chaosNetSeed := flag.Int64("chaos-net-seed", 0, "seed for -chaos-net decision streams (default 1)")
 	flag.Parse()
 
 	cfg := serve.Config{CheckpointDir: *checkpointDir, AllowChaos: *chaosPanic}
@@ -100,57 +68,9 @@ func main() {
 	if cfg.Addr, err = cliutil.ParseAddr(*addrSpec); err != nil {
 		usageExit("%v", err)
 	}
-	switch *roleSpec {
-	case serve.RoleSingle:
-		if *workersSpec != "" {
-			if cfg.Workers, err = cliutil.ParsePositiveInt("-workers", *workersSpec); err != nil {
-				usageExit("%v", err)
-			}
-		}
-	case serve.RoleCoordinator:
-		cfg.Role = serve.RoleCoordinator
-		cfg.Standby = *standby
-		for _, u := range strings.Split(*workersSpec, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				cfg.WorkerURLs = append(cfg.WorkerURLs, u)
-			}
-		}
-		if len(cfg.WorkerURLs) == 0 {
-			usageExit("-role=coordinator requires -workers with at least one worker URL")
-		}
-		if cfg.Standby && cfg.CheckpointDir == "" {
-			usageExit("-standby requires -checkpoint-dir (the coordinator lease lives there)")
-		}
-	default:
-		usageExit("invalid -role %q (want single or coordinator)", *roleSpec)
-	}
-	if *standby && cfg.Role != serve.RoleCoordinator {
-		usageExit("-standby only applies to -role=coordinator")
-	}
-	if *takeoverSpec != "" {
-		if cfg.TakeoverTimeout, err = cliutil.ParseDeadline(*takeoverSpec); err != nil {
-			usageExit("invalid -takeover: %v", err)
-		}
-	}
-	if *chaosNetSpec != "" {
-		if cfg.NetChaos, err = chaos.ParseSpec(*chaosNetSpec); err != nil {
-			usageExit("invalid -chaos-net: %v", err)
-		}
-	}
-	cfg.NetChaosSeed = *chaosNetSeed
-	if *heartbeatSpec != "" {
-		if cfg.HeartbeatInterval, err = cliutil.ParseDeadline(*heartbeatSpec); err != nil {
-			usageExit("invalid -heartbeat: %v", err)
-		}
-	}
-	if *workerTimeoutSpec != "" {
-		if cfg.WorkerTimeout, err = cliutil.ParseDeadline(*workerTimeoutSpec); err != nil {
-			usageExit("invalid -worker-timeout: %v", err)
-		}
-	}
-	if *pollSpec != "" {
-		if cfg.PollInterval, err = cliutil.ParseDeadline(*pollSpec); err != nil {
-			usageExit("invalid -poll: %v", err)
+	if *workersSpec != "" {
+		if cfg.Workers, err = cliutil.ParsePositiveInt("-workers", *workersSpec); err != nil {
+			usageExit("%v", err)
 		}
 	}
 	if *queueSpec != "" {

@@ -250,55 +250,17 @@ func SimulateWorkloadContext(ctx context.Context, d Design, w *Workload, deadlin
 
 // MemoizedSchedule evaluates the design on the named workload through the
 // process-global schedule cache: identical concurrent requests coalesce
-// (single-flight) and repeats are cache hits. Only full-fidelity
-// evaluations belong here — deadline-bounded partial schedules must go
-// through ScheduleWorkload, as their shape depends on the budget.
-// workloadKey must uniquely identify what factory builds.
-func MemoizedSchedule(d Design, workloadKey string, factory WorkloadFactory) *Schedule {
+// (single-flight) and repeats are cache hits; cached reports which. Only
+// full-fidelity evaluations belong here — deadline-bounded partial
+// schedules must go through ScheduleWorkload, as their shape depends on
+// the budget. workloadKey must uniquely identify what factory builds.
+func MemoizedSchedule(d Design, workloadKey string, factory WorkloadFactory) (s *Schedule, cached bool) {
 	return bench.EvaluateMemoized(d, workloadKey, factory)
 }
 
 // ScheduleMemoStats re-exports the schedule-cache counters (hits, misses,
 // evictions, size, capacity) for observability endpoints.
 func ScheduleMemoStats() bench.MemoStats { return bench.ScheduleMemoStats() }
-
-// ScheduleSummary is the serializable cost surface of a schedule — what
-// the serving layer's schedule responses and the memo warm-start
-// snapshot carry between processes.
-type ScheduleSummary = sched.ScheduleSummary
-
-// MemoSnapshot is the serializable warm-start state of the schedule
-// cache, shipped by the coordinator to newly joined workers.
-type MemoSnapshot = bench.MemoSnapshot
-
-// MemoSource reports which cache tier answered a summary lookup: "hit"
-// (full tier), "warm" (imported snapshot) or "miss" (the search ran).
-type MemoSource = bench.MemoSource
-
-// Memo lookup sources (see MemoSource).
-const (
-	MemoMiss = bench.MemoMiss
-	MemoHit  = bench.MemoHit
-	MemoWarm = bench.MemoWarm
-)
-
-// MemoizedScheduleSummary is the two-tier form of MemoizedSchedule for
-// callers that read only the summary fields: the full single-flight LRU
-// answers first, then warm-start summaries imported from another
-// process's snapshot, and only then does the schedule search run.
-func MemoizedScheduleSummary(d Design, workloadKey string, factory WorkloadFactory) (ScheduleSummary, MemoSource) {
-	return bench.EvaluateMemoizedSummary(d, workloadKey, factory)
-}
-
-// ExportScheduleMemo snapshots the schedule cache for shipment to
-// another process (deterministically ordered; in-flight evaluations are
-// skipped).
-func ExportScheduleMemo() MemoSnapshot { return bench.ExportScheduleMemo() }
-
-// ImportScheduleMemo merges a snapshot into the warm tier, returning how
-// many entries were installed. Locally evaluated schedules always win
-// over imported summaries.
-func ImportScheduleMemo(snap MemoSnapshot) (int, error) { return bench.ImportScheduleMemo(snap) }
 
 // Simulate runs the cycle-level simulator on a schedule. Options attach
 // telemetry or override the mesh topology.

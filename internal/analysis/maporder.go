@@ -8,8 +8,8 @@ import (
 )
 
 // MapOrder protects the repository's byte-identical-output guarantees
-// (Chrome traces, JSONL sweep journals, bench reports, and the future
-// sharded-sweep merge) from Go's randomised map iteration order. A
+// (Chrome traces, JSONL sweep journals and bench reports) from Go's
+// randomised map iteration order. A
 // `range` over a map whose body feeds an order-sensitive sink —
 // appending to a slice that is never subsequently sorted, writing
 // directly to a stream (fmt.Fprint*/Write*), emitting trace spans, or

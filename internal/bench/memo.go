@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"crophe/internal/arch"
@@ -45,16 +44,9 @@ var (
 	memoClock uint64
 	memoCap   = DefaultScheduleMemoCapacity
 
-	// warmMap is the second tier: summaries imported from another
-	// process's snapshot (the coordinator's warm-start shipment). A warm
-	// entry answers summary-only lookups without running the DP search;
-	// it never substitutes for a full *sched.Schedule.
-	warmMap = make(map[memoKey]sched.ScheduleSummary)
-
 	memoHits      uint64
 	memoMisses    uint64
 	memoEvictions uint64
-	memoWarmHits  uint64
 )
 
 func designKey(d sched.Design) string {
@@ -62,29 +54,25 @@ func designKey(d sched.Design) string {
 		d.Name, d.Dataflow, d.NTTDec, d.HybridRot, d.Clusters)
 }
 
-// evaluateMemo evaluates the design on the named workload, consulting the
-// process-global schedule cache first. Design evaluation is deterministic
-// (an exhaustive sweep over rotation-structure candidates), so a cached
-// schedule is bit-identical to a fresh one. Cached schedules are shared
-// across experiments and goroutines: callers must treat them as
-// read-only, which every consumer in this package does (they read
+// EvaluateMemoized evaluates the design on the named workload,
+// consulting the process-global schedule cache first, and reports
+// whether the cache answered (true) or the search ran (false). Design
+// evaluation is deterministic (an exhaustive sweep over
+// rotation-structure candidates), so a cached schedule is bit-identical
+// to a fresh one. workloadKey must uniquely identify the workload the
+// factory builds (benchmark name + parameter set). Cached schedules are
+// shared across experiments, goroutines and serving requests: callers
+// must treat them as read-only, which every consumer does (they read
 // TimeSec, Traffic and Util, and the cycle simulator only reads the
 // schedule it validates).
 //
 // Concurrent misses on the same key single-flight: the first caller
 // evaluates, later callers block on the entry's ready channel and share
-// the result. If the evaluating caller panics, waiters observe a nil
+// the result, so identical concurrent serving requests coalesce into one
+// search. If the evaluating caller panics, waiters observe a nil
 // schedule and evaluate for themselves (the panic propagates on the
 // original goroutine only).
-func evaluateMemo(d sched.Design, workloadKey string, factory sched.WorkloadFactory) *sched.Schedule {
-	s, _ := evaluateMemoHit(d, workloadKey, factory)
-	return s
-}
-
-// evaluateMemoHit is evaluateMemo plus a report of whether the full tier
-// answered (true) or the search ran (false) — the signal the summary
-// path uses to distinguish hit from miss.
-func evaluateMemoHit(d sched.Design, workloadKey string, factory sched.WorkloadFactory) (*sched.Schedule, bool) {
+func EvaluateMemoized(d sched.Design, workloadKey string, factory sched.WorkloadFactory) (*sched.Schedule, bool) {
 	key := memoKey{design: designKey(d), hw: arch.ConfigHash(d.HW), workload: workloadKey}
 	for {
 		memoMu.Lock()
@@ -126,8 +114,6 @@ func evaluateMemoHit(d sched.Design, workloadKey string, factory sched.WorkloadF
 
 		memoMu.Lock()
 		e.s = s
-		// A fully evaluated schedule supersedes a warm-tier summary.
-		delete(warmMap, key)
 		evictOverCapLocked(key)
 		memoMu.Unlock()
 		close(e.ready)
@@ -161,145 +147,11 @@ func evictOverCapLocked(keep memoKey) {
 	}
 }
 
-// EvaluateMemoized is the exported entry to the schedule cache, used by
-// the serving layer for full-fidelity (no deadline) schedule requests:
-// identical concurrent requests coalesce into one evaluation and repeat
-// requests are cache hits. workloadKey must uniquely identify the
-// workload the factory builds (benchmark name + parameter set).
-func EvaluateMemoized(d sched.Design, workloadKey string, factory sched.WorkloadFactory) *sched.Schedule {
-	return evaluateMemo(d, workloadKey, factory)
-}
-
-// MemoSource reports which tier answered a summary lookup.
-type MemoSource string
-
-// Summary-lookup sources: a full-tier hit shared an evaluated schedule,
-// a warm hit answered from an imported snapshot, a miss ran the search.
-const (
-	MemoMiss MemoSource = "miss"
-	MemoHit  MemoSource = "hit"
-	MemoWarm MemoSource = "warm"
-)
-
-// Cached reports whether the lookup avoided the schedule search.
-func (s MemoSource) Cached() bool { return s != MemoMiss }
-
-// EvaluateMemoizedSummary answers a summary-only schedule lookup through
-// both cache tiers: the full single-flight LRU first, then the warm tier
-// of summaries imported from another process's snapshot, and only then
-// the schedule search itself (which populates the full tier as usual).
-// Serving handlers that read nothing beyond the summary fields use this
-// so a freshly joined worker skips cold DP searches the cluster has
-// already paid for.
-func EvaluateMemoizedSummary(d sched.Design, workloadKey string, factory sched.WorkloadFactory) (sched.ScheduleSummary, MemoSource) {
-	key := memoKey{design: designKey(d), hw: arch.ConfigHash(d.HW), workload: workloadKey}
-	memoMu.Lock()
-	if _, full := memoMap[key]; !full {
-		if sum, ok := warmMap[key]; ok {
-			memoWarmHits++
-			memoMu.Unlock()
-			return sum, MemoWarm
-		}
-	}
-	memoMu.Unlock()
-	s, hit := evaluateMemoHit(d, workloadKey, factory)
-	if hit {
-		return sched.Summarize(s), MemoHit
-	}
-	return sched.Summarize(s), MemoMiss
-}
-
-// MemoSnapshotV is the wire version of the snapshot format.
-const MemoSnapshotV = 1
-
-// MemoSnapshotEntry is one (design, hardware, workload) summary in a
-// snapshot. Design is the canonical design key, HW the arch.ConfigHash —
-// together with the workload key they reproduce the cache key exactly,
-// so an imported entry answers precisely the lookups the exporting
-// process would have answered.
-type MemoSnapshotEntry struct {
-	Design   string                `json:"design"`
-	HW       uint64                `json:"hw"`
-	Workload string                `json:"workload"`
-	Summary  sched.ScheduleSummary `json:"summary"`
-}
-
-// MemoSnapshot is the serializable warm-start state of the schedule
-// cache: every ready full-tier entry (summarized) plus the warm tier,
-// in deterministic (design, hw, workload) order.
-type MemoSnapshot struct {
-	V       int                 `json:"v"`
-	Entries []MemoSnapshotEntry `json:"entries"`
-}
-
-// ExportScheduleMemo snapshots the cache for shipment to another process
-// (GET /v1/memo/snapshot). In-flight evaluations are skipped — only
-// ready schedules and already-imported warm summaries export.
-func ExportScheduleMemo() MemoSnapshot {
-	memoMu.Lock()
-	snap := MemoSnapshot{V: MemoSnapshotV}
-	for k, e := range memoMap {
-		select {
-		case <-e.ready:
-		default:
-			continue // still evaluating
-		}
-		if e.s == nil {
-			continue
-		}
-		snap.Entries = append(snap.Entries, MemoSnapshotEntry{
-			Design: k.design, HW: k.hw, Workload: k.workload, Summary: sched.Summarize(e.s),
-		})
-	}
-	for k, sum := range warmMap {
-		if _, ok := memoMap[k]; ok {
-			continue
-		}
-		snap.Entries = append(snap.Entries, MemoSnapshotEntry{
-			Design: k.design, HW: k.hw, Workload: k.workload, Summary: sum,
-		})
-	}
-	memoMu.Unlock()
-	sort.Slice(snap.Entries, func(i, j int) bool {
-		a, b := snap.Entries[i], snap.Entries[j]
-		if a.Design != b.Design {
-			return a.Design < b.Design
-		}
-		if a.HW != b.HW {
-			return a.HW < b.HW
-		}
-		return a.Workload < b.Workload
-	})
-	return snap
-}
-
-// ImportScheduleMemo merges a snapshot into the warm tier, returning how
-// many entries were installed. Entries already covered by the full tier
-// or the warm tier are skipped (a locally evaluated schedule always
-// wins), and the warm tier is bounded by the cache capacity — entries
-// past the bound are dropped in the snapshot's deterministic order.
-func ImportScheduleMemo(snap MemoSnapshot) (int, error) {
-	if snap.V != MemoSnapshotV {
-		return 0, fmt.Errorf("bench: unsupported memo snapshot version %d (want %d)", snap.V, MemoSnapshotV)
-	}
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	added := 0
-	for _, e := range snap.Entries {
-		key := memoKey{design: e.Design, hw: e.HW, workload: e.Workload}
-		if _, ok := memoMap[key]; ok {
-			continue
-		}
-		if _, ok := warmMap[key]; ok {
-			continue
-		}
-		if len(warmMap) >= memoCap {
-			break
-		}
-		warmMap[key] = e.Summary
-		added++
-	}
-	return added, nil
+// evaluateMemo is EvaluateMemoized for callers that only need the
+// schedule.
+func evaluateMemo(d sched.Design, workloadKey string, factory sched.WorkloadFactory) *sched.Schedule {
+	s, _ := EvaluateMemoized(d, workloadKey, factory)
+	return s
 }
 
 // MemoStats is a snapshot of the schedule cache: cumulative hit, miss and
@@ -310,9 +162,6 @@ type MemoStats struct {
 	Evictions uint64
 	Size      int
 	Capacity  int
-	// Warm tier (imported snapshot summaries).
-	WarmHits    uint64
-	WarmEntries int
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -329,13 +178,11 @@ func ScheduleMemoStats() MemoStats {
 	memoMu.Lock()
 	defer memoMu.Unlock()
 	return MemoStats{
-		Hits:        memoHits,
-		Misses:      memoMisses,
-		Evictions:   memoEvictions,
-		Size:        len(memoMap),
-		Capacity:    memoCap,
-		WarmHits:    memoWarmHits,
-		WarmEntries: len(warmMap),
+		Hits:      memoHits,
+		Misses:    memoMisses,
+		Evictions: memoEvictions,
+		Size:      len(memoMap),
+		Capacity:  memoCap,
 	}
 }
 
@@ -360,6 +207,5 @@ func ResetScheduleMemo() {
 	memoMu.Lock()
 	defer memoMu.Unlock()
 	memoMap = make(map[memoKey]*memoEntry)
-	warmMap = make(map[memoKey]sched.ScheduleSummary)
-	memoHits, memoMisses, memoEvictions, memoWarmHits = 0, 0, 0, 0
+	memoHits, memoMisses, memoEvictions = 0, 0, 0
 }

@@ -43,7 +43,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = EvaluateMemoized(d, "singleflight/helr", counting)
+			got[i], _ = EvaluateMemoized(d, "singleflight/helr", counting)
 		}(i)
 	}
 	wg.Wait()

@@ -90,104 +90,42 @@ func sweepSpec(hw *arch.HWConfig, frac float64) Spec {
 	return s
 }
 
-// SweepConfig is the resolved option set of one RunSweep call. Callers
-// normally never build one directly — they pass SweepOption values to
-// RunSweep — but BuildSweepConfig exposes the resolution so façades can
-// make mode-dependent choices (e.g. which context the runner captures).
-type SweepConfig struct {
-	// Observe, when set, receives each freshly computed rung before the
+// sweepConfig is the resolved option set of one RunSweep call.
+type sweepConfig struct {
+	// observe, when set, receives each freshly computed rung before the
 	// next begins — the append-only checkpoint-journaling hook. Spliced
-	// (Done) rungs are not re-observed. Forces sequential execution.
-	Observe func(SweepPoint)
-	// Done holds rungs already computed by a previous run, keyed by step
+	// (done) rungs are not re-observed. Forces sequential execution.
+	observe func(SweepPoint)
+	// done holds rungs already computed by a previous run, keyed by step
 	// index; they are spliced into the result verbatim instead of
-	// re-running. Forces sequential execution.
-	Done map[int]SweepPoint
-	// ShardIndex/ShardCount restrict the sweep to the rungs whose step
-	// satisfies step % ShardCount == ShardIndex. ShardCount 0 disables
-	// sharding (every rung runs).
-	ShardIndex int
-	ShardCount int
-	// Parallel runs rungs concurrently via internal/parallel instead of
-	// sequentially in step order. Incompatible with Observe (the
+	// re-running.
+	done map[int]SweepPoint
+	// parallel runs rungs concurrently via internal/parallel instead of
+	// sequentially in step order. Incompatible with observe (the
 	// journaling contract is "each rung lands before the next begins").
-	Parallel bool
-}
-
-// Sequential reports whether the config forces in-order execution: any
-// journaling or resume state implies the sequential contract.
-func (c *SweepConfig) Sequential() bool { return !c.Parallel }
-
-func (c *SweepConfig) validate() error {
-	if c.ShardCount < 0 {
-		return fmt.Errorf("fault: negative shard count %d", c.ShardCount)
-	}
-	if c.ShardCount > 0 && (c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount) {
-		return fmt.Errorf("fault: shard index %d out of range [0, %d)", c.ShardIndex, c.ShardCount)
-	}
-	if c.Parallel && c.Observe != nil {
-		return fmt.Errorf("fault: WithParallel is incompatible with WithJournal (observe order is the sequential contract)")
-	}
-	return nil
+	parallel bool
 }
 
 // SweepOption configures RunSweep.
-type SweepOption func(*SweepConfig)
+type SweepOption func(*sweepConfig)
 
 // WithJournal hands each freshly computed rung to observe before the next
 // begins — the checkpoint-journaling hook. Implies sequential execution.
 func WithJournal(observe func(SweepPoint)) SweepOption {
-	return func(c *SweepConfig) { c.Observe = observe }
+	return func(c *sweepConfig) { c.observe = observe }
 }
 
 // WithResume splices previously computed rungs (keyed by step) into the
-// result instead of re-running them. Implies sequential execution.
+// result instead of re-running them.
 func WithResume(done map[int]SweepPoint) SweepOption {
-	return func(c *SweepConfig) { c.Done = done }
-}
-
-// WithShard restricts the sweep to shard index of count: only rungs whose
-// step satisfies step % count == index run, and the result holds exactly
-// those points (in ascending step order). Shards of the same (hw, seed,
-// steps, runner) partition the full sweep; MergeShards reassembles them
-// into a result byte-identical to an unsharded run.
-func WithShard(index, count int) SweepOption {
-	return func(c *SweepConfig) { c.ShardIndex, c.ShardCount = index, count }
+	return func(c *sweepConfig) { c.done = done }
 }
 
 // WithParallel runs rungs concurrently (each writing its index-addressed
 // slot, so the result is still deterministic). Incompatible with
 // WithJournal.
 func WithParallel() SweepOption {
-	return func(c *SweepConfig) { c.Parallel = true }
-}
-
-// BuildSweepConfig resolves a SweepOption list the way RunSweep does.
-func BuildSweepConfig(opts ...SweepOption) SweepConfig {
-	var c SweepConfig
-	for _, o := range opts {
-		if o != nil {
-			o(&c)
-		}
-	}
-	return c
-}
-
-// ShardSteps returns the ascending step indices shard index-of-count owns
-// within a steps-rung sweep: the steps congruent to index mod count.
-// count < 1 means "no sharding" and returns every step.
-func ShardSteps(steps, index, count int) []int {
-	if steps < 2 {
-		steps = 2
-	}
-	if count < 1 {
-		count, index = 1, 0
-	}
-	var out []int
-	for s := index % count; s < steps; s += count {
-		out = append(out, s)
-	}
-	return out
+	return func(c *sweepConfig) { c.parallel = true }
 }
 
 // RunSweep is the single entry point for resilience sweeps: steps rungs
@@ -205,8 +143,6 @@ func ShardSteps(steps, index, count int) []int {
 //     byte-identical to an uninterrupted run.
 //   - WithJournal(observe) streams each completed rung out before the
 //     next begins; WithResume(done) splices journaled rungs in verbatim.
-//   - WithShard(i, n) runs only the rungs with step % n == i; shard
-//     results reassemble via MergeShards.
 //   - WithParallel runs rungs concurrently (batch/CLI use; ctx is checked
 //     once before launch).
 //
@@ -218,24 +154,28 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 	if steps < 2 {
 		steps = 2
 	}
-	cfg := BuildSweepConfig(opts...)
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	var cfg sweepConfig
+	for _, o := range opts {
+		if o != nil {
+			o(&cfg)
+		}
 	}
-	sel := ShardSteps(steps, cfg.ShardIndex, cfg.ShardCount)
-	res := &SweepResult{HW: hw.Name, Seed: seed, Points: make([]SweepPoint, len(sel))}
+	if cfg.parallel && cfg.observe != nil {
+		return nil, fmt.Errorf("fault: WithParallel is incompatible with WithJournal (observe order is the sequential contract)")
+	}
+	res := &SweepResult{HW: hw.Name, Seed: seed, Points: make([]SweepPoint, steps)}
 
-	if cfg.Parallel {
+	if cfg.parallel {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fault: sweep interrupted before start (seed %d): %w", seed, err)
 		}
-		errs := make([]error, len(sel))
-		parallel.For(len(sel), func(i int) {
-			if pt, ok := cfg.Done[sel[i]]; ok {
+		errs := make([]error, steps)
+		parallel.For(steps, func(i int) {
+			if pt, ok := cfg.done[i]; ok {
 				res.Points[i] = pt
 				return
 			}
-			res.Points[i], errs[i] = runStep(hw, seed, steps, sel[i], run)
+			res.Points[i], errs[i] = runStep(hw, seed, steps, i, run)
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -243,9 +183,9 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 			}
 		}
 	} else {
-		for i, step := range sel {
-			if pt, ok := cfg.Done[step]; ok {
-				res.Points[i] = pt
+		for step := 0; step < steps; step++ {
+			if pt, ok := cfg.done[step]; ok {
+				res.Points[step] = pt
 				continue
 			}
 			if err := ctx.Err(); err != nil {
@@ -255,85 +195,16 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 			if err != nil {
 				return nil, err
 			}
-			res.Points[i] = pt
-			if cfg.Observe != nil {
-				cfg.Observe(pt)
+			res.Points[step] = pt
+			if cfg.observe != nil {
+				cfg.observe(pt)
 			}
 		}
-	}
-	if len(res.Points) > 0 && res.Points[0].Step == 0 && res.Points[0].Err == "" {
-		res.Baseline = res.Points[0].Outcome.TimeSec
-	}
-	return res, nil
-}
-
-// MergeShards reassembles shard results (produced with WithShard over the
-// same hw, seed, steps and runner) into the full steps-rung sweep,
-// byte-identical to an unsharded run: points are reordered by step, the
-// baseline is recomputed from rung 0, and overlapping points (a rung run
-// by two shards after a reassignment) must agree exactly — rung outcomes
-// are deterministic, so a disagreement means the shards did not share an
-// identity and is an error, as is a missing step.
-func MergeShards(steps int, shards ...*SweepResult) (*SweepResult, error) {
-	if steps < 2 {
-		steps = 2
-	}
-	var (
-		hwName string
-		seed   int64
-		first  = true
-	)
-	byStep := make(map[int]SweepPoint, steps)
-	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		if first {
-			hwName, seed, first = sh.HW, sh.Seed, false
-		}
-		if sh.HW != hwName || sh.Seed != seed {
-			return nil, fmt.Errorf("fault: merging shards of different sweeps: %s seed %d vs %s seed %d",
-				hwName, seed, sh.HW, sh.Seed)
-		}
-		for _, pt := range sh.Points {
-			if prev, ok := byStep[pt.Step]; ok && prev != pt {
-				return nil, fmt.Errorf("fault: shard disagreement at step %d (seed %d): rung outcomes must be deterministic", pt.Step, seed)
-			}
-			byStep[pt.Step] = pt
-		}
-	}
-	if first {
-		return nil, fmt.Errorf("fault: no shards to merge")
-	}
-	res := &SweepResult{HW: hwName, Seed: seed, Points: make([]SweepPoint, steps)}
-	for i := 0; i < steps; i++ {
-		pt, ok := byStep[i]
-		if !ok {
-			return nil, fmt.Errorf("fault: merged sweep is missing step %d (seed %d)", i, seed)
-		}
-		res.Points[i] = pt
 	}
 	if res.Points[0].Err == "" {
 		res.Baseline = res.Points[0].Outcome.TimeSec
 	}
 	return res, nil
-}
-
-// Sweep runs a full sweep with rungs in parallel.
-//
-// Deprecated: use RunSweep with WithParallel; Sweep remains as a thin
-// wrapper for existing callers.
-func Sweep(hw *arch.HWConfig, seed int64, steps int, run Runner) (*SweepResult, error) {
-	return RunSweep(context.Background(), hw, seed, steps, run, WithParallel())
-}
-
-// ResumeSweep is the sequential, checkpointable sweep form.
-//
-// Deprecated: use RunSweep with WithResume and WithJournal; ResumeSweep
-// remains as a thin wrapper for existing callers.
-func ResumeSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run Runner,
-	done map[int]SweepPoint, observe func(SweepPoint)) (*SweepResult, error) {
-	return RunSweep(ctx, hw, seed, steps, run, WithResume(done), WithJournal(observe))
 }
 
 // runStep generates, instantiates and runs one sweep rung. Infeasible

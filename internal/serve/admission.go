@@ -34,20 +34,11 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		}
 
 		n := s.waiting.Add(1)
-		defer func() {
-			if s.waiting.Add(-1) <= int64(s.cfg.QueueDepth/2) {
-				// Low water: the backlog has genuinely cleared; stop
-				// shedding. Latching until here (rather than the instant
-				// waiting < depth) keeps the 429/accept boundary from
-				// flapping under a steady near-saturating arrival rate.
-				s.shedding.Store(false)
-			}
-		}()
-
 		if n > int64(s.cfg.QueueDepth) {
 			s.shedding.Store(true)
 		}
 		if s.shedding.Load() {
+			s.leaveQueue()
 			s.shed(w)
 			return
 		}
@@ -55,6 +46,9 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		waitCtx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueWait)
 		defer cancel()
 		release, fast, err := s.acquireSlot(waitCtx)
+		// Holding a slot (or giving up on one) ends the wait: from here on
+		// the request no longer counts against the queue depth.
+		s.leaveQueue()
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client went away while queued; nothing useful to
@@ -71,6 +65,18 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		s.metrics.requests.Add(1)
 		next.ServeHTTP(w, r)
 	})
+}
+
+// leaveQueue takes one request off the wait queue — it acquired a slot,
+// was shed, or timed out — and clears the shedding latch once the
+// backlog has fallen to the low-water mark (half the depth). Latching
+// until here, rather than the instant waiting < depth, keeps the
+// 429/accept boundary from flapping under a steady near-saturating
+// arrival rate.
+func (s *Server) leaveQueue() {
+	if s.waiting.Add(-1) <= int64(s.cfg.QueueDepth/2) {
+		s.shedding.Store(false)
+	}
 }
 
 // acquireSlot takes a worker slot, reporting whether the fast

@@ -1,17 +1,8 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-
-	"crophe"
-)
-
 // Wire types of the crophe-serve HTTP/JSON API, shared by the server
-// handlers and the typed Client (and by the coordinator→worker RPC,
-// which is the same protocol). Field tags are the API; renaming a tag is
-// a breaking change.
+// handlers and the typed Client. Field tags are the API; renaming a tag
+// is a breaking change.
 
 // ScheduleRequest is the body of POST /v1/schedule and POST /v1/simulate.
 type ScheduleRequest struct {
@@ -75,23 +66,18 @@ type IntegrityStats struct {
 	PenaltyCycles float64 `json:"penalty_cycles"`
 }
 
-// SweepRequest is the body of POST /v1/sweeps. ShardIndex/ShardCount
-// restrict the job to the rungs with step % count == index — the
-// coordinator→worker sharding; both zero means the full sweep.
+// SweepRequest is the body of POST /v1/sweeps.
 type SweepRequest struct {
 	HW         string `json:"hw"`
 	Workload   string `json:"workload"`
 	Seed       int64  `json:"seed"`
 	Steps      int    `json:"steps"`
 	DeadlineMS int    `json:"deadline_ms,omitempty"` // per-rung anytime budget
-	ShardIndex int    `json:"shard_index,omitempty"`
-	ShardCount int    `json:"shard_count,omitempty"`
 }
 
 // SweepPointSummary is one journaled rung rendered for clients. TimeMS
-// is a display value (TimeSec × 1e3, a lossy float operation) — the
-// coordinator merges from the raw points instead, which round-trip
-// exactly.
+// is a display value (TimeSec × 1e3); the checkpoint journal keeps the
+// exact point.
 type SweepPointSummary struct {
 	Step       int     `json:"step"`
 	FracFailed float64 `json:"frac_failed"`
@@ -103,53 +89,18 @@ type SweepPointSummary struct {
 }
 
 // SweepStatus is the GET /v1/sweeps/{id} response (and the POST
-// response, minus points while running). RawPoints — the exact
-// fault.SweepPoint values, populated only when the poll asks for
-// ?raw=1 — carry every rung journaled so far even while the job runs;
-// they are what the coordinator merges, because Go's JSON float
-// round-trip is exact where the TimeMS display conversion is not.
+// response, minus points while running).
 type SweepStatus struct {
-	ID         string                   `json:"id"`
-	State      string                   `json:"state"`
-	HW         string                   `json:"hw"`
-	Workload   string                   `json:"workload"`
-	Seed       int64                    `json:"seed"`
-	Steps      int                      `json:"steps"`
-	DeadlineMS int                      `json:"deadline_ms,omitempty"`
-	ShardIndex int                      `json:"shard_index,omitempty"`
-	ShardCount int                      `json:"shard_count,omitempty"`
-	Completed  int                      `json:"completed_steps"`
-	Created    *bool                    `json:"created,omitempty"` // POST only
-	Error      string                   `json:"error,omitempty"`
-	BaselineMS float64                  `json:"baseline_ms,omitempty"`
-	Points     []SweepPointSummary      `json:"points,omitempty"`
-	RawPoints  []crophe.ResiliencePoint `json:"raw_points,omitempty"`
-	RawSum     string                   `json:"raw_sum,omitempty"` // sumPoints(RawPoints), set whenever RawPoints are
-}
-
-// sumPoints is the end-to-end checksum a raw shard payload travels
-// under: FNV-1a over each point's exact JSON encoding. The worker
-// stamps it into SweepStatus.RawSum next to RawPoints; the coordinator
-// recomputes it from the points it actually received and refuses to
-// merge on mismatch — a one-bit corruption anywhere in the payload
-// (see the chaos transport's flip dimension) is caught here instead of
-// poisoning the merged sweep report.
-func sumPoints(pts []crophe.ResiliencePoint) string {
-	h := fnv.New64a()
-	for _, pt := range pts {
-		b, err := json.Marshal(pt)
-		if err != nil {
-			// ResiliencePoint is plain data; Marshal cannot fail on it.
-			panic(err)
-		}
-		h.Write(b)
-		h.Write([]byte{'\n'})
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// MemoImportResponse is the body of a POST /v1/memo/snapshot reply.
-type MemoImportResponse struct {
-	Imported    int `json:"imported"`
-	WarmEntries int `json:"warm_entries"`
+	ID         string              `json:"id"`
+	State      string              `json:"state"`
+	HW         string              `json:"hw"`
+	Workload   string              `json:"workload"`
+	Seed       int64               `json:"seed"`
+	Steps      int                 `json:"steps"`
+	DeadlineMS int                 `json:"deadline_ms,omitempty"`
+	Completed  int                 `json:"completed_steps"`
+	Created    *bool               `json:"created,omitempty"` // POST only
+	Error      string              `json:"error,omitempty"`
+	BaselineMS float64             `json:"baseline_ms,omitempty"`
+	Points     []SweepPointSummary `json:"points,omitempty"`
 }

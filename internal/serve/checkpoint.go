@@ -18,13 +18,13 @@ import (
 // Sweep checkpoint journal: one append-only JSONL file per sweep job,
 // <dir>/<id>.sweep.jsonl. The first line is the header (the job's full
 // parameter set, so a journal is self-describing); each subsequent line
-// records one completed rung or a shard lease; a {"done":true}
+// records one completed rung; a {"done":true}
 // terminator marks a finished sweep. Every line is written in a single
 // write and fsynced before the next rung starts, so after a crash the
 // journal holds exactly the completed rungs — at worst plus one torn
 // trailing line, which recovery truncates away. Because rung outcomes
 // are deterministic per (hw, seed, step, deadline bucket) — see
-// ResumeResilienceSweep — a resumed journal's remaining lines are
+// RunResilienceSweepWith — a resumed journal's remaining lines are
 // byte-identical to the ones an uninterrupted run would have written.
 //
 // Each line is framed "CCCCCCCC <json>\n" — eight lowercase hex digits
@@ -43,11 +43,8 @@ const journalSuffix = ".sweep.jsonl"
 const quarantineSuffix = ".quarantine"
 
 // sweepParams is a sweep job's identity — the journal header and the
-// input to the deterministic job ID. ShardIndex/ShardCount (0/0 for a
-// full sweep; the omitempty keeps unsharded headers byte-identical to
-// the pre-shard format) restrict the job to the rungs with
-// step % count == index. The struct must stay comparable — recovery and
-// the checkpoint tests compare headers with ==.
+// input to the deterministic job ID. The struct must stay comparable —
+// recovery and the checkpoint tests compare headers with ==.
 type sweepParams struct {
 	V          int    `json:"v"`
 	ID         string `json:"id"`
@@ -56,22 +53,15 @@ type sweepParams struct {
 	Seed       int64  `json:"seed"`
 	Steps      int    `json:"steps"`
 	DeadlineMS int    `json:"deadline_ms"`
-	ShardIndex int    `json:"shard_index,omitempty"`
-	ShardCount int    `json:"shard_count,omitempty"`
 }
 
 // sweepID derives the job ID from the parameters (FNV-1a over a
 // canonical encoding), so POSTing the same sweep twice addresses the
-// same job instead of running it twice. Shard identity folds in only
-// when the job is sharded, so full-sweep IDs are unchanged from the
-// pre-shard format — a coordinator's merged job and the equivalent
-// single-process job share an ID by construction.
+// same job instead of running it twice. The encoding is part of the
+// journal format: changing it orphans every checkpointed job.
 func sweepID(p sweepParams) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%d|%d|%d", p.HW, p.Workload, p.Seed, p.Steps, p.DeadlineMS)
-	if p.ShardCount > 0 {
-		fmt.Fprintf(h, "|shard %d/%d", p.ShardIndex, p.ShardCount)
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -79,26 +69,11 @@ func journalPath(dir, id string) string {
 	return filepath.Join(dir, id+journalSuffix)
 }
 
-// leaseRecord is a coordinator journal line: shard index-of-count leased
-// to worker at epoch (epoch increments each time the shard is
-// reassigned after a worker death or coordinator takeover). Leases are
-// bookkeeping for fencing and postmortem, not rung state — recovery
-// re-leases from scratch and relies on the journaled rungs alone for
-// exactly-once accounting, but a standby replays the lease lines to
-// start its own leases at an epoch every journaled one precedes.
-type leaseRecord struct {
-	Shard  int    `json:"shard"`
-	Count  int    `json:"count"`
-	Worker string `json:"worker"`
-	Epoch  int    `json:"epoch"`
-}
-
-// journalEntry is one post-header line: a completed rung, a shard lease
-// (coordinator journals only), or the terminator.
+// journalEntry is one post-header line: a completed rung or the
+// terminator.
 type journalEntry struct {
 	Step  *int                    `json:"step,omitempty"`
 	Point *crophe.ResiliencePoint `json:"point,omitempty"`
-	Lease *leaseRecord            `json:"lease,omitempty"`
 	Done  bool                    `json:"done,omitempty"`
 }
 
@@ -168,14 +143,12 @@ func (e *JournalCorruptionError) Error() string {
 }
 
 // journalData is everything readJournal recovers from a checkpoint
-// file: the header, every intact rung, the journaled shard leases (for
-// coordinator-epoch replay on takeover), whether the terminator is
+// file: the header, every intact rung, whether the terminator is
 // present, and keep — the byte offset past the last intact line, which
 // recovery truncates the file to before appending resumes.
 type journalData struct {
 	params sweepParams
 	points map[int]crophe.ResiliencePoint
-	leases []leaseRecord
 	done   bool
 	keep   int64
 }
@@ -233,8 +206,6 @@ func readJournal(path string) (journalData, error) {
 			d.done = true
 		case e.Step != nil && e.Point != nil:
 			d.points[*e.Step] = *e.Point
-		case e.Lease != nil:
-			d.leases = append(d.leases, *e.Lease)
 		}
 		off += int64(nl) + 1
 		d.keep = off

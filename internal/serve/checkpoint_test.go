@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -297,5 +300,103 @@ func TestSweepJobAPI(t *testing.T) {
 
 	if code, body, _ := doJSON(t, client, "GET", base+"/v1/sweeps/nope", nil, nil); code != 404 {
 		t.Fatalf("unknown job = %d %v; want 404", code, body)
+	}
+}
+
+// parentJournalID is the job ID of testdata's partial journal: header
+// plus rungs 0 and 1 of a four-rung sweep, CRC-framed, as an earlier
+// release of crophe-serve wrote it before being killed. The ID is the
+// journal's file name and header field; sweepID must keep deriving it.
+// If a deliberate change to the scheduler or fault model moves rung
+// outcomes, regenerate the fixture (its spliced rungs would otherwise
+// disagree with a fresh run).
+const parentJournalID = "311d2f867b35155a"
+
+// getSweepBody polls GET /v1/sweeps/{id} until the job is done and
+// returns the raw response body.
+func getSweepBody(t *testing.T, client *http.Client, s *Server, id string) []byte {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := client.Get("http://" + s.Addr() + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatalf("poll %s: %v", id, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll %s = %d %s (err %v)", id, resp.StatusCode, body, err)
+		}
+		var st SweepStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("decoding poll body: %v", err)
+		}
+		switch st.State {
+		case jobDone:
+			return body
+		case jobFailed:
+			t.Fatalf("sweep %s failed: %s", id, st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s not done: %s", id, body)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestResumeCheckpointFromEarlierRelease is the cross-version contract:
+// a server started on a partial journal written by an earlier release
+// recovers the job under the same ID, resumes it, and finishes with a
+// journal and GET /v1/sweeps/{id} body byte-identical to a fresh,
+// uninterrupted run of the same request.
+func TestResumeCheckpointFromEarlierRelease(t *testing.T) {
+	leakcheck.Check(t)
+	fixture, err := os.ReadFile(filepath.Join("testdata", parentJournalID+journalSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeDir := t.TempDir()
+	if err := os.WriteFile(journalPath(resumeDir, parentJournalID), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	req := map[string]any{"hw": "crophe64", "workload": "helr", "seed": 11, "steps": 4, "deadline_ms": 3}
+
+	resumer := startServer(t, Config{CheckpointDir: resumeDir})
+	// Re-POSTing the request addresses the recovered job, not a new one.
+	code, body, _ := doJSON(t, client, "POST", "http://"+resumer.Addr()+"/v1/sweeps", req, nil)
+	if code != http.StatusAccepted || body["id"] != parentJournalID || body["created"] != false {
+		t.Fatalf("POST over recovered journal = %d %v; want id %s, created=false", code, body, parentJournalID)
+	}
+	if done, _ := body["completed_steps"].(float64); done < 2 {
+		t.Fatalf("recovered job reports %v completed rungs; want the journal's 2 spliced in", body["completed_steps"])
+	}
+	resumedBody := getSweepBody(t, client, resumer, parentJournalID)
+	resumed, err := os.ReadFile(journalPath(resumeDir, parentJournalID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(resumed, fixture) {
+		t.Fatal("resume rewrote the earlier release's journaled rungs instead of appending")
+	}
+
+	freshDir := t.TempDir()
+	fresh := startServer(t, Config{CheckpointDir: freshDir})
+	code, body, _ = doJSON(t, client, "POST", "http://"+fresh.Addr()+"/v1/sweeps", req, nil)
+	if code != http.StatusAccepted || body["id"] != parentJournalID || body["created"] != true {
+		t.Fatalf("fresh POST = %d %v; want a new job with id %s", code, body, parentJournalID)
+	}
+	freshBody := getSweepBody(t, client, fresh, parentJournalID)
+	reference, err := os.ReadFile(journalPath(freshDir, parentJournalID))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(resumed, reference) {
+		t.Fatalf("resumed journal differs from a fresh run:\nresumed   %s\nreference %s", resumed, reference)
+	}
+	if !bytes.Equal(resumedBody, freshBody) {
+		t.Fatalf("resumed GET body differs from a fresh run:\nresumed %s\nfresh   %s", resumedBody, freshBody)
 	}
 }

@@ -9,32 +9,22 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"crophe"
 )
 
 // Client is the typed client of the crophe-serve API. It maps context
 // deadlines onto the X-Crophe-Deadline header (so the server's anytime
 // budget matches the caller's patience), turns the 429/503 shed and
 // drain responses into typed errors carrying their Retry-After hints,
-// and retries retryable failures with bounded exponential backoff. The
-// coordinator speaks to its workers through this client; scripts and
-// external tools should too, instead of hand-rolling net/http calls.
-//
-// A Client built with NewFailoverClient holds several endpoints (a
-// primary coordinator and its standbys): after a retryable failure it
-// probes the candidates' /readyz and rotates to the first ready one, so
-// in-flight sweep polling survives a coordinator switch.
+// and retries retryable failures with bounded exponential backoff.
+// Scripts and external tools should use it instead of hand-rolling
+// net/http calls.
 type Client struct {
-	endpoints   []string // candidate base URLs; endpoints[active] is current
-	active      atomic.Int32
+	base        string
 	hc          *http.Client
 	maxRetries  int
 	backoffBase time.Duration
 	backoffCap  time.Duration
-	coordEpoch  atomic.Int64 // when > 0, stamped on every request for fencing
 }
 
 // ClientOption configures a Client.
@@ -62,22 +52,16 @@ func WithRetry(retries int, base, cap time.Duration) ClientOption {
 	}
 }
 
-// canonicalBase normalizes one endpoint: "host:port" or a full http://
-// URL, trailing slashes trimmed.
-func canonicalBase(base string) string {
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return strings.TrimRight(base, "/")
-}
-
 // NewClient returns a Client for the server at base ("host:port" or a
 // full http:// URL). Defaults: http.DefaultClient-like transport with no
 // overall timeout (per-call contexts bound each request), 3 retries,
 // 100ms base backoff capped at 2s.
 func NewClient(base string, opts ...ClientOption) *Client {
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
 	c := &Client{
-		endpoints:   []string{canonicalBase(base)},
+		base:        strings.TrimRight(base, "/"),
 		hc:          &http.Client{},
 		maxRetries:  3,
 		backoffBase: 100 * time.Millisecond,
@@ -87,35 +71,6 @@ func NewClient(base string, opts ...ClientOption) *Client {
 		opt(c)
 	}
 	return c
-}
-
-// NewFailoverClient returns a Client that starts on bases[0] and, after
-// a retryable failure, health-probes the other endpoints and rotates to
-// the first ready one. With one endpoint it behaves exactly like
-// NewClient.
-func NewFailoverClient(bases []string, opts ...ClientOption) (*Client, error) {
-	if len(bases) == 0 {
-		return nil, fmt.Errorf("serve: failover client needs at least one endpoint")
-	}
-	c := NewClient(bases[0], opts...)
-	for _, b := range bases[1:] {
-		c.endpoints = append(c.endpoints, canonicalBase(b))
-	}
-	return c, nil
-}
-
-// Endpoint returns the base URL the client currently targets.
-func (c *Client) Endpoint() string {
-	return c.endpoints[c.active.Load()]
-}
-
-// SetCoordinatorEpoch makes every subsequent request carry epoch in the
-// X-Crophe-Coordinator-Epoch header. Workers remember the highest epoch
-// they have seen and 409 anything older (*StaleEpochError) — the fence
-// that stops a zombie coordinator from leasing shards. Zero disables
-// the header.
-func (c *Client) SetCoordinatorEpoch(epoch int64) {
-	c.coordEpoch.Store(epoch)
 }
 
 // APIError is a non-retryable error response (4xx/5xx outside the
@@ -156,19 +111,6 @@ func (e *UnavailableError) Error() string {
 	return fmt.Sprintf("serve: unavailable: %s", e.Message)
 }
 
-// StaleEpochError is the 409 fencing response: the server has already
-// seen a newer coordinator epoch than the one this request carried.
-// Non-retryable by construction — the caller has been superseded and
-// must stop, not try again.
-type StaleEpochError struct {
-	Sent    int64 // the epoch this client sent
-	Message string
-}
-
-func (e *StaleEpochError) Error() string {
-	return fmt.Sprintf("serve: coordinator epoch %d is stale: %s", e.Sent, e.Message)
-}
-
 // errBody is the uniform error envelope (plus the panic-isolation
 // extras).
 type errBody struct {
@@ -190,8 +132,6 @@ func decodeError(resp *http.Response, body []byte) error {
 		return &ShedError{RetryAfter: retryAfter(resp), Message: msg}
 	case http.StatusServiceUnavailable:
 		return &UnavailableError{RetryAfter: retryAfter(resp), Message: msg}
-	case http.StatusConflict:
-		return &StaleEpochError{Message: msg}
 	}
 	return &APIError{Status: resp.StatusCode, Message: msg, FaultSeed: eb.FaultSeed}
 }
@@ -207,14 +147,13 @@ func retryAfter(resp *http.Response) time.Duration {
 }
 
 // retryable reports whether err is worth re-attempting: shed (the
-// backlog clears), drain (a restarting worker comes back), or a
-// transport failure (the peer died mid-connection). A stale-epoch
-// rejection is final: the caller has been fenced.
+// backlog clears), drain (a restarting server comes back), or a
+// transport failure (the peer died mid-connection).
 func retryable(err error) bool {
 	switch err.(type) {
 	case *ShedError, *UnavailableError:
 		return true
-	case *APIError, *StaleEpochError:
+	case *APIError:
 		return false
 	}
 	return err != nil
@@ -234,15 +173,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Endpoint()+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return fmt.Errorf("serve: building %s %s: %w", method, path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if epoch := c.coordEpoch.Load(); epoch > 0 {
-		req.Header.Set(CoordEpochHeader, strconv.FormatInt(epoch, 10))
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		// The header carries the declared budget, not the wall clock:
@@ -264,11 +200,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("serve: reading %s %s response: %w", method, path, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		derr := decodeError(resp, raw)
-		if se, ok := derr.(*StaleEpochError); ok {
-			se.Sent = c.coordEpoch.Load()
-		}
-		return derr
+		return decodeError(resp, raw)
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -280,11 +212,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 
 // doRetry wraps do with the retry budget. The request body is a value
 // (re-marshalled per attempt), so replays are safe by construction.
-// Between attempts, a multi-endpoint client rotates to a ready
-// endpoint; the sleep is capped by the context deadline's remaining
-// budget — a Retry-After hint larger than the caller's patience means
-// the retry cannot possibly land, so give up now instead of sleeping
-// the deadline away.
+// The sleep between attempts is capped by the context deadline's
+// remaining budget — a Retry-After hint larger than the caller's
+// patience means the retry cannot possibly land, so give up now instead
+// of sleeping the deadline away.
 func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) error {
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -292,11 +223,6 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) 
 		if err == nil || !retryable(err) || attempt >= c.maxRetries {
 			return err
 		}
-		// Rotate before the context check: even when this call's budget is
-		// spent (a hung peer ate the whole poll deadline), advancing the
-		// active endpoint makes the caller's *next* attempt start somewhere
-		// alive instead of hanging on the same dead primary forever.
-		c.failover(ctx)
 		if ctx.Err() != nil {
 			return err
 		}
@@ -314,44 +240,6 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) 
 		case <-t.C:
 		}
 	}
-}
-
-// failover rotates a multi-endpoint client after a retryable failure:
-// probe the other endpoints' /readyz round-robin from the next index
-// and switch to the first that answers ready. When nothing answers
-// (every candidate down or mid-switch), advance blindly to the next —
-// round-robin still converges on the promoted standby once it opens.
-func (c *Client) failover(ctx context.Context) {
-	n := len(c.endpoints)
-	if n < 2 {
-		return
-	}
-	cur := int(c.active.Load())
-	for i := 1; i < n; i++ {
-		idx := (cur + i) % n
-		if c.readyAt(ctx, c.endpoints[idx]) {
-			c.active.Store(int32(idx))
-			return
-		}
-	}
-	c.active.Store(int32((cur + 1) % n))
-}
-
-// readyAt probes one endpoint's /readyz with a short capped budget.
-func (c *Client) readyAt(ctx context.Context, base string) bool {
-	probeCtx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, base+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode == http.StatusOK
 }
 
 // backoff sizes the sleep before re-attempt: exponential from the base,
@@ -378,9 +266,9 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return wait
 }
 
-// Ready probes /readyz with no retries — it is the heartbeat primitive,
-// and a heartbeat that retries its way past a dying peer defeats the
-// failure detector. A draining server surfaces as *UnavailableError.
+// Ready probes /readyz with no retries — a readiness probe that retries
+// its way past a dying server defeats its purpose. A draining server
+// surfaces as *UnavailableError.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
 }
@@ -427,37 +315,10 @@ func (c *Client) StartSweep(ctx context.Context, req SweepRequest) (*SweepStatus
 	return &out, nil
 }
 
-// SweepStatus polls a sweep job (GET /v1/sweeps/{id}). raw additionally
-// requests the exact journaled points (?raw=1) — the merge feed a
-// coordinator consumes, available even while the job runs.
-func (c *Client) SweepStatus(ctx context.Context, id string, raw bool) (*SweepStatus, error) {
-	path := "/v1/sweeps/" + id
-	if raw {
-		path += "?raw=1"
-	}
+// SweepStatus polls a sweep job (GET /v1/sweeps/{id}).
+func (c *Client) SweepStatus(ctx context.Context, id string) (*SweepStatus, error) {
 	var out SweepStatus
-	if err := c.doRetry(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// MemoSnapshot exports the server's schedule-memo snapshot
-// (GET /v1/memo/snapshot) — the warm-start state a coordinator ships to
-// newly joined workers.
-func (c *Client) MemoSnapshot(ctx context.Context) (*crophe.MemoSnapshot, error) {
-	var out crophe.MemoSnapshot
-	if err := c.doRetry(ctx, http.MethodGet, "/v1/memo/snapshot", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// PushMemoSnapshot imports a schedule-memo snapshot into the server's
-// warm tier (POST /v1/memo/snapshot).
-func (c *Client) PushMemoSnapshot(ctx context.Context, snap crophe.MemoSnapshot) (*MemoImportResponse, error) {
-	var out MemoImportResponse
-	if err := c.doRetry(ctx, http.MethodPost, "/v1/memo/snapshot", snap, &out); err != nil {
+	if err := c.doRetry(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -11,7 +11,6 @@ import (
 
 	"crophe/internal/cliutil"
 	"crophe/internal/leakcheck"
-	"crophe/internal/serve/chaos"
 )
 
 // stub builds an httptest server whose handler the test controls, plus a
@@ -250,68 +249,23 @@ func TestClientBackoffRespectsDeadlineBudget(t *testing.T) {
 	}
 }
 
-// TestFailoverClientRotatesToReadyEndpoint: after a retryable failure
-// the multi-endpoint client probes the candidates' /readyz and lands the
-// retry on the first ready one.
-func TestFailoverClientRotatesToReadyEndpoint(t *testing.T) {
-	leakcheck.Check(t)
-	var downCalls, upCalls atomic.Int64
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		downCalls.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining")
-	}))
-	t.Cleanup(down.Close)
-	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-			return
-		}
-		upCalls.Add(1)
-		writeJSON(w, http.StatusOK, ScheduleResponse{Workload: "helr"})
-	}))
-	t.Cleanup(up.Close)
-
-	c, err := NewFailoverClient([]string{down.URL, up.URL},
-		WithRetry(3, time.Millisecond, 5*time.Millisecond))
-	if err != nil {
-		t.Fatalf("NewFailoverClient: %v", err)
-	}
-	if got := c.Endpoint(); got != down.URL {
-		t.Fatalf("initial endpoint %s; want bases[0] %s", got, down.URL)
-	}
-	resp, err := c.Schedule(context.Background(), ScheduleRequest{})
-	if err != nil {
-		t.Fatalf("Schedule across failover: %v", err)
-	}
-	if resp.Workload != "helr" {
-		t.Fatalf("response %+v; want the healthy endpoint's body", resp)
-	}
-	if got := c.Endpoint(); got != up.URL {
-		t.Fatalf("client still targets %s after failover; want %s", got, up.URL)
-	}
-	if downCalls.Load() != 1 || upCalls.Load() != 1 {
-		t.Fatalf("down saw %d calls, up saw %d; want 1 each (one failure, one rotated retry)",
-			downCalls.Load(), upCalls.Load())
-	}
-
-	// Subsequent calls stick to the rotated endpoint without re-probing.
-	if _, err := c.Schedule(context.Background(), ScheduleRequest{}); err != nil {
-		t.Fatalf("Schedule after rotation: %v", err)
-	}
-	if downCalls.Load() != 1 {
-		t.Fatalf("rotated client went back to the down endpoint (%d calls)", downCalls.Load())
-	}
+// flakyTransport fails the first n round trips at the transport level —
+// the connection dropped before any response — then forwards.
+type flakyTransport struct {
+	n     atomic.Int64
+	inner http.RoundTripper
 }
 
-func TestNewFailoverClientRequiresEndpoint(t *testing.T) {
-	if _, err := NewFailoverClient(nil); err == nil {
-		t.Fatal("NewFailoverClient(nil) accepted an empty endpoint list")
+func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if f.n.Add(-1) >= 0 {
+		return nil, errors.New("flaky transport: connection dropped")
 	}
+	return f.inner.RoundTrip(r)
 }
 
-// TestClientRetriesThroughChaosTransport: the retry loop rides out a
-// deterministic seeded fault injector — the drill the failover smoke
-// runs with real processes, here at unit scale.
+// TestClientRetriesThroughChaosTransport: the retry loop rides out
+// transport-level failures (no HTTP answer at all) and lands the request
+// once the link recovers.
 func TestClientRetriesThroughChaosTransport(t *testing.T) {
 	leakcheck.Check(t)
 	var calls atomic.Int64
@@ -321,22 +275,20 @@ func TestClientRetriesThroughChaosTransport(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	// Transport-level faults only: an injected 500 is a *server* answer
-	// and correctly decodes non-retryable, which is not what this test
-	// exercises.
-	tr := chaos.New(chaos.Spec{Drop: 0.4, Reset: 0.2, Trunc: 0.2}, 11, nil)
-	c := NewClient(ts.URL,
-		WithHTTPClient(&http.Client{Transport: tr}),
-		WithRetry(20, time.Millisecond, 5*time.Millisecond))
+	tr := &flakyTransport{inner: http.DefaultTransport}
+	tr.n.Store(3)
+	hc := &http.Client{Transport: tr}
+	t.Cleanup(hc.CloseIdleConnections)
+	c := NewClient(ts.URL, WithHTTPClient(hc), WithRetry(5, time.Millisecond, 5*time.Millisecond))
 	resp, err := c.Schedule(context.Background(), ScheduleRequest{})
 	if err != nil {
-		t.Fatalf("Schedule through chaos: %v", err)
+		t.Fatalf("Schedule through flaky transport: %v", err)
 	}
 	if resp.Workload != "helr" {
 		t.Fatalf("response %+v; want the success body", resp)
 	}
-	if ct := tr.Counts(); ct.Total() == 0 {
-		t.Logf("chaos injected nothing at this seed; still a valid pass")
+	if calls.Load() != 1 {
+		t.Fatalf("server saw %d calls; want 1 (three dropped, the fourth lands)", calls.Load())
 	}
 }
 

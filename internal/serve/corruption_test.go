@@ -6,12 +6,10 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"crophe"
 )
 
 // Journal-corruption corpora: a flipped bit and a mid-file byte-range
-// deletion, against both rung and lease lines. The contract under test:
+// deletion in rung lines. The contract under test:
 // newline-terminated damage surfaces as a typed *JournalCorruptionError,
 // recovery quarantines the bad suffix beside the journal, and a resumed
 // job finishes with a journal byte-identical to one that was never
@@ -171,66 +169,4 @@ func TestMidFileTruncationQuarantinesAndResumesByteIdentical(t *testing.T) {
 	assertCorruptionRecovery(t, dir, path, intact, func(b []byte) []byte {
 		return append(b[:cutStart], b[cutEnd:]...)
 	}, 3)
-}
-
-// TestLeaseLineCorruptionQuarantined covers the coordinator-journal
-// shape: lease lines between rungs. A flipped bit in a lease line must
-// surface as typed corruption, and recoverJournal must quarantine it
-// while preserving the rungs and leases of the good prefix.
-func TestLeaseLineCorruptionQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	params := sweepTestParams()
-	path := journalPath(dir, params.ID)
-
-	f, err := openJournal(dir, params, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step0 := 0
-	if err := appendLine(f, journalEntry{Step: &step0, Point: &crophe.ResiliencePoint{Step: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	goodLease := leaseRecord{Shard: 0, Count: 2, Worker: "w0", Epoch: 0}
-	if err := appendLine(f, journalEntry{Lease: &goodLease}); err != nil {
-		t.Fatal(err)
-	}
-	badLease := leaseRecord{Shard: 1, Count: 2, Worker: "w1", Epoch: 0}
-	if err := appendLine(f, journalEntry{Lease: &badLease}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	// Flip a bit inside the final lease line's payload.
-	off := len(raw) - len(lines[3]) - 1
-	raw[off+12] ^= 0x08
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := recoverJournal(path)
-	if err != nil {
-		t.Fatalf("recoverJournal: %v", err)
-	}
-	if len(d.points) != 1 || len(d.leases) != 1 || d.leases[0] != goodLease {
-		t.Fatalf("good prefix = %d rungs, leases %+v; want 1 rung and the good lease", len(d.points), d.leases)
-	}
-	if _, err := os.Stat(path + quarantineSuffix); err != nil {
-		t.Fatalf("no quarantine after lease corruption: %v", err)
-	}
-	healed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(healed)) != d.keep {
-		t.Fatalf("journal truncated to %d bytes; want keep=%d", len(healed), d.keep)
-	}
-	// The healed journal reads cleanly and still ends at the good lease.
-	if d2, err := readJournal(path); err != nil || len(d2.leases) != 1 {
-		t.Fatalf("healed journal = leases %+v, err %v", d2.leases, err)
-	}
 }

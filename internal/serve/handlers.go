@@ -71,14 +71,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp := ScheduleResponse{Workload: wl.Name, HW: d.HW.Name}
 	if deadline <= 0 {
-		// The no-deadline path reads only summary fields, so it goes
-		// through both memo tiers: the single-flight LRU and the warm
-		// summaries a coordinator shipped to this process.
-		sum, src := crophe.MemoizedScheduleSummary(d, wkey, func(m workload.RotMode, _ int) *crophe.Workload {
+		sched, cached := crophe.MemoizedSchedule(d, wkey, func(m workload.RotMode, _ int) *crophe.Workload {
 			return wl
 		})
-		resp.fillSummary(sum)
-		resp.Cached = src.Cached()
+		resp.fillSchedule(sched)
+		resp.Cached = cached
 	} else {
 		sched, err := crophe.ScheduleWorkload(ctx, d, wl, deadline)
 		if err != nil {
@@ -99,14 +96,6 @@ func (resp *ScheduleResponse) fillSchedule(sched *crophe.Schedule) {
 	resp.DRAMBytes = sched.Traffic.DRAM
 	resp.SRAMBytes = sched.Traffic.SRAM
 	resp.NoCBytes = sched.Traffic.NoC
-}
-
-func (resp *ScheduleResponse) fillSummary(sum crophe.ScheduleSummary) {
-	resp.TimeMS = sum.TimeSec * 1e3
-	resp.Partial = sum.Partial
-	resp.DRAMBytes = sum.Traffic.DRAM
-	resp.SRAMBytes = sum.Traffic.SRAM
-	resp.NoCBytes = sum.Traffic.NoC
 }
 
 // handleSimulate schedules and then runs the cycle-level simulator,

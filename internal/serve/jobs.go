@@ -28,43 +28,12 @@ type job struct {
 	completed int // rungs finished (journaled when persistence is on)
 	errText   string
 	result    *crophe.ResilienceSweep
-	// points accumulates journaled rungs while the job runs, so status
-	// polls (the coordinator's merge feed) see progress before the job
-	// finishes. Spliced-in resumed rungs are seeded at launch; fresh
-	// rungs append from the observe hook.
-	points []crophe.ResiliencePoint
 }
 
 func (j *job) snapshot() (state string, completed int, errText string, result *crophe.ResilienceSweep) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.completed, j.errText, j.result
-}
-
-// rawPoints returns a copy of every rung journaled so far, sorted by
-// step. For a finished job this is exactly the result's point set; while
-// running it is the live progress feed the coordinator merges from.
-func (j *job) rawPoints() []crophe.ResiliencePoint {
-	j.mu.Lock()
-	out := append([]crophe.ResiliencePoint(nil), j.points...)
-	j.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Step < out[b].Step })
-	return out
-}
-
-// seedPoints installs already-journaled rungs (recovery) into the live
-// point feed.
-func (j *job) seedPoints(points map[int]crophe.ResiliencePoint) {
-	steps := make([]int, 0, len(points))
-	for s := range points {
-		steps = append(steps, s)
-	}
-	sort.Ints(steps)
-	j.mu.Lock()
-	for _, s := range steps {
-		j.points = append(j.points, points[s])
-	}
-	j.mu.Unlock()
 }
 
 // jobManager owns the sweep jobs: dedup by deterministic ID, crash
@@ -116,7 +85,6 @@ func (m *jobManager) recover() error {
 			continue
 		}
 		j := &job{params: d.params, completed: len(d.points)}
-		j.seedPoints(d.points)
 		if d.done {
 			j.state = jobDone
 			j.result = assembleSweep(d.params, d.points)
@@ -154,7 +122,7 @@ func (m *jobManager) start(params sweepParams) (*job, bool, error) {
 }
 
 // launch runs the sweep in a goroutine: resolve the design inputs, open
-// the journal, and hand the rungs to ResumeResilienceSweep with an
+// the journal, and hand the rungs to RunResilienceSweepWith with an
 // observe hook that checkpoints each one before the next begins.
 func (m *jobManager) launch(j *job, doneRungs map[int]crophe.ResiliencePoint, keep int64, isNew bool) {
 	m.wg.Add(1)
@@ -208,17 +176,12 @@ func (m *jobManager) run(j *job, doneRungs map[int]crophe.ResiliencePoint, keep 
 		}
 		j.mu.Lock()
 		j.completed++
-		j.points = append(j.points, pt)
 		j.mu.Unlock()
 	}
 
 	deadline := time.Duration(j.params.DeadlineMS) * time.Millisecond
-	opts := []crophe.SweepOption{crophe.SweepWithResume(doneRungs), crophe.SweepWithJournal(observe)}
-	if j.params.ShardCount > 0 {
-		opts = append(opts, crophe.SweepWithShard(j.params.ShardIndex, j.params.ShardCount))
-	}
-	sw, err := crophe.RunResilienceSweepWith(m.ctx, hw, wl, j.params.Seed,
-		j.params.Steps, deadline, opts...)
+	sw, err := crophe.RunResilienceSweepWith(m.ctx, hw, wl, j.params.Seed, j.params.Steps, deadline,
+		crophe.SweepWithResume(doneRungs), crophe.SweepWithJournal(observe))
 	switch {
 	case err != nil && m.ctx.Err() != nil:
 		// Drain interrupted the sweep between rungs. The journal holds

@@ -16,13 +16,6 @@ import (
 // both are present.
 const DeadlineHeader = "X-Crophe-Deadline"
 
-// CoordEpochHeader carries the sending coordinator's epoch on mutating
-// RPCs. A worker remembers the highest epoch it has seen and answers
-// 409 Conflict to anything older — the fence that keeps a zombie
-// (partitioned, superseded) coordinator from leasing shards after a
-// standby took over.
-const CoordEpochHeader = "X-Crophe-Coordinator-Epoch"
-
 // reqState is the per-request holder the middleware threads through the
 // context: the declared deadline (the duration the client asked for, not
 // the remaining wall clock — the deterministic input to

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -100,6 +102,65 @@ func TestBurstSheddingZeroLost(t *testing.T) {
 	code, body, _, err := postRaw(client, url, map[string]any{"hw": "crophe64", "workload": "helr"}, nil)
 	if err != nil || code != 200 {
 		t.Fatalf("post-burst request = %d %v (err %v); want 200 after hysteresis clears", code, body, err)
+	}
+}
+
+// TestQueueDepthCountsOnlyWaiters pins the QueueDepth contract:
+// waiting counts requests that have arrived but not yet acquired a
+// worker slot, never the ones executing. With one worker and a queue of
+// one, a second arrival while the first runs must queue and succeed,
+// not be shed with 429.
+func TestQueueDepthCountsOnlyWaiters(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	started, unblock := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	ts := httptest.NewServer(s.admit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if first.CompareAndSwap(false, true) {
+			close(started)
+			<-unblock
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	})))
+	defer ts.Close()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	var release sync.Once
+	unhold := func() { release.Do(func() { close(unblock) }) }
+	defer unhold() // a failing wait must not leave ts.Close blocked on the held handler
+
+	codes := make(chan int, 2)
+	post := func() {
+		code, _, _, err := postRaw(client, ts.URL, map[string]any{}, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		codes <- code
+	}
+	go post()
+	<-started
+	waitFor(t, "the running request to leave the wait queue", func() bool { return s.waiting.Load() == 0 })
+	go post()
+	waitFor(t, "the second request to queue", func() bool { return s.waiting.Load() == 1 })
+	unhold()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("request answered %d; want 200 (queued behind the running one, not shed)", code)
+		}
+	}
+	if n := s.metrics.shed.Load(); n != 0 {
+		t.Fatalf("shed %d requests; want 0", n)
+	}
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package serve is the production serving layer of the CROPHE stack: a
-// long-running HTTP/JSON service exposing the façade's schedule,
-// simulate, degraded-simulate and resilience-sweep operations, hardened
-// for sustained load the way the modelled hardware is hardened for
-// faults.
+// long-running, single-process HTTP/JSON service exposing the façade's
+// schedule, simulate, degraded-simulate and resilience-sweep operations,
+// hardened for sustained load the way the modelled hardware is hardened
+// for faults.
 //
 // Robustness is composed as middleware over the façade, in order:
 //
@@ -27,9 +27,10 @@
 //	    leaves no goroutines behind.
 //	  - Long resilience sweeps run asynchronously behind a job API
 //	    (POST /v1/sweeps, GET /v1/sweeps/{id}) that journals each completed
-//	    rung to an append-only checkpoint file, so a crashed-and-restarted
-//	    server resumes from the last completed rung and finishes
-//	    byte-identical to an uninterrupted run.
+//	    rung to an append-only, CRC-framed checkpoint file, so a
+//	    crashed-and-restarted server resumes from the last completed rung
+//	    (quarantining any corrupt suffix) and finishes byte-identical to an
+//	    uninterrupted run.
 //
 // See the "Serving architecture" section of DESIGN.md.
 package serve
@@ -46,7 +47,6 @@ import (
 	"time"
 
 	"crophe/internal/parallel"
-	"crophe/internal/serve/chaos"
 	"crophe/internal/telemetry"
 )
 
@@ -76,53 +76,11 @@ type Config struct {
 	// handler panic on purpose — the chaos-acceptance hook. Never enable
 	// outside tests and smoke drills.
 	AllowChaos bool
-	// Role selects the instance's cluster role: "single" (default; also
-	// what a worker runs — a worker is just a single instance a
-	// coordinator happens to talk to) or "coordinator", which shards
-	// sweep jobs across WorkerURLs instead of running rungs itself.
-	Role string
-	// WorkerURLs lists the worker base URLs ("host:port" or http:// URLs)
-	// a coordinator shards sweeps across. Required for Role
-	// "coordinator"; ignored otherwise.
-	WorkerURLs []string
-	// HeartbeatInterval is how often a coordinator probes each worker's
-	// /readyz. Default 500ms.
-	HeartbeatInterval time.Duration
-	// WorkerTimeout is how long a worker may stay silent (no successful
-	// heartbeat or poll) before it forfeits its shard leases and the
-	// coordinator reassigns them. Default 5s.
-	WorkerTimeout time.Duration
-	// PollInterval is the coordinator's shard-progress poll period.
-	// Default 100ms.
-	PollInterval time.Duration
-	// Standby makes a coordinator start passive: instead of claiming the
-	// checkpoint directory it watches the primary's lease and promotes
-	// itself — replaying the sweep journals, bumping the persisted
-	// coordinator epoch, fencing the old primary — only once the lease
-	// goes stale past TakeoverTimeout. Requires CheckpointDir (the lease
-	// lives there). Coordinator role only.
-	Standby bool
-	// TakeoverTimeout is how stale the primary's lease heartbeat must be
-	// before a standby promotes itself. Default 4×HeartbeatInterval.
-	TakeoverTimeout time.Duration
-	// NetChaos, when non-zero, wraps every coordinator→worker link in a
-	// seeded chaos.Transport injecting the spec'd faults (drops, resets,
-	// truncated bodies, spurious 500s, latency). Deterministic per
-	// (NetChaos, NetChaosSeed); for drills and tests.
-	NetChaos chaos.Spec
-	// NetChaosSeed seeds the chaos decision streams. Default 1.
-	NetChaosSeed int64
 	// RetryJitterSeed seeds the deterministic jitter added to 429
 	// Retry-After hints, decorrelating the retry stampede of clients shed
 	// in the same instant. Default 1; same seed, same jitter sequence.
 	RetryJitterSeed int64
 }
-
-// Cluster roles.
-const (
-	RoleSingle      = "single"
-	RoleCoordinator = "coordinator"
-)
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -140,24 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
-	if c.Role == "" {
-		c.Role = RoleSingle
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if c.WorkerTimeout <= 0 {
-		c.WorkerTimeout = 5 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
-	if c.TakeoverTimeout <= 0 {
-		c.TakeoverTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.NetChaosSeed == 0 {
-		c.NetChaosSeed = 1
-	}
 	if c.RetryJitterSeed == 0 {
 		c.RetryJitterSeed = 1
 	}
@@ -171,7 +111,6 @@ type Server struct {
 	metrics metrics
 	tel     *telemetry.Collector
 	jobs    *jobManager
-	coord   *coordinator // non-nil only for Role "coordinator"
 
 	// jitterRand drives the deterministic Retry-After jitter; guarded by
 	// jitterMu because rand.Rand is not concurrency-safe.
@@ -183,11 +122,6 @@ type Server struct {
 	// only at the hysteresis low-water mark.
 	waiting  atomic.Int64
 	shedding atomic.Bool
-
-	// coordEpochSeen is the highest coordinator epoch any mutating RPC
-	// has carried (worker-side fencing state); requests with a lower
-	// epoch are rejected 409.
-	coordEpochSeen atomic.Int64
 
 	httpSrv  *http.Server
 	listener net.Listener
@@ -206,24 +140,16 @@ func New(cfg Config) *Server {
 		jitterRand: rand.New(rand.NewSource(cfg.RetryJitterSeed)),
 	}
 	s.jobs = newJobManager(cfg.CheckpointDir)
-	if cfg.Role == RoleCoordinator {
-		s.coord = newCoordinator(cfg)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
-	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	mux.Handle("POST /v1/schedule", s.pipeline(s.handleSchedule))
 	mux.Handle("POST /v1/simulate", s.pipeline(s.handleSimulate))
 	mux.Handle("POST /v1/simulate-degraded", s.pipeline(s.handleSimulateDegraded))
 	mux.Handle("POST /v1/sweeps", s.pipeline(s.handleStartSweep))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
-	// The memo-snapshot pair is cluster plumbing, deliberately outside
-	// the admission pipeline (see worker.go).
-	mux.HandleFunc("GET /v1/memo/snapshot", s.handleMemoExport)
-	mux.HandleFunc("POST /v1/memo/snapshot", s.handleMemoImport)
 
 	s.httpSrv = &http.Server{Handler: mux}
 	return s
@@ -242,24 +168,7 @@ func (s *Server) pipeline(h http.HandlerFunc) http.Handler {
 // before the listener opens, so /v1/sweeps/{id} is consistent from the
 // first request.
 func (s *Server) Start() error {
-	if s.coord != nil {
-		if len(s.cfg.WorkerURLs) == 0 {
-			return fmt.Errorf("serve: coordinator role requires at least one worker URL")
-		}
-		if s.cfg.Standby {
-			if s.cfg.CheckpointDir == "" {
-				return fmt.Errorf("serve: a standby coordinator requires a checkpoint dir (the lease lives there)")
-			}
-			s.coord.startStandbyWatch()
-		} else {
-			if err := s.coord.activate(); err != nil {
-				return fmt.Errorf("serve: activating coordinator: %w", err)
-			}
-			if err := s.coord.recover(); err != nil {
-				return fmt.Errorf("serve: recovering checkpointed sweeps: %w", err)
-			}
-		}
-	} else if err := s.jobs.recover(); err != nil {
+	if err := s.jobs.recover(); err != nil {
 		return fmt.Errorf("serve: recovering checkpointed sweeps: %w", err)
 	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
@@ -304,28 +213,14 @@ func (s *Server) Shutdown() error {
 	// Stop sweep jobs first: their journals make interruption safe, and
 	// the rung in flight checks for cancellation between rungs only, so
 	// it either completes (journaled) or the process exits at the drain
-	// deadline with the journal intact. A coordinator's orchestration
-	// loops stop the same way: leases lapse, journals stay resumable.
+	// deadline with the journal intact.
 	jobsDone := s.jobs.stop()
-	var coordDone <-chan struct{}
-	if s.coord != nil {
-		coordDone = s.coord.stop()
-	}
 	err := s.httpSrv.Shutdown(ctx)
 	select {
 	case <-jobsDone:
 	case <-ctx.Done():
 		if err == nil {
 			err = fmt.Errorf("serve: sweep jobs still draining at the deadline: %w", ctx.Err())
-		}
-	}
-	if coordDone != nil {
-		select {
-		case <-coordDone:
-		case <-ctx.Done():
-			if err == nil {
-				err = fmt.Errorf("serve: coordinator still draining at the deadline: %w", ctx.Err())
-			}
 		}
 	}
 	return err
@@ -344,40 +239,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: 200 while accepting work, 503 during drain
-// so load balancers stop routing before in-flight work finishes. A
-// coordinator's readiness is aggregate, not local: a fenced zombie, an
-// unpromoted standby, and a coordinator with zero healthy workers all
-// answer 503 — an orchestrator must not route sweeps to a coordinator
-// that cannot place them, however healthy its own listener is.
+// so load balancers stop routing before in-flight work finishes.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	if s.coord == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-		return
-	}
-	epoch := s.coord.epoch.Load()
-	if s.coord.fenced.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "fenced", "epoch": epoch})
-		return
-	}
-	if !s.coord.active.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "standby"})
-		return
-	}
-	healthy, total := s.coord.workerHealth()
-	body := map[string]any{
-		"status": "ready", "role": RoleCoordinator, "epoch": epoch,
-		"workers_healthy": healthy, "workers_total": total,
-	}
-	if healthy == 0 {
-		body["status"] = "no-worker-quorum"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 // writeJSON encodes v in one shot after the handler finished computing,

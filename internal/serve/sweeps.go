@@ -6,10 +6,8 @@ import (
 	"crophe"
 )
 
-// statusOf renders a job for clients. raw additionally attaches the
-// exact journaled points (the coordinator's merge feed — exact where
-// the TimeMS display conversion is lossy).
-func statusOf(j *job, raw bool) SweepStatus {
+// statusOf renders a job for clients.
+func statusOf(j *job) SweepStatus {
 	state, completed, errText, result := j.snapshot()
 	st := SweepStatus{
 		ID:         j.params.ID,
@@ -19,8 +17,6 @@ func statusOf(j *job, raw bool) SweepStatus {
 		Seed:       j.params.Seed,
 		Steps:      j.params.Steps,
 		DeadlineMS: j.params.DeadlineMS,
-		ShardIndex: j.params.ShardIndex,
-		ShardCount: j.params.ShardCount,
 		Completed:  completed,
 		Error:      errText,
 	}
@@ -38,10 +34,6 @@ func statusOf(j *job, raw bool) SweepStatus {
 			})
 		}
 	}
-	if raw {
-		st.RawPoints = j.rawPoints()
-		st.RawSum = sumPoints(st.RawPoints)
-	}
 	return st
 }
 
@@ -50,13 +42,8 @@ func statusOf(j *job, raw bool) SweepStatus {
 // a client timeout, a load balancer replay — lands on the same job
 // instead of burning a second sweep. The job itself runs asynchronously
 // under the manager's lifetime, not the request's: the response is 202
-// with the ID to poll. On a coordinator the job is a distributed one —
-// rungs shard across the configured workers — but the request and
-// response shapes are identical.
+// with the ID to poll.
 func (s *Server) handleStartSweep(w http.ResponseWriter, r *http.Request) {
-	if s.fenceCoordinator(w, r) {
-		return
-	}
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.metrics.badInput.Add(1)
@@ -80,84 +67,32 @@ func (s *Server) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "steps must be in [1, 256], got %d", req.Steps)
 		return
 	}
-	if req.ShardCount < 0 || req.ShardCount > req.Steps {
-		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "shard_count must be in [0, steps], got %d", req.ShardCount)
-		return
-	}
-	if req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount) {
-		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "shard_index must be in [0, %d), got %d", req.ShardCount, req.ShardIndex)
-		return
-	}
-
 	params := sweepParams{
 		V: 1, HW: req.HW, Workload: req.Workload,
 		Seed: req.Seed, Steps: req.Steps, DeadlineMS: req.DeadlineMS,
-		ShardIndex: req.ShardIndex, ShardCount: req.ShardCount,
 	}
 	params.ID = sweepID(params)
-
-	if s.coord != nil {
-		if req.ShardCount > 0 {
-			s.metrics.badInput.Add(1)
-			writeError(w, http.StatusBadRequest, "a coordinator shards sweeps itself; shard_count must be 0")
-			return
-		}
-		// A standby that has not promoted (or a fenced zombie) must not
-		// accept sweeps — 503 makes failover clients rotate to the primary.
-		if !s.coord.isActive() {
-			writeError(w, http.StatusServiceUnavailable, "coordinator is not active (standby or fenced)")
-			return
-		}
-		cj, created, err := s.coord.start(params)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		st := cj.status(false)
-		st.Created = &created
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
 
 	j, created, err := s.jobs.start(params)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	st := statusOf(j, false)
+	st := statusOf(j)
 	st.Created = &created
 	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleGetSweep reports a sweep job: its state, how many rungs have
 // been checkpointed, and — once done — the full retained-throughput
-// curve (plus the exact raw points when ?raw=1, even mid-run).
-// Deliberately outside the admission pipeline: polling a job must stay
-// cheap and must work while the server sheds compute load.
+// curve. Deliberately outside the admission pipeline: polling a job
+// must stay cheap and must work while the server sheds compute load.
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	raw := r.URL.Query().Get("raw") == "1"
-	if s.coord != nil {
-		// An unpromoted standby has no job state yet; answer 503 (a
-		// retryable, rotate-me signal) rather than a wrongly final 404.
-		if !s.coord.isActive() {
-			writeError(w, http.StatusServiceUnavailable, "coordinator is not active (standby or fenced)")
-			return
-		}
-		cj, ok := s.coord.get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no sweep job %q", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, cj.status(raw))
-		return
-	}
 	j, ok := s.jobs.get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no sweep job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, statusOf(j, raw))
+	writeJSON(w, http.StatusOK, statusOf(j))
 }

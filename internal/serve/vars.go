@@ -2,9 +2,7 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 	"sync/atomic"
-	"time"
 
 	"crophe"
 )
@@ -13,14 +11,13 @@ import (
 // request path (the telemetry collector is reserved for model-level
 // counters accumulated by simulations the server runs).
 type metrics struct {
-	requests   atomic.Uint64 // admitted and executed
-	shed       atomic.Uint64 // rejected with 429
-	rejected   atomic.Uint64 // rejected with 503 during drain
-	panics     atomic.Uint64 // recovered handler panics
-	partials   atomic.Uint64 // responses carrying partial: true
-	badInput   atomic.Uint64 // 4xx other than shedding
-	queueWait  atomic.Uint64 // requests that waited for a slot (vs fast-path)
-	staleEpoch atomic.Uint64 // mutating RPCs 409'd for a stale coordinator epoch
+	requests  atomic.Uint64 // admitted and executed
+	shed      atomic.Uint64 // rejected with 429
+	rejected  atomic.Uint64 // rejected with 503 during drain
+	panics    atomic.Uint64 // recovered handler panics
+	partials  atomic.Uint64 // responses carrying partial: true
+	badInput  atomic.Uint64 // 4xx other than shedding
+	queueWait atomic.Uint64 // requests that waited for a slot (vs fast-path)
 }
 
 // handleVars is the /debug/vars-style observability endpoint: admission
@@ -29,149 +26,35 @@ type metrics struct {
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	memo := crophe.ScheduleMemoStats()
 	running, done := s.jobs.counts()
-	if s.coord != nil {
-		cr, cd := s.coord.counts()
-		running += cr
-		done += cd
-	}
-	out := map[string]any{
-		"role": s.cfg.Role,
+	writeJSON(w, http.StatusOK, map[string]any{
 		"admission": map[string]any{
 			"workers":     s.queue.Cap(),
 			"in_use":      s.queue.InUse(),
 			"queue_depth": s.cfg.QueueDepth,
-			"queue_len":   s.waiting.Load(),
 			"waiting":     s.waiting.Load(),
 			"shedding":    s.shedding.Load(),
 		},
 		"requests": map[string]any{
-			"served":              s.metrics.requests.Load(),
-			"shed":                s.metrics.shed.Load(),
-			"rejected":            s.metrics.rejected.Load(),
-			"panics":              s.metrics.panics.Load(),
-			"partial":             s.metrics.partials.Load(),
-			"bad_input":           s.metrics.badInput.Load(),
-			"queue_waits":         s.metrics.queueWait.Load(),
-			"stale_epoch_rejects": s.metrics.staleEpoch.Load(),
+			"served":      s.metrics.requests.Load(),
+			"shed":        s.metrics.shed.Load(),
+			"rejected":    s.metrics.rejected.Load(),
+			"panics":      s.metrics.panics.Load(),
+			"partial":     s.metrics.partials.Load(),
+			"bad_input":   s.metrics.badInput.Load(),
+			"queue_waits": s.metrics.queueWait.Load(),
 		},
 		"schedule_memo": map[string]any{
-			"hits":         memo.Hits,
-			"misses":       memo.Misses,
-			"evictions":    memo.Evictions,
-			"size":         memo.Size,
-			"capacity":     memo.Capacity,
-			"hit_rate":     memo.HitRate(),
-			"warm_hits":    memo.WarmHits,
-			"warm_entries": memo.WarmEntries,
+			"hits":      memo.Hits,
+			"misses":    memo.Misses,
+			"evictions": memo.Evictions,
+			"size":      memo.Size,
+			"capacity":  memo.Capacity,
+			"hit_rate":  memo.HitRate(),
 		},
 		"sweeps": map[string]any{
 			"running": running,
 			"done":    done,
 		},
 		"telemetry": s.tel.CounterMap(),
-	}
-	if s.coord != nil {
-		out["coordinator"] = s.coordVars()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// coordVars renders the coordinator's fail-over and chaos state.
-func (s *Server) coordVars() map[string]any {
-	healthy, total := s.coord.workerHealth()
-	cv := map[string]any{
-		"epoch":           s.coord.epoch.Load(),
-		"active":          s.coord.active.Load(),
-		"fenced":          s.coord.fenced.Load(),
-		"standby":         s.cfg.Standby,
-		"fenced_writes":   s.coord.fencedWrites.Load(),
-		"workers_healthy": healthy,
-		"workers_total":   total,
-
-		"shard_checksum_rejects": s.coord.checksumRejects.Load(),
-	}
-	if cc := s.coord.chaosCounts(); cc != nil {
-		cv["net_chaos"] = map[string]any{
-			"spec":        s.cfg.NetChaos.String(),
-			"requests":    cc.Requests,
-			"drops":       cc.Drops,
-			"resets":      cc.Resets,
-			"truncations": cc.Truncations,
-			"err500s":     cc.Err500s,
-			"flips":       cc.Flips,
-			"latencies":   cc.Latencies,
-		}
-	}
-	return cv
-}
-
-// handleCluster reports the cluster topology: the instance's role, and —
-// on a coordinator — per-worker liveness and per-job shard lease state.
-// This is the observability window the cluster smoke drill asserts
-// against.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{"role": s.cfg.Role}
-	if s.coord == nil {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	out["coordinator"] = s.coordVars()
-
-	var workers []map[string]any
-	for _, h := range s.coord.workers {
-		lastOK, seen := h.lastOKTime()
-		wv := map[string]any{
-			"url":     h.url,
-			"healthy": h.healthyWithin(s.coord.timeout),
-		}
-		if seen {
-			wv["last_ok_age_ms"] = time.Since(lastOK).Milliseconds()
-		}
-		workers = append(workers, wv)
-	}
-	out["workers"] = workers
-
-	s.coord.mu.Lock()
-	ids := make([]string, 0, len(s.coord.jobs))
-	for id := range s.coord.jobs {
-		ids = append(ids, id)
-	}
-	jobsByID := make(map[string]*coordJob, len(s.coord.jobs))
-	for id, j := range s.coord.jobs {
-		jobsByID[id] = j
-	}
-	s.coord.mu.Unlock()
-	sort.Strings(ids)
-
-	var jobs []map[string]any
-	for _, id := range ids {
-		j := jobsByID[id]
-		j.mu.Lock()
-		jv := map[string]any{
-			"id":        j.params.ID,
-			"state":     j.state,
-			"steps":     j.params.Steps,
-			"completed": j.completed,
-		}
-		var shards []map[string]any
-		for _, sh := range j.shards {
-			sv := map[string]any{
-				"shard": sh.index,
-				"steps": len(sh.steps),
-				"epoch": sh.epoch,
-				"done":  sh.done,
-			}
-			if sh.worker != nil {
-				sv["worker"] = sh.worker.url
-			}
-			shards = append(shards, sv)
-		}
-		if shards != nil {
-			jv["shards"] = shards
-		}
-		j.mu.Unlock()
-		jobs = append(jobs, jv)
-	}
-	out["jobs"] = jobs
-	writeJSON(w, http.StatusOK, out)
+	})
 }

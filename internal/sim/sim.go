@@ -110,13 +110,7 @@ func WithFaults(m *fault.Machine) Option {
 
 // Engine binds a hardware configuration.
 type Engine struct {
-	// HW is the bound hardware configuration.
-	//
-	// Deprecated: HW is exported only so pre-options callers that did
-	// sim.Engine{HW: hw} or read e.HW keep compiling. Use New with
-	// Options and the Config accessor instead.
-	HW *arch.HWConfig
-
+	hw           *arch.HWConfig
 	tel          *telemetry.Collector
 	meshW, meshH int
 	faults       *fault.Machine
@@ -124,7 +118,7 @@ type Engine struct {
 
 // New creates a simulator for a configuration.
 func New(hw *arch.HWConfig, opts ...Option) *Engine {
-	e := &Engine{HW: hw}
+	e := &Engine{hw: hw}
 	for _, o := range opts {
 		o(e)
 	}
@@ -132,7 +126,7 @@ func New(hw *arch.HWConfig, opts ...Option) *Engine {
 }
 
 // Config returns the bound hardware configuration.
-func (e *Engine) Config() *arch.HWConfig { return e.HW }
+func (e *Engine) Config() *arch.HWConfig { return e.hw }
 
 // Telemetry returns the attached collector (nil when disabled).
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
@@ -155,7 +149,7 @@ func (e *Engine) SimulateSchedule(w *workload.Workload, s *sched.Schedule) (*Res
 }
 
 func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Schedule) (*Result, error) {
-	hw := e.HW
+	hw := e.hw
 	tel := e.tel
 	freq := hw.FreqGHz * 1e9
 
@@ -460,7 +454,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 // Table II power while active and 10% of it (leakage + clocking) while
 // idle, and the off-chip interface pays ~5 pJ/bit (HBM-class).
 func (e *Engine) energy(res *Result, peBusy, nocBusy, sramBusy float64) float64 {
-	chip := arch.ChipModel(e.HW)
+	chip := arch.ChipModel(e.hw)
 	wall := res.TimeSec
 	const idleFrac = 0.10
 	const hbmPJPerBit = 5.0
@@ -525,7 +519,7 @@ func SimulateDegraded(ctx context.Context, m *fault.Machine, opt sched.Options, 
 	return res, s, nil
 }
 
-// DegradedRunner adapts SimulateDegraded to the fault.Sweep contract —
+// DegradedRunner adapts SimulateDegraded to the fault.RunSweep contract —
 // the injection point that keeps internal/fault free of any simulator
 // dependency.
 func DegradedRunner(ctx context.Context, opt sched.Options, w *workload.Workload) fault.Runner {

@@ -102,11 +102,6 @@ func SweepWithJournal(observe func(ResiliencePoint)) SweepOption { return fault.
 // into the result instead of re-running them.
 func SweepWithResume(done map[int]ResiliencePoint) SweepOption { return fault.WithResume(done) }
 
-// SweepWithShard restricts the sweep to shard index of count: only rungs
-// whose step satisfies step % count == index run. Shards reassemble with
-// MergeResilienceShards into a result byte-identical to an unsharded run.
-func SweepWithShard(index, count int) SweepOption { return fault.WithShard(index, count) }
-
 // SweepParallel runs rungs concurrently (batch/CLI use); incompatible
 // with SweepWithJournal.
 func SweepParallel() SweepOption { return fault.WithParallel() }
@@ -114,18 +109,17 @@ func SweepParallel() SweepOption { return fault.WithParallel() }
 // RunResilienceSweepWith is the single option-based resilience-sweep
 // entry point: it degrades hw over steps escalating fault rungs (seeded,
 // bit-deterministic) and reports throughput retained at each rung, with
-// options selecting journaling, resume, sharding and parallel execution
-// (see internal/fault.RunSweep for the mode contract).
+// options selecting journaling, resume and parallel execution (see
+// internal/fault.RunSweep for the mode contract).
 //
 // deadline bounds each rung's schedule search via the deterministic
 // anytime budget; 0 leaves the search unbounded. Each rung schedules
 // under an uncancellable context — ctx is consulted only between rungs
 // (or once, before a parallel launch) — so every completed rung is
 // deterministic per (hw, seed, step, steps, deadline bucket): sweeps
-// interrupted and resumed, or sharded across processes and merged,
-// produce reports byte-identical to one uninterrupted single-process
-// run. Panics escaping a rung are recovered into an error tagged with
-// the seed.
+// interrupted and resumed produce reports byte-identical to one
+// uninterrupted run. Panics escaping a rung are recovered into an error
+// tagged with the seed.
 func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
 	opts ...SweepOption) (sw *ResilienceSweep, err error) {
 	defer recoverFaultPanic(seed, &err)
@@ -135,54 +129,4 @@ func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed
 	}
 	runner := sim.DegradedRunner(context.Background(), opt, w)
 	return fault.RunSweep(ctx, hw, seed, steps, runner, opts...)
-}
-
-// MergeResilienceShards reassembles shard results produced with
-// SweepWithShard over the same (hw, seed, steps, deadline) into the full
-// sweep, byte-identical to an unsharded run. Overlapping rungs (rerun
-// after a shard reassignment) must agree exactly; a missing step is an
-// error.
-func MergeResilienceShards(steps int, shards ...*ResilienceSweep) (*ResilienceSweep, error) {
-	return fault.MergeShards(steps, shards...)
-}
-
-// FencedResilienceShard pairs a shard result with the coordinator epoch
-// it was produced under, for MergeResilienceShardsFenced.
-type FencedResilienceShard = fault.FencedShard
-
-// ErrStaleResilienceShardEpoch marks a shard produced under a
-// superseded coordinator epoch (test with errors.Is).
-var ErrStaleResilienceShardEpoch = fault.ErrStaleShardEpoch
-
-// MergeResilienceShardsFenced merges like MergeResilienceShards but
-// rejects — wrapping ErrStaleResilienceShardEpoch — any shard whose
-// epoch differs from the merging coordinator's, so results a zombie
-// coordinator was still holding when a standby took over can never
-// corrupt the merged report.
-func MergeResilienceShardsFenced(steps int, epoch int64, shards ...FencedResilienceShard) (*ResilienceSweep, error) {
-	return fault.MergeShardsFenced(steps, epoch, shards...)
-}
-
-// RunResilienceSweep runs a full sweep with rungs in parallel, the
-// runner bounded by ctx.
-//
-// Deprecated: use RunResilienceSweepWith (with SweepParallel for the
-// concurrent-rungs behaviour this wrapper preserves).
-func RunResilienceSweep(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration) (sw *ResilienceSweep, err error) {
-	defer recoverFaultPanic(seed, &err)
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
-	if deadline > 0 {
-		opt.SearchBudget = sched.BudgetForDeadline(deadline)
-	}
-	return fault.RunSweep(ctx, hw, seed, steps, sim.DegradedRunner(ctx, opt, w), fault.WithParallel())
-}
-
-// ResumeResilienceSweep is the crash-safe, sequential sweep form.
-//
-// Deprecated: use RunResilienceSweepWith with SweepWithResume and
-// SweepWithJournal; this wrapper preserves the old signature.
-func ResumeResilienceSweep(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
-	done map[int]ResiliencePoint, observe func(ResiliencePoint)) (*ResilienceSweep, error) {
-	return RunResilienceSweepWith(ctx, hw, w, seed, steps, deadline,
-		SweepWithResume(done), SweepWithJournal(observe))
 }

@@ -1,62 +1,30 @@
-// Command sdcsmoke is the silent-data-corruption drill, exercising both
-// halves of the data-plane integrity story end to end:
-//
-//  1. Kernel/model half — crophe-sim runs a degraded simulation whose
-//     fault plan carries the SDC dimensions (flip rate + scrub period)
-//     and must report the priced detect-recompute-escalate outcome;
-//     malformed flip/scrub specs must print usage and exit 2.
-//  2. Wire half — a real three-process cluster whose coordinator flips
-//     one bit of most worker response bodies (seeded transport chaos,
-//     flip dimension) must still finish a sharded sweep with a merged
-//     report byte-identical to a fresh single-process run, refusing
-//     corrupted shard payloads via the end-to-end checksum rather than
-//     merging them; /debug/vars must surface both the injected flips and
-//     the reject counter.
+// Command sdcsmoke is the silent-data-corruption drill for the
+// kernel/model half of the data-plane integrity story: crophe-sim runs a
+// degraded simulation whose fault plan carries the SDC dimensions (flip
+// rate + scrub period) and must report the priced
+// detect-recompute-escalate outcome; malformed flip/scrub specs must
+// print usage and exit 2.
 //
 // A plain Go program, so `make sdc-smoke` and CI run the identical
 // drill.
 //
 // Usage:
 //
-//	sdcsmoke -bin path/to/crophe-serve -sim path/to/crophe-sim
+//	sdcsmoke -sim path/to/crophe-sim
 //
 // Exits 0 when every probe passes, 1 with a diagnostic otherwise.
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"strings"
-	"syscall"
-	"time"
-
-	"crophe/internal/serve"
 )
 
-type server struct {
-	name   string
-	cmd    *exec.Cmd
-	addr   string
-	client *serve.Client
-}
-
-var running []*server
-
 func fatalf(format string, a ...any) {
-	for _, s := range running {
-		if s.cmd.Process != nil {
-			_ = s.cmd.Process.Kill()
-			_, _ = s.cmd.Process.Wait()
-		}
-	}
 	fmt.Fprintf(os.Stderr, "sdcsmoke: FAIL: "+format+"\n", a...)
 	os.Exit(1)
 }
@@ -82,112 +50,16 @@ func runSim(sim string, args ...string) (int, string) {
 	return code, buf.String()
 }
 
-// start launches one crophe-serve process and parses its listen address.
-func start(bin, name string, args ...string) *server {
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		fatalf("%s: stdout pipe: %v", name, err)
-	}
-	if err := cmd.Start(); err != nil {
-		fatalf("%s: starting %s: %v", name, bin, err)
-	}
-	s := &server{name: name, cmd: cmd}
-	running = append(running, s)
-
-	lines := bufio.NewScanner(stdout)
-	for lines.Scan() {
-		if rest, ok := strings.CutPrefix(lines.Text(), "crophe-serve: listening on "); ok {
-			s.addr = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if s.addr == "" {
-		fatalf("%s exited without announcing a listen address", name)
-	}
-	go func() {
-		for lines.Scan() {
-		}
-	}()
-	s.client = serve.NewClient(s.addr)
-	return s
-}
-
-func (s *server) drain() {
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		fatalf("%s: SIGTERM: %v", s.name, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			fatalf("%s exited non-zero after SIGTERM: %v", s.name, err)
-		}
-	case <-time.After(30 * time.Second):
-		fatalf("%s did not drain within 30s of SIGTERM", s.name)
-	}
-}
-
-// getRaw fetches a path and returns status plus the exact body bytes.
-func (s *server) getRaw(path string) (int, []byte) {
-	resp, err := http.Get("http://" + s.addr + path)
-	if err != nil {
-		fatalf("%s: GET %s: %v", s.name, path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("%s: GET %s: reading body: %v", s.name, path, err)
-	}
-	return resp.StatusCode, body
-}
-
-func (s *server) waitDone(id string, timeout time.Duration) *serve.SweepStatus {
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := s.client.SweepStatus(context.Background(), id, false)
-		if err != nil {
-			fatalf("%s: sweep poll: %v", s.name, err)
-		}
-		switch st.State {
-		case "done":
-			return st
-		case "failed":
-			fatalf("%s: sweep failed: %s", s.name, st.Error)
-		}
-		if time.Now().After(deadline) {
-			fatalf("%s: sweep did not finish in %v", s.name, timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func main() {
-	bin := flag.String("bin", "", "path to a built crophe-serve binary")
 	sim := flag.String("sim", "", "path to a built crophe-sim binary")
 	flag.Parse()
-	if *bin == "" || *sim == "" {
-		fmt.Fprintln(os.Stderr, "sdcsmoke: -bin and -sim are required")
+	if *sim == "" {
+		fmt.Fprintln(os.Stderr, "sdcsmoke: -sim is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	ctx := context.Background()
-	tmp, err := os.MkdirTemp("", "sdcsmoke-*")
-	if err != nil {
-		fatalf("temp dir: %v", err)
-	}
-	defer os.RemoveAll(tmp)
-	mkdir := func(name string) string {
-		d := tmp + "/" + name
-		if err := os.Mkdir(d, 0o755); err != nil {
-			fatalf("mkdir %s: %v", d, err)
-		}
-		return d
-	}
 
-	// --- Kernel/model half: the priced SDC recovery through crophe-sim.
+	// The priced SDC recovery through crophe-sim.
 	code, out := runSim(*sim, "-hw", "crophe64", "-workload", "boot",
 		"-faults", "flip:0.0001,scrub:100000", "-seed", "29", "-deadline", "500ms")
 	if code != 0 {
@@ -201,103 +73,14 @@ func main() {
 	}
 	step("crophe-sim degraded run priced the SDC recovery (flip:0.0001,scrub:100000 seed 29)")
 
-	// Malformed SDC specs must print usage and exit 2, never run — at
-	// both CLIs (crophe-sim -faults, crophe-serve -chaos-net).
+	// Malformed SDC specs must print usage and exit 2, never run.
 	for _, bad := range []string{"flip:1.5", "flip:bit", "scrub:-1", "flip:0.1,flip:0.2"} {
 		code, out := runSim(*sim, "-faults", bad)
 		if code != 2 {
 			fatalf("-faults %s exited %d; want 2:\n%s", bad, code, out)
 		}
 	}
-	for _, bad := range []string{"flip:1.01", "flip:bit"} {
-		code, out := runSim(*bin, "-addr", "127.0.0.1:0", "-role", "coordinator",
-			"-workers", "127.0.0.1:1", "-chaos-net", bad)
-		if code != 2 {
-			fatalf("crophe-serve -chaos-net %s exited %d; want 2:\n%s", bad, code, out)
-		}
-	}
-	step("malformed flip/scrub specs rejected with exit 2 at both CLIs")
-
-	// --- Wire half: a sharded sweep with every coordinator→worker link
-	// flipping one bit of most response bodies.
-	w0 := start(*bin, "worker0", "-checkpoint-dir", mkdir("w0"))
-	w1 := start(*bin, "worker1", "-checkpoint-dir", mkdir("w1"))
-	coord := start(*bin, "coordinator",
-		"-role", "coordinator",
-		"-workers", w0.addr+","+w1.addr,
-		"-checkpoint-dir", mkdir("coord"),
-		"-heartbeat", "25ms", "-worker-timeout", "500ms", "-poll", "10ms",
-		"-chaos-net", "flip:0.6", "-chaos-net-seed", "17")
-	step("cluster up under flip chaos: coordinator %s, workers %s %s", coord.addr, w0.addr, w1.addr)
-
-	const steps, deadlineMS = 8, 3
-	req := serve.SweepRequest{HW: "crophe64", Workload: "helr", Seed: 5, Steps: steps, DeadlineMS: deadlineMS}
-	st, err := coord.client.StartSweep(ctx, req)
-	if err != nil {
-		fatalf("StartSweep: %v", err)
-	}
-	id := st.ID
-	step("distributed sweep %s started (%d steps over 2 workers, flip:0.6)", id, steps)
-
-	final := coord.waitDone(id, 180*time.Second)
-	if len(final.Points) != steps {
-		fatalf("done sweep has %d points; want %d", len(final.Points), steps)
-	}
-	step("merged sweep done (%d rungs) despite the flip storm", steps)
-
-	// Byte-identity: a fresh single-process server (no chaos) answering
-	// the same request must produce the identical raw status document —
-	// silent wire corruption may slow the sweep, never skew it.
-	single := start(*bin, "single", "-checkpoint-dir", mkdir("single"))
-	st2, err := single.client.StartSweep(ctx, req)
-	if err != nil {
-		fatalf("single-process StartSweep: %v", err)
-	}
-	if st2.ID != id {
-		fatalf("single-process job ID %s != distributed job ID %s", st2.ID, id)
-	}
-	single.waitDone(id, 180*time.Second)
-
-	_, mergedBody := coord.getRaw("/v1/sweeps/" + id + "?raw=1")
-	_, singleBody := single.getRaw("/v1/sweeps/" + id + "?raw=1")
-	if !bytes.Equal(mergedBody, singleBody) {
-		fatalf("merged status document differs from the single-process one:\n coord: %s\nsingle: %s", mergedBody, singleBody)
-	}
-	step("merged report byte-identical to the single-process run (%d bytes)", len(mergedBody))
-
-	// Observability: /debug/vars must surface the injected flips and the
-	// checksum reject counter that kept them out of the merge.
-	code, body := coord.getRaw("/debug/vars")
-	if code != 200 {
-		fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		fatalf("/debug/vars: %v", err)
-	}
-	cv, _ := vars["coordinator"].(map[string]any)
-	if cv == nil {
-		fatalf("/debug/vars missing coordinator block: %s", body)
-	}
-	nc, _ := cv["net_chaos"].(map[string]any)
-	if nc == nil {
-		fatalf("/debug/vars missing coordinator.net_chaos: %s", body)
-	}
-	flips, _ := nc["flips"].(float64)
-	if flips < 1 {
-		fatalf("coordinator.net_chaos.flips = %v; want >= 1", nc["flips"])
-	}
-	if _, ok := cv["shard_checksum_rejects"]; !ok {
-		fatalf("/debug/vars missing coordinator.shard_checksum_rejects: %s", body)
-	}
-	step("observability: %d bits flipped on the links, %v shard payloads refused",
-		int(flips), cv["shard_checksum_rejects"])
-
-	coord.drain()
-	w0.drain()
-	w1.drain()
-	single.drain()
-	step("drain clean")
+	step("malformed flip/scrub specs rejected with exit 2")
 
 	fmt.Println("sdcsmoke: PASS")
 }

@@ -131,7 +131,7 @@ func (s *server) getJSON(path string) (int, map[string]any) {
 func (s *server) waitDone(id string, timeout time.Duration) *serve.SweepStatus {
 	deadline := time.Now().Add(timeout)
 	for {
-		st, err := s.client.SweepStatus(context.Background(), id, false)
+		st, err := s.client.SweepStatus(context.Background(), id)
 		if err != nil {
 			fatalf("sweep poll: %v", err)
 		}
@@ -274,7 +274,7 @@ func main() {
 
 	// A restarted server recovers the finished job from its journal.
 	s2 := start(*bin, checkpoints, false)
-	st, err = s2.client.SweepStatus(ctx, id, false)
+	st, err = s2.client.SweepStatus(ctx, id)
 	if err != nil || st.State != "done" {
 		fatalf("recovered sweep = %+v (%v); want done", st, err)
 	}
