@@ -29,11 +29,11 @@
 // and the run reports throughput retained versus the healthy machine,
 // plus the priced detect-recompute-escalate integrity outcome when the
 // plan carries an SDC dimension. With
-// -sweep N, the tool instead runs an N-rung escalating resilience sweep
-// and prints the report. -deadline bounds each schedule search through
-// the deterministic anytime budget; the best-so-far schedule is used
-// when the budget runs out. Malformed -mesh, -faults, or -deadline
-// values print usage and exit 2.
+// -sweep N (N >= 2), the tool instead runs an N-rung escalating
+// resilience sweep and prints the report. -deadline bounds each schedule
+// search through the deterministic anytime budget; the best-so-far
+// schedule is used when the budget runs out. Malformed -mesh, -faults,
+// -deadline or -sweep values print usage and exit 2.
 package main
 
 import (
@@ -134,7 +134,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "degrade the chip by a fault spec (e.g. rows:1,links:2,hbm:0.8,flip:0.001,scrub:100000)")
 	seed := flag.Int64("seed", 1, "deterministic seed for fault placement")
 	deadlineSpec := flag.String("deadline", "", "bound each schedule search (duration, e.g. 200ms)")
-	sweepSteps := flag.Int("sweep", 0, "run an N-rung escalating resilience sweep")
+	sweepSteps := flag.Int("sweep", 0, "run an N-rung escalating resilience sweep (N >= 2)")
 	flag.Parse()
 
 	if *traceCheck != "" {
@@ -153,8 +153,8 @@ func main() {
 	if err != nil {
 		usageExit("invalid -faults: %v", err)
 	}
-	if *sweepSteps < 0 {
-		usageExit("invalid -sweep %d (want a positive rung count)", *sweepSteps)
+	if *sweepSteps < 0 || *sweepSteps == 1 {
+		usageExit("invalid -sweep %d (want at least 2 rungs: a healthy one and a faulted one)", *sweepSteps)
 	}
 	if *sweepSteps > 0 && !spec.IsZero() {
 		usageExit("-sweep and -faults are mutually exclusive (the sweep escalates its own fault specs)")
@@ -243,7 +243,7 @@ func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spe
 	ctx := context.Background()
 
 	if sweepSteps > 0 {
-		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, w), fault.WithParallel())
+		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, w))
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -89,8 +90,14 @@ type IntegrityRow struct {
 	N            int
 	PlainNs      float64
 	CheckedNs    float64
-	OverheadFrac float64 // max(0, best checked/plain ratio - 1 over interleaved pairs)
+	OverheadFrac float64 // median over interleaved pairs of checked/plain - 1
+	SpreadFrac   float64 // interquartile range of those paired overheads
 }
+
+// integrityPairs is the number of interleaved plain/checked samples
+// behind each overhead estimate. Of the form 4k+1, so the median and
+// both quartiles are single pairs.
+const integrityPairs = 9
 
 // integrityShapes are the transform sizes measured for the ABFT
 // overhead gate; fast mode keeps the single CI-smoke shape.
@@ -138,27 +145,26 @@ func KernelIntegrity(fast bool) ([]IntegrityRow, error) {
 				panic(err) // no injector: a mismatch here is a real kernel bug
 			}
 		}
-		// Interleaved pairs: a load spike hitting only one side of a
-		// single plain-then-checked measurement inflates the apparent
-		// overhead by far more than the check costs, so the gate takes
-		// the best checked/plain ratio across adjacent pairs — paired
-		// samples see the same machine, and noise only ever pushes the
-		// ratio up.
+		// Interleaved pairs: adjacent plain and checked samples see the
+		// same machine, so each pair's ratio cancels slow drift. Noise
+		// moves a single ratio either way, so the estimate is the median
+		// pair, reported with the interquartile range of all pairs.
 		plain, checked := math.Inf(1), math.Inf(1)
-		overhead := math.Inf(1)
-		for pair := 0; pair < 5; pair++ {
+		ratios := make([]float64, integrityPairs)
+		for pair := range ratios {
 			p := measureNsOp(plainOp)
 			c := measureNsOp(checkedOp)
-			if r := c/p - 1; r < overhead {
-				overhead = r
-			}
+			ratios[pair] = c/p - 1
 			plain = math.Min(plain, p)
 			checked = math.Min(checked, c)
 		}
-		if overhead < 0 {
-			overhead = 0 // the check cannot be negative work
-		}
-		rows = append(rows, IntegrityRow{N: n, PlainNs: plain, CheckedNs: checked, OverheadFrac: overhead})
+		sort.Float64s(ratios)
+		q := len(ratios) / 4
+		rows = append(rows, IntegrityRow{
+			N: n, PlainNs: plain, CheckedNs: checked,
+			OverheadFrac: ratios[len(ratios)/2],
+			SpreadFrac:   ratios[len(ratios)-1-q] - ratios[q],
+		})
 	}
 	return rows, nil
 }
@@ -168,9 +174,10 @@ func RenderKernelIntegrity(rows []IntegrityRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "KERNELS — ABFT INTEGRITY OVERHEAD (measured, this machine; gate %.0f%%)\n",
 		maxIntegrityOverheadFrac*100)
-	fmt.Fprintf(&b, "%8s %12s %12s %10s\n", "N", "plain ns", "checked ns", "overhead")
+	fmt.Fprintf(&b, "%8s %12s %12s %10s %10s\n", "N", "plain ns", "checked ns", "overhead", "IQR")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %12.0f %12.0f %9.2f%%\n", r.N, r.PlainNs, r.CheckedNs, r.OverheadFrac*100)
+		fmt.Fprintf(&b, "%8d %12.0f %12.0f %9.2f%% %9.2f%%\n",
+			r.N, r.PlainNs, r.CheckedNs, r.OverheadFrac*100, r.SpreadFrac*100)
 	}
 	return b.String()
 }

@@ -48,10 +48,9 @@ func TestKernelIntegrityFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
 	}
-	// Plain and checked samples are taken moments apart, so a scheduler
-	// blip during one side inflates the apparent overhead; noise is
-	// one-sided upward, making the best of a few attempts the honest
-	// estimate. The gate must clear on at least one attempt.
+	// Each attempt's estimate is the median of interleaved pairs, but a
+	// load burst spanning most of one attempt still moves it. The gate
+	// must clear on at least one attempt.
 	var rows []IntegrityRow
 	for attempt := 0; attempt < 5; attempt++ {
 		var err error

@@ -354,11 +354,11 @@ func TestSweepDeterministicAndMonotone(t *testing.T) {
 		score := float64(eff.NumPEs*eff.Lanes) * eff.DRAMBandwidthTBs * eff.SRAMBandwidthTBs
 		return Outcome{TimeSec: 1e15 / score}, nil
 	}
-	a, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner, WithParallel())
+	a, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner, WithParallel())
+	b, err := RunSweep(context.Background(), arch.CROPHE64, 99, 6, runner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"crophe/internal/arch"
 	"crophe/internal/parallel"
@@ -92,25 +94,23 @@ func sweepSpec(hw *arch.HWConfig, frac float64) Spec {
 
 // sweepConfig is the resolved option set of one RunSweep call.
 type sweepConfig struct {
-	// observe, when set, receives each freshly computed rung before the
-	// next begins — the append-only checkpoint-journaling hook. Spliced
-	// (done) rungs are not re-observed. Forces sequential execution.
+	// observe, when set, receives each freshly computed rung once it and
+	// every earlier rung have landed — the append-only
+	// checkpoint-journaling hook. Spliced (done) rungs are not
+	// re-observed.
 	observe func(SweepPoint)
 	// done holds rungs already computed by a previous run, keyed by step
 	// index; they are spliced into the result verbatim instead of
 	// re-running.
 	done map[int]SweepPoint
-	// parallel runs rungs concurrently via internal/parallel instead of
-	// sequentially in step order. Incompatible with observe (the
-	// journaling contract is "each rung lands before the next begins").
-	parallel bool
 }
 
 // SweepOption configures RunSweep.
 type SweepOption func(*sweepConfig)
 
-// WithJournal hands each freshly computed rung to observe before the next
-// begins — the checkpoint-journaling hook. Implies sequential execution.
+// WithJournal hands each freshly computed rung to observe serially and
+// in step order, as the contiguous prefix of completed rungs grows — the
+// checkpoint-journaling hook.
 func WithJournal(observe func(SweepPoint)) SweepOption {
 	return func(c *sweepConfig) { c.observe = observe }
 }
@@ -121,38 +121,28 @@ func WithResume(done map[int]SweepPoint) SweepOption {
 	return func(c *sweepConfig) { c.done = done }
 }
 
-// WithParallel runs rungs concurrently (each writing its index-addressed
-// slot, so the result is still deterministic). Incompatible with
-// WithJournal.
-func WithParallel() SweepOption {
-	return func(c *sweepConfig) { c.parallel = true }
-}
-
 // RunSweep is the single entry point for resilience sweeps: steps rungs
-// of escalating fault load (rung 0 healthy, the last rung at maxSweepFrac
-// of every resource class), each instantiated under the same seed so rung
-// k's fault set nests inside rung k+1's. Options select the execution
-// mode:
+// (at least 2) of escalating fault load (rung 0 healthy, the last rung at
+// maxSweepFrac of every resource class), each instantiated under the
+// same seed so rung k's fault set nests inside rung k+1's.
 //
-//   - Default (no options): sequential in step order, ctx consulted only
-//     *between* rungs — the deterministic, checkpointable contract. Every
-//     rung is independently deterministic per (hw, seed, step), and this
-//     function never hands the runner a cancellable context mid-rung, so
-//     a sweep interrupted by cancellation or a crash loses at most the
-//     in-flight rung and resuming (WithResume) produces remaining rungs
-//     byte-identical to an uninterrupted run.
-//   - WithJournal(observe) streams each completed rung out before the
-//     next begins; WithResume(done) splices journaled rungs in verbatim.
-//   - WithParallel runs rungs concurrently (batch/CLI use; ctx is checked
-//     once before launch).
+// Rungs are claimed in step order and run on the shared internal/parallel
+// pool (the caller plus any free tokens; at pool size 1, a plain
+// sequential loop), each landing in its index-addressed slot. Every rung
+// is deterministic per (hw, seed, step) and never sees a cancellable
+// context, so the result does not depend on the pool size.
+// WithJournal(observe) commits rungs serially, in step order, as the
+// landed prefix grows; WithResume(done) splices journaled rungs in
+// verbatim. ctx is checked before each rung is claimed and before each
+// commit: after cancellation no rung starts or is committed, and
+// in-flight results are dropped — a resume recomputes them identically.
 //
 // Infeasible rungs are recorded in their point, not returned as errors;
-// RunSweep itself fails only on plan-generation bugs, invalid option
-// combinations, or between-rung cancellation (wrapping ctx.Err(), seed
-// attached).
+// RunSweep itself fails only on a step count below 2, plan-generation
+// bugs, or cancellation (wrapping ctx.Err(), seed attached).
 func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run Runner, opts ...SweepOption) (*SweepResult, error) {
 	if steps < 2 {
-		steps = 2
+		return nil, fmt.Errorf("fault: sweep needs at least 2 steps (a healthy rung and a faulted one), got %d", steps)
 	}
 	var cfg sweepConfig
 	for _, o := range opts {
@@ -160,46 +150,52 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 			o(&cfg)
 		}
 	}
-	if cfg.parallel && cfg.observe != nil {
-		return nil, fmt.Errorf("fault: WithParallel is incompatible with WithJournal (observe order is the sequential contract)")
-	}
 	res := &SweepResult{HW: hw.Name, Seed: seed, Points: make([]SweepPoint, steps)}
-
-	if cfg.parallel {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fault: sweep interrupted before start (seed %d): %w", seed, err)
+	errs := make([]error, steps)
+	var (
+		claimed atomic.Int64
+		mu      sync.Mutex
+		landed  = make([]bool, steps)
+		next    int  // rungs [0, next) are committed
+		busy    bool // a goroutine is running the commit loop
+	)
+	parallel.For(steps, func(int) {
+		if ctx.Err() != nil {
+			return
 		}
-		errs := make([]error, steps)
-		parallel.For(steps, func(i int) {
-			if pt, ok := cfg.done[i]; ok {
-				res.Points[i] = pt
+		i := int(claimed.Add(1)) - 1
+		pt, spliced := cfg.done[i]
+		if !spliced {
+			if pt, errs[i] = runStep(hw, seed, steps, i, run); errs[i] != nil {
 				return
 			}
-			res.Points[i], errs[i] = runStep(hw, seed, steps, i, run)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
-	} else {
-		for step := 0; step < steps; step++ {
-			if pt, ok := cfg.done[step]; ok {
-				res.Points[step] = pt
-				continue
+		res.Points[i] = pt
+		// Whichever goroutine finds the commit loop idle runs it. observe
+		// is called outside the lock, so a slow journal write never stops
+		// other rungs from landing, and observe calls never overlap.
+		mu.Lock()
+		landed[i] = true
+		if !busy {
+			busy = true
+			for next < steps && landed[next] && ctx.Err() == nil {
+				step := next
+				mu.Unlock()
+				if _, spliced := cfg.done[step]; !spliced && cfg.observe != nil {
+					cfg.observe(res.Points[step])
+				}
+				mu.Lock()
+				next++
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("fault: sweep interrupted before step %d (seed %d): %w", step, seed, err)
-			}
-			pt, err := runStep(hw, seed, steps, step, run)
-			if err != nil {
-				return nil, err
-			}
-			res.Points[step] = pt
-			if cfg.observe != nil {
-				cfg.observe(pt)
-			}
+			busy = false
 		}
+		mu.Unlock()
+	})
+	if next < steps {
+		if errs[next] != nil {
+			return nil, errs[next]
+		}
+		return nil, fmt.Errorf("fault: sweep interrupted before step %d (seed %d): %w", next, seed, ctx.Err())
 	}
 	if res.Points[0].Err == "" {
 		res.Baseline = res.Points[0].Outcome.TimeSec

@@ -51,9 +51,8 @@ type Stats struct {
 // checked kernel invocations. All methods are safe for concurrent use —
 // batch kernels verify limbs in parallel.
 type Checker struct {
-	seed         int64
-	maxRecompute int
-	inj          *Injector
+	seed int64
+	inj  *Injector
 
 	checks     atomic.Uint64
 	detected   atomic.Uint64
@@ -63,16 +62,6 @@ type Checker struct {
 
 // Option configures a Checker.
 type Option func(*Checker)
-
-// WithMaxRecompute bounds the replays before escalation (0 escalates on
-// first detection).
-func WithMaxRecompute(n int) Option {
-	return func(c *Checker) {
-		if n >= 0 {
-			c.maxRecompute = n
-		}
-	}
-}
 
 // WithInjector installs a corruption injector: checked kernels pass
 // their freshly produced buffers through it before verifying, which is
@@ -84,7 +73,7 @@ func WithInjector(in *Injector) Option {
 // NewChecker builds a checker whose escalations carry the given fault
 // seed.
 func NewChecker(seed int64, opts ...Option) *Checker {
-	c := &Checker{seed: seed, maxRecompute: DefaultMaxRecompute}
+	c := &Checker{seed: seed}
 	for _, o := range opts {
 		o(c)
 	}
@@ -93,9 +82,6 @@ func NewChecker(seed int64, opts ...Option) *Checker {
 
 // Seed returns the fault seed escalations are stamped with.
 func (c *Checker) Seed() int64 { return c.seed }
-
-// MaxRecompute returns the replay bound.
-func (c *Checker) MaxRecompute() int { return c.maxRecompute }
 
 // Checked counts one verification pass.
 func (c *Checker) Checked() { c.checks.Add(1) }

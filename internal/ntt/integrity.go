@@ -154,7 +154,7 @@ func (t *Table) ForwardChecked(a []uint64, c *integrity.Checker) (uint64, error)
 			return got, nil
 		}
 		c.Detected()
-		if attempt > c.MaxRecompute() {
+		if attempt > integrity.DefaultMaxRecompute {
 			copy(a, scratch)
 			return 0, c.Escalate("ntt.Forward", attempt)
 		}
@@ -181,7 +181,7 @@ func (t *Table) InverseChecked(a []uint64, c *integrity.Checker) (uint64, error)
 			return got, nil
 		}
 		c.Detected()
-		if attempt > c.MaxRecompute() {
+		if attempt > integrity.DefaultMaxRecompute {
 			copy(a, scratch)
 			return 0, c.Escalate("ntt.Inverse", attempt)
 		}
@@ -259,7 +259,7 @@ func (fs *FourStep) ForwardChecked(dst, a []uint64, c *integrity.Checker) (uint6
 			return got, nil
 		}
 		c.Detected()
-		if attempt > c.MaxRecompute() {
+		if attempt > integrity.DefaultMaxRecompute {
 			return 0, c.Escalate("ntt.FourStep.Forward", attempt)
 		}
 		c.Recomputed()
@@ -287,7 +287,7 @@ func (fs *FourStep) InverseChecked(dst, a []uint64, c *integrity.Checker) (uint6
 			return got, nil
 		}
 		c.Detected()
-		if attempt > c.MaxRecompute() {
+		if attempt > integrity.DefaultMaxRecompute {
 			return 0, c.Escalate("ntt.FourStep.Inverse", attempt)
 		}
 		c.Recomputed()

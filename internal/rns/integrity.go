@@ -66,7 +66,7 @@ func (c *Conv) ConvertColumnsChecked(dst, src [][]uint64, ck *integrity.Checker)
 			return nil
 		}
 		ck.Detected()
-		if attempt > ck.MaxRecompute() {
+		if attempt > integrity.DefaultMaxRecompute {
 			return ck.Escalate("rns.ConvertColumns", attempt)
 		}
 		ck.Recomputed()

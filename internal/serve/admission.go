@@ -91,7 +91,7 @@ func (s *Server) acquireSlot(ctx context.Context) (func(), bool, error) {
 
 // shed writes the load-shedding response: 429 with a Retry-After hint
 // sized to the queue-wait budget plus deterministic jitter (seeded by
-// RetryJitterSeed), so well-behaved clients back off for about as long
+// retryJitterSeed), so well-behaved clients back off for about as long
 // as a queued request would have waited — and a burst of clients shed in
 // the same instant does not return as the same stampede one hint later.
 func (s *Server) shed(w http.ResponseWriter) {
@@ -102,9 +102,9 @@ func (s *Server) shed(w http.ResponseWriter) {
 }
 
 // retryAfterSeconds sizes the Retry-After hint: the queue-wait budget
-// (floor 1s) plus up to half that again in seeded jitter. Deterministic
-// per RetryJitterSeed — the same seed yields the same hint sequence,
-// which keeps robustness tests replayable.
+// (floor 1s) plus up to half that again in seeded jitter. Every server
+// yields the same hint sequence, which keeps robustness tests
+// replayable.
 func (s *Server) retryAfterSeconds() int {
 	base := int(s.cfg.QueueWait.Seconds())
 	if base < 1 {

@@ -71,7 +71,7 @@ type SweepRequest struct {
 	HW         string `json:"hw"`
 	Workload   string `json:"workload"`
 	Seed       int64  `json:"seed"`
-	Steps      int    `json:"steps"`
+	Steps      int    `json:"steps"`                 // rung count, in [2, 256]
 	DeadlineMS int    `json:"deadline_ms,omitempty"` // per-rung anytime budget
 }
 

@@ -19,9 +19,10 @@ import (
 // <dir>/<id>.sweep.jsonl. The first line is the header (the job's full
 // parameter set, so a journal is self-describing); each subsequent line
 // records one completed rung; a {"done":true}
-// terminator marks a finished sweep. Every line is written in a single
-// write and fsynced before the next rung starts, so after a crash the
-// journal holds exactly the completed rungs — at worst plus one torn
+// terminator marks a finished sweep. Rung lines are committed in step
+// order as the prefix of completed rungs grows, each in a single write
+// fsynced before the next, so after a crash the journal holds a
+// contiguous prefix of the completed rungs — at worst plus one torn
 // trailing line, which recovery truncates away. Because rung outcomes
 // are deterministic per (hw, seed, step, deadline bucket) — see
 // RunResilienceSweepWith — a resumed journal's remaining lines are

@@ -303,6 +303,21 @@ func TestSweepJobAPI(t *testing.T) {
 	}
 }
 
+// TestSweepStepsOutOfRange: a sweep needs a healthy rung and at least
+// one faulted rung, so steps outside [2, 256] is a 400 — never a job
+// that silently runs a different rung count than it reports.
+func TestSweepStepsOutOfRange(t *testing.T) {
+	s := startServer(t, Config{})
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	for _, steps := range []int{0, 1, 257} {
+		req := map[string]any{"hw": "crophe64", "workload": "helr", "seed": 11, "steps": steps}
+		if code, body, _ := doJSON(t, client, "POST", "http://"+s.Addr()+"/v1/sweeps", req, nil); code != 400 {
+			t.Errorf("steps=%d: code %d body %v; want 400", steps, code, body)
+		}
+	}
+}
+
 // parentJournalID is the job ID of testdata's partial journal: header
 // plus rungs 0 and 1 of a four-rung sweep, CRC-framed, as an earlier
 // release of crophe-serve wrote it before being killed. The ID is the

@@ -293,15 +293,15 @@ func TestClientRetriesThroughChaosTransport(t *testing.T) {
 }
 
 func TestRetryAfterJitterDeterministic(t *testing.T) {
-	mk := func(seed int64) []int {
-		s := New(Config{RetryJitterSeed: seed})
+	mk := func() []int {
+		s := New(Config{})
 		out := make([]int, 8)
 		for i := range out {
 			out[i] = s.retryAfterSeconds()
 		}
 		return out
 	}
-	a, b := mk(7), mk(7)
+	a, b := mk(), mk()
 	base := int((Config{}.withDefaults()).QueueWait.Seconds())
 	varied := false
 	for i := range a {

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"crophe"
+	"crophe/internal/fault"
 )
 
 // Job states.
@@ -25,7 +26,7 @@ type job struct {
 
 	mu        sync.Mutex
 	state     string
-	completed int // rungs finished (journaled when persistence is on)
+	completed int // rungs committed (journaled when persistence is on)
 	errText   string
 	result    *crophe.ResilienceSweep
 }
@@ -54,7 +55,7 @@ func newJobManager(dir string) *jobManager {
 }
 
 // recover scans the checkpoint directory: finished journals become done
-// jobs (their results reassembled from the journaled rungs, so
+// jobs (their results replayed from the journaled rungs, so
 // GET /v1/sweeps/{id} keeps answering across restarts), unfinished ones
 // resume from the last completed rung. Unreadable journals become failed
 // jobs rather than aborting startup — one corrupt file must not take the
@@ -84,20 +85,19 @@ func (m *jobManager) recover() error {
 			m.mu.Unlock()
 			continue
 		}
-		j := &job{params: d.params, completed: len(d.points)}
+		j := &job{params: d.params, state: jobRunning, completed: len(d.points)}
 		if d.done {
 			j.state = jobDone
-			j.result = assembleSweep(d.params, d.points)
-			m.mu.Lock()
-			m.jobs[d.params.ID] = j
-			m.mu.Unlock()
-			continue
+			if j.result, err = replaySweep(m.ctx, d.params, d.points); err != nil {
+				j.state, j.errText = jobFailed, err.Error()
+			}
 		}
-		j.state = jobRunning
 		m.mu.Lock()
 		m.jobs[d.params.ID] = j
 		m.mu.Unlock()
-		m.launch(j, d.points, d.keep, false)
+		if !d.done {
+			m.launch(j, d.points, d.keep, false)
+		}
 	}
 	return nil
 }
@@ -123,7 +123,7 @@ func (m *jobManager) start(params sweepParams) (*job, bool, error) {
 
 // launch runs the sweep in a goroutine: resolve the design inputs, open
 // the journal, and hand the rungs to RunResilienceSweepWith with an
-// observe hook that checkpoints each one before the next begins.
+// observe hook that checkpoints them serially, in step order.
 func (m *jobManager) launch(j *job, doneRungs map[int]crophe.ResiliencePoint, keep int64, isNew bool) {
 	m.wg.Add(1)
 	go func() {
@@ -184,9 +184,9 @@ func (m *jobManager) run(j *job, doneRungs map[int]crophe.ResiliencePoint, keep 
 		crophe.SweepWithResume(doneRungs), crophe.SweepWithJournal(observe))
 	switch {
 	case err != nil && m.ctx.Err() != nil:
-		// Drain interrupted the sweep between rungs. The journal holds
-		// every completed rung; leave the job "running" so a restarted
-		// server resumes it. (This process is exiting — the state only
+		// Drain interrupted the sweep. The journal holds the committed
+		// prefix of rungs; leave the job "running" so a restarted server
+		// resumes it. (This process is exiting — the state only
 		// matters if something reads it during the drain window.)
 	case err != nil:
 		j.fail(err.Error())
@@ -226,9 +226,9 @@ func (m *jobManager) counts() (running, finished int) {
 	return running, finished
 }
 
-// stop cancels all running jobs (they stop at the next rung boundary,
-// journals intact) and returns a channel closed once every job goroutine
-// has exited.
+// stop cancels all running jobs (no further rung starts or is
+// committed; in-flight rungs finish and are dropped, journals intact)
+// and returns a channel closed once every job goroutine has exited.
 func (m *jobManager) stop() <-chan struct{} {
 	m.cancel()
 	ch := make(chan struct{})
@@ -239,27 +239,17 @@ func (m *jobManager) stop() <-chan struct{} {
 	return ch
 }
 
-// assembleSweep rebuilds a finished sweep result from its journaled
-// rungs, for jobs recovered as already done — matching the fault
-// package's conventions exactly (canonical hardware name, baseline only
-// from a healthy rung 0), so an assembled result renders byte-identical
-// to a freshly run one.
-func assembleSweep(params sweepParams, points map[int]crophe.ResiliencePoint) *crophe.ResilienceSweep {
-	name := params.HW
-	if hw, ok := crophe.LookupHW(params.HW); ok {
-		name = hw.Name
+// replaySweep rebuilds a finished job's result from its journaled rungs
+// through RunSweep's resume splice: every step is already done, so the
+// runner never runs and no workload graph is built, and the result
+// follows exactly the naming and baseline rules of a fresh sweep.
+func replaySweep(ctx context.Context, params sweepParams, points map[int]crophe.ResiliencePoint) (*crophe.ResilienceSweep, error) {
+	hw, ok := crophe.LookupHW(params.HW)
+	if !ok {
+		return nil, fmt.Errorf("unknown hw %q", params.HW)
 	}
-	sw := &crophe.ResilienceSweep{HW: name, Seed: params.Seed}
-	steps := make([]int, 0, len(points))
-	for s := range points {
-		steps = append(steps, s)
+	missing := func(*fault.Machine) (fault.Outcome, error) {
+		return fault.Outcome{}, errors.New("rung missing from the finished journal")
 	}
-	sort.Ints(steps)
-	for _, s := range steps {
-		sw.Points = append(sw.Points, points[s])
-	}
-	if len(sw.Points) > 0 && sw.Points[0].Step == 0 && sw.Points[0].Err == "" {
-		sw.Baseline = sw.Points[0].Outcome.TimeSec
-	}
-	return sw
+	return fault.RunSweep(ctx, hw, params.Seed, params.Steps, missing, fault.WithResume(points))
 }

@@ -66,8 +66,8 @@ type Config struct {
 	// QueueWait bounds how long an admitted-to-the-queue request may wait
 	// for a worker slot before it is shed. Default 5s.
 	QueueWait time.Duration
-	// DrainTimeout bounds graceful shutdown: in-flight requests and the
-	// running sweep rung get this long to finish. Default 15s.
+	// DrainTimeout bounds graceful shutdown: in-flight requests and
+	// in-flight sweep rungs get this long to finish. Default 15s.
 	DrainTimeout time.Duration
 	// CheckpointDir is where sweep jobs journal completed rungs. Empty
 	// disables persistence (jobs still run, but do not survive restarts).
@@ -76,11 +76,12 @@ type Config struct {
 	// handler panic on purpose — the chaos-acceptance hook. Never enable
 	// outside tests and smoke drills.
 	AllowChaos bool
-	// RetryJitterSeed seeds the deterministic jitter added to 429
-	// Retry-After hints, decorrelating the retry stampede of clients shed
-	// in the same instant. Default 1; same seed, same jitter sequence.
-	RetryJitterSeed int64
 }
+
+// retryJitterSeed seeds the deterministic jitter added to 429
+// Retry-After hints, decorrelating the retry stampede of clients shed in
+// the same instant while keeping the hint sequence replayable.
+const retryJitterSeed = 1
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -97,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
-	}
-	if c.RetryJitterSeed == 0 {
-		c.RetryJitterSeed = 1
 	}
 	return c
 }
@@ -137,7 +135,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		queue:      parallel.NewSharedQueue(cfg.Workers),
 		tel:        telemetry.New(),
-		jitterRand: rand.New(rand.NewSource(cfg.RetryJitterSeed)),
+		jitterRand: rand.New(rand.NewSource(retryJitterSeed)),
 	}
 	s.jobs = newJobManager(cfg.CheckpointDir)
 
@@ -195,7 +193,7 @@ func (s *Server) Addr() string {
 
 // Shutdown drains the server: readiness flips immediately (load
 // balancers stop routing, new requests get 503), in-flight requests and
-// the active sweep rung get up to DrainTimeout to finish, then the
+// in-flight sweep rungs get up to DrainTimeout to finish, then the
 // listener closes. Safe to call once; returns the drain error if the
 // deadline expired with work still in flight.
 func (s *Server) Shutdown() error {
@@ -210,10 +208,11 @@ func (s *Server) Shutdown() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 
-	// Stop sweep jobs first: their journals make interruption safe, and
-	// the rung in flight checks for cancellation between rungs only, so
-	// it either completes (journaled) or the process exits at the drain
-	// deadline with the journal intact.
+	// Stop sweep jobs first: their journals make interruption safe. No
+	// rung starts or is committed after cancellation; in-flight rungs run
+	// to completion and are dropped (a restart recomputes them
+	// byte-identically), or the process exits at the drain deadline with
+	// the journal intact.
 	jobsDone := s.jobs.stop()
 	err := s.httpSrv.Shutdown(ctx)
 	select {

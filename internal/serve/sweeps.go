@@ -62,9 +62,9 @@ func (s *Server) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown workload %q", req.Workload)
 		return
 	}
-	if req.Steps < 1 || req.Steps > 256 {
+	if req.Steps < 2 || req.Steps > 256 {
 		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "steps must be in [1, 256], got %d", req.Steps)
+		writeError(w, http.StatusBadRequest, "steps must be in [2, 256], got %d", req.Steps)
 		return
 	}
 	params := sweepParams{

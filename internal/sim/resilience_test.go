@@ -232,7 +232,7 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 	opt := sched.DefaultOptions(sched.DataflowCROPHE)
 	opt.SearchBudget = sched.BudgetForDeadline(200 * time.Millisecond)
 	sweep, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w), fault.WithParallel())
+		DegradedRunner(context.Background(), opt, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 	}
 	// Bit-determinism of the whole sweep.
 	again, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w), fault.WithParallel())
+		DegradedRunner(context.Background(), opt, w))
 	if err != nil {
 		t.Fatal(err)
 	}

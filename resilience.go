@@ -94,28 +94,25 @@ func SimulateDegraded(ctx context.Context, m *FaultMachine, w *Workload, opts ..
 // SweepWith* constructors below (aliased from internal/fault).
 type SweepOption = fault.SweepOption
 
-// SweepWithJournal hands each freshly computed rung to observe before
-// the next begins — the serving layer's checkpoint-journaling hook.
+// SweepWithJournal hands each freshly computed rung to observe serially
+// and in step order, as the completed prefix grows — the serving layer's
+// checkpoint-journaling hook.
 func SweepWithJournal(observe func(ResiliencePoint)) SweepOption { return fault.WithJournal(observe) }
 
 // SweepWithResume splices previously journaled rungs (keyed by step)
 // into the result instead of re-running them.
 func SweepWithResume(done map[int]ResiliencePoint) SweepOption { return fault.WithResume(done) }
 
-// SweepParallel runs rungs concurrently (batch/CLI use); incompatible
-// with SweepWithJournal.
-func SweepParallel() SweepOption { return fault.WithParallel() }
-
 // RunResilienceSweepWith is the single option-based resilience-sweep
 // entry point: it degrades hw over steps escalating fault rungs (seeded,
 // bit-deterministic) and reports throughput retained at each rung, with
-// options selecting journaling, resume and parallel execution (see
-// internal/fault.RunSweep for the mode contract).
+// options selecting journaling and resume. Rungs run concurrently on the
+// shared worker pool (see internal/fault.RunSweep for the contract).
 //
 // deadline bounds each rung's schedule search via the deterministic
 // anytime budget; 0 leaves the search unbounded. Each rung schedules
-// under an uncancellable context — ctx is consulted only between rungs
-// (or once, before a parallel launch) — so every completed rung is
+// under an uncancellable context — ctx is consulted only before a rung
+// starts and before it is committed — so every completed rung is
 // deterministic per (hw, seed, step, steps, deadline bucket): sweeps
 // interrupted and resumed produce reports byte-identical to one
 // uninterrupted run. Panics escaping a rung are recovered into an error

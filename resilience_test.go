@@ -73,7 +73,7 @@ func TestFacadePanicRecoveryCarriesSeed(t *testing.T) {
 
 func TestFacadeResilienceSweep(t *testing.T) {
 	w := BootstrappingWorkload(ParamsARK)(RotHoisted, 0)
-	sw, err := RunResilienceSweepWith(context.Background(), HWCROPHE64, w, 21, 3, 100*time.Millisecond, SweepParallel())
+	sw, err := RunResilienceSweepWith(context.Background(), HWCROPHE64, w, 21, 3, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
