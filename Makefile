@@ -36,6 +36,7 @@ race:
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzModMath -fuzztime=$(FUZZTIME) ./internal/modmath/
 	$(GO) test -run=^$$ -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME) ./internal/ntt/
+	$(GO) test -run=^$$ -fuzz=FuzzAutomorphismNTT -fuzztime=$(FUZZTIME) ./internal/poly/
 	$(GO) test -run=^$$ -fuzz=FuzzMarshalRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckks/
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/fault/
 

@@ -406,11 +406,8 @@ func Run(id string, fast bool) (string, error) {
 	case "ablations":
 		return RenderAblations(Ablations()), nil
 	case "kernels":
-		rows, err := Kernels(fast)
-		if err != nil {
-			return "", err
-		}
-		return RenderKernels(rows), nil
+		out, _, err := kernelsExperiment(fast)
+		return out, err
 	}
 	return "", fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 }

@@ -108,6 +108,25 @@ func integrityShapes(fast bool) []int {
 	return []int{4096, 16384}
 }
 
+// kernelsExperiment is the "kernels" experiment in both the plain and the
+// report paths: the batch-NTT throughput table and the ABFT integrity
+// overhead table, with their headline metrics.
+func kernelsExperiment(fast bool) (string, map[string]float64, error) {
+	rows, err := Kernels(fast)
+	if err != nil {
+		return "", nil, err
+	}
+	irows, err := KernelIntegrity(fast)
+	if err != nil {
+		return "", nil, err
+	}
+	m := kernelMetrics(rows)
+	for k, v := range integrityMetrics(irows) {
+		m[k] = v
+	}
+	return RenderKernels(rows) + "\n" + RenderKernelIntegrity(irows), m, nil
+}
+
 // KernelIntegrity measures the cost of the checked four-step forward
 // transform against the unchecked kernel. The overhead fraction is the
 // quantity the bench-diff gate pins: the fused-checksum design claims

@@ -175,3 +175,21 @@ func TestCompareNsOpCostSemantics(t *testing.T) {
 		t.Errorf("model-metric drift: got %+v, want one pe_util regression", regs)
 	}
 }
+
+// TestRunKernelsPlainIncludesIntegrity pins the plain (non -json) path of
+// the kernels experiment to the same output as the report path: both
+// tables, the batch-NTT throughput and the ABFT integrity overhead.
+func TestRunKernelsPlainIncludesIntegrity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing measurement")
+	}
+	out, err := Run("kernels", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"BATCH NTT", "ABFT INTEGRITY OVERHEAD"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("plain kernels output lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -129,19 +129,7 @@ func runWithMetrics(id string, fast bool) (string, map[string]float64, error) {
 		}
 		return RenderAblations(rows), m, nil
 	case "kernels":
-		rows, err := Kernels(fast)
-		if err != nil {
-			return "", nil, err
-		}
-		irows, err := KernelIntegrity(fast)
-		if err != nil {
-			return "", nil, err
-		}
-		m := kernelMetrics(rows)
-		for k, v := range integrityMetrics(irows) {
-			m[k] = v
-		}
-		return RenderKernels(rows) + "\n" + RenderKernelIntegrity(irows), m, nil
+		return kernelsExperiment(fast)
 	default:
 		out, err := Run(id, fast)
 		return out, nil, err

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
+	"crophe/internal/ntt"
 	"crophe/internal/parallel"
 	"crophe/internal/poly"
 	"crophe/internal/rns"
@@ -327,8 +329,11 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galois uint64, key *SwitchingK
 	level := ct.Level
 	limbs := level + 1
 
-	bAuto := applyAutoNTT(rq, ct.B, galois, limbs)
-	aAuto := applyAutoNTT(rq, ct.A, galois, limbs)
+	// σ_g permutes NTT slots, so both halves stay in the NTT domain.
+	bAuto := rq.NewPoly(limbs)
+	aAuto := rq.NewPoly(limbs)
+	rq.AutomorphismNTT(bAuto, &poly.Poly{Coeffs: ct.B.Coeffs[:limbs], IsNTT: true}, galois)
+	rq.AutomorphismNTT(aAuto, &poly.Poly{Coeffs: ct.A.Coeffs[:limbs], IsNTT: true}, galois)
 
 	c0, c1, err := ev.keySwitch(aAuto, level, key)
 	if err != nil {
@@ -338,16 +343,26 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galois uint64, key *SwitchingK
 	return &Ciphertext{B: c0, A: c1, Scale: ct.Scale, Level: level}, nil
 }
 
-// applyAutoNTT computes σ_g of an NTT-form polynomial by round-tripping
-// through the coefficient domain (the hardware instead permutes in place
-// with its shift networks; functionally identical).
-func applyAutoNTT(rq *poly.Ring, p *poly.Poly, galois uint64, limbs int) *poly.Poly {
-	tmp := (&poly.Poly{Coeffs: p.Coeffs[:limbs], IsNTT: p.IsNTT}).Copy()
-	rq.INTT(tmp)
-	out := rq.NewPoly(limbs)
-	rq.Automorphism(out, tmp, galois)
-	rq.NTT(out)
-	return out
+// nttTally counts the per-limb transforms of the key-switch path, so a
+// test can pin them to the scheduler's graph of the same operation.
+// tally is nil except inside that test; a nil tally costs one pointer
+// load per length-N transform.
+type nttTally struct{ forward, inverse atomic.Int64 }
+
+var tally atomic.Pointer[nttTally]
+
+func forwardNTT(t *ntt.Table, row []uint64) {
+	if c := tally.Load(); c != nil {
+		c.forward.Add(1)
+	}
+	t.Forward(row)
+}
+
+func inverseNTT(t *ntt.Table, row []uint64) {
+	if c := tally.Load(); c != nil {
+		c.inverse.Add(1)
+	}
+	t.Inverse(row)
 }
 
 // KeySwitch applies the raw key-switching primitive (Equation 1 of the
@@ -359,51 +374,71 @@ func (ev *Evaluator) KeySwitch(x *poly.Poly, level int, key *SwitchingKey) (*pol
 
 // keySwitch implements Decomp → ModUp → KSKInP → ModDown.
 func (ev *Evaluator) keySwitch(x *poly.Poly, level int, key *SwitchingKey) (*poly.Poly, *poly.Poly, error) {
-	params := ev.params
-	rqp := params.RingQP()
-	nQ := len(params.Q)
-	k := params.Alpha // number of special primes
-	n := rqp.N
-
 	if x.Limbs() != level+1 {
 		return nil, nil, fmt.Errorf("ckks: keySwitch operand has %d limbs, want %d", x.Limbs(), level+1)
 	}
-	digits := rns.DigitBounds(level, params.Alpha)
-	if len(digits) > key.Digits() {
-		return nil, nil, fmt.Errorf("ckks: key has %d digits, need %d", key.Digits(), len(digits))
+	if err := checkKeyDigits(key, level, ev.params.Alpha); err != nil {
+		return nil, nil, err
 	}
+	arena := getArena()
+	defer arena.release()
+	extQP := ev.extendedBasis(level)
+	ext, err := ev.modUpNTT(x, level, extQP, arena)
+	if err != nil {
+		return nil, nil, err
+	}
+	acc0, acc1 := ev.keyInnerProduct(ext, extQP, nil, key, arena)
+	return ev.modDownPair(acc0, acc1, extQP, level)
+}
 
-	// Decomp: operand to coefficient form once.
-	xc := x.Copy()
-	params.RingQ().INTT(xc)
+func checkKeyDigits(key *SwitchingKey, level, alpha int) error {
+	if need := len(rns.DigitBounds(level, alpha)); need > key.Digits() {
+		return fmt.Errorf("ckks: key has %d digits, need %d", key.Digits(), need)
+	}
+	return nil
+}
 
-	// Extended limb set: q_0..q_level, p_0..p_{k-1}; QP indices.
-	extQP := make([]int, 0, level+1+k)
+// extendedBasis returns the QP indices of the ModUp basis at a level:
+// q_0..q_level, then p_0..p_{α−1}.
+func (ev *Evaluator) extendedBasis(level int) []int {
+	nQ := len(ev.params.Q)
+	extQP := make([]int, 0, level+1+ev.params.Alpha)
 	for i := 0; i <= level; i++ {
 		extQP = append(extQP, i)
 	}
-	for j := 0; j < k; j++ {
+	for j := 0; j < ev.params.Alpha; j++ {
 		extQP = append(extQP, nQ+j)
 	}
-	nExt := len(extQP)
+	return extQP
+}
 
-	// Decomposition digits are independent until the KSKInP accumulation,
-	// so each digit runs as its own pool task producing partial
-	// accumulators; they are then reduced in digit order. Modular addition
-	// is exact, so the reduction is bit-identical to the serial
-	// interleaved accumulation.
-	type digitPartial struct {
-		arena      *ksArena
-		acc0, acc1 [][]uint64
-	}
-	parts := make([]digitPartial, len(digits))
-	defer func() {
-		for _, p := range parts {
-			if p.arena != nil {
-				p.arena.release()
-			}
+// modUpNTT runs Decomp → ModUp → NTT on the NTT-form operand x: one
+// inverse transform per limb of x, then per digit a base conversion to the
+// complement limbs and a forward transform of every extended limb. It
+// returns ext[digit][t], the digit's limb at QP index extQP[t] in NTT
+// form, carved from arena. Digits are independent pool tasks.
+func (ev *Evaluator) modUpNTT(x *poly.Poly, level int, extQP []int, arena *ksArena) ([][][]uint64, error) {
+	rq := ev.params.RingQ()
+	rqp := ev.params.RingQP()
+	n := rq.N
+	nExt := len(extQP)
+	digits := rns.DigitBounds(level, ev.params.Alpha)
+
+	// Decomp: operand to coefficient form once.
+	xc := arena.rows(level+1, n, false)
+	parallel.ForChunk(level+1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(xc[i], x.Coeffs[i])
+			inverseNTT(rq.Tables[i], xc[i])
 		}
-	}()
+	})
+
+	// Arena carving is not concurrency-safe, so every digit's rows are
+	// carved before the digits fan out.
+	ext := make([][][]uint64, len(digits))
+	for d := range ext {
+		ext[d] = arena.rows(nExt, n, false)
+	}
 	errs := make([]error, len(digits))
 	parallel.For(len(digits), func(d int) {
 		lo, hi := digits[d][0], digits[d][1]
@@ -412,61 +447,57 @@ func (ev *Evaluator) keySwitch(x *poly.Poly, level int, key *SwitchingKey) (*pol
 			errs[d] = err
 			return
 		}
-		arena := getArena()
-		ext := arena.rows(nExt, n, false)
-		// Each digit contributes exactly one product per extended limb, so
-		// the partials are written by assignment — no zeroing needed.
-		parts[d] = digitPartial{
-			arena: arena,
-			acc0:  arena.rows(nExt, n, false),
-			acc1:  arena.rows(nExt, n, false),
-		}
-
 		// ModUp: digit limbs copied, complement limbs base-converted.
+		rows := ext[d]
 		compRows := make([][]uint64, 0, nExt-(hi-lo))
 		for t, qp := range extQP {
 			if qp >= lo && qp < hi {
-				copy(ext[t], xc.Coeffs[qp])
+				copy(rows[t], xc[qp])
 			} else {
-				compRows = append(compRows, ext[t])
+				compRows = append(compRows, rows[t])
 			}
 		}
-		conv.ConvertColumns(compRows, xc.Coeffs[lo:hi])
-
-		// Per extended limb: NTT, then the KSKInP partial products. Limb
-		// rows are disjoint, so this nests cleanly inside the digit task.
-		kb, ka := key.B[d], key.A[d]
-		acc0, acc1 := parts[d].acc0, parts[d].acc1
+		conv.ConvertColumns(compRows, xc[lo:hi])
+		// Limb rows are disjoint, so the transforms nest inside the digit
+		// task.
 		parallel.For(nExt, func(t int) {
-			qp := extQP[t]
-			m := rqp.Mod(qp)
-			eRow := ext[t]
-			rqp.Tables[qp].Forward(eRow)
-			bRow, aRow := kb.Coeffs[qp], ka.Coeffs[qp]
-			m.MulVec(acc0[t], eRow, bRow)
-			m.MulVec(acc1[t], eRow, aRow)
+			forwardNTT(rqp.Tables[extQP[t]], rows[t])
 		})
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
+	return ext, nil
+}
 
-	// Reduce the per-digit partials into digit 0's accumulators, limb-
-	// parallel, in ascending digit order.
-	acc0, acc1 := parts[0].acc0, parts[0].acc1
-	parallel.For(nExt, func(t int) {
-		m := rqp.Mod(extQP[t])
-		a0, a1 := acc0[t], acc1[t]
-		for d := 1; d < len(parts); d++ {
-			m.AddVec(a0, a0, parts[d].acc0[t])
-			m.AddVec(a1, a1, parts[d].acc1[t])
+// keyInnerProduct is KSKInP: per extended limb, the sums over digits of
+// σ(ext[d]) ⊙ key.B[d] and σ(ext[d]) ⊙ key.A[d], where σ is the NTT-domain
+// automorphism with slot map idx (nil for none). One fused kernel call per
+// limb gathers, multiplies and accumulates every digit lazily. The two
+// accumulators are carved from arena.
+func (ev *Evaluator) keyInnerProduct(ext [][][]uint64, extQP []int, idx []uint32, key *SwitchingKey, arena *ksArena) (acc0, acc1 [][]uint64) {
+	rqp := ev.params.RingQP()
+	nExt := len(extQP)
+	acc0 = arena.rows(nExt, rqp.N, false)
+	acc1 = arena.rows(nExt, rqp.N, false)
+	beta := len(ext)
+	parallel.ForChunk(nExt, func(lo, hi int) {
+		x, w0, w1 := make([][]uint64, beta), make([][]uint64, beta), make([][]uint64, beta)
+		for t := lo; t < hi; t++ {
+			qp := extQP[t]
+			for d := range ext {
+				x[d], w0[d], w1[d] = ext[d][t], key.B[d].Coeffs[qp], key.A[d].Coeffs[qp]
+			}
+			rqp.Mod(qp).DotPairGatherVec(acc0[t], acc1[t], idx, x, w0, w1)
 		}
 	})
+	return acc0, acc1
+}
 
-	// ModDown: divide by P. For each accumulator, convert the P-part back
-	// to Q, subtract, and multiply by P^{-1}.
+// modDownPair maps both key-switch accumulators back to Q_level.
+func (ev *Evaluator) modDownPair(acc0, acc1 [][]uint64, extQP []int, level int) (*poly.Poly, *poly.Poly, error) {
 	c0, err := ev.modDown(acc0, extQP, level)
 	if err != nil {
 		return nil, nil, err
@@ -496,7 +527,7 @@ func (ev *Evaluator) modDown(acc [][]uint64, extQP []int, level int) (*poly.Poly
 	parallel.For(k, func(j int) {
 		t := level + 1 + j // position within ext limb list
 		copy(pPart[j], acc[t])
-		rqp.Tables[nQ+j].Inverse(pPart[j])
+		inverseNTT(rqp.Tables[nQ+j], pPart[j])
 	})
 
 	// Convert P-part into Q_level.
@@ -511,7 +542,7 @@ func (ev *Evaluator) modDown(acc [][]uint64, extQP []int, level int) (*poly.Poly
 	out.IsNTT = true
 	parallel.For(level+1, func(i int) {
 		m := rq.Mod(i)
-		rq.Tables[i].Forward(corr[i])
+		forwardNTT(rq.Tables[i], corr[i])
 		pInv := params.PInvModQ()[i]
 		m.SubMulShoupVec(out.Coeffs[i], acc[i], corr[i], pInv, m.ShoupPrecomp(pInv))
 	})

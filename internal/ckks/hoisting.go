@@ -5,7 +5,6 @@ import (
 
 	"crophe/internal/parallel"
 	"crophe/internal/poly"
-	"crophe/internal/rns"
 )
 
 // RotateHoisted computes several rotations of one ciphertext while
@@ -17,74 +16,30 @@ import (
 //	KeySwitch(σ_g(a)) = Σ_d σ_g(ModUp([a]_{D_d})) ⊙ evk_g,d,
 //
 // and the per-digit ModUp results are shared across all requested
-// rotation amounts. Returns a map from rotation amount to rotated
+// rotation amounts. The shared digits are transformed to the NTT domain
+// once, where σ_g is a slot permutation, so each rotation runs no forward
+// transforms before ModDown: the graph workload.BabyRotations prices in
+// RotHoisted mode. Returns a map from rotation amount to rotated
 // ciphertext. Rotation amount 0 returns the input unchanged.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ciphertext, error) {
 	if ev.keys == nil {
 		return nil, fmt.Errorf("ckks: RotateHoisted requires rotation keys")
 	}
-	params := ev.params
-	rq := params.RingQ()
-	rqp := params.RingQP()
+	rq := ev.params.RingQ()
+	rqp := ev.params.RingQP()
 	level := ct.Level
-	nQ := len(params.Q)
-	k := params.Alpha
-	n := rq.N
 
-	out := make(map[int]*Ciphertext, len(rotations))
-
-	// Shared Decomp: operand to coefficient form once.
-	aCoeff := ct.A.Copy()
-	rq.INTT(aCoeff)
-	bCoeff := ct.B.Copy()
-	rq.INTT(bCoeff)
-
-	digits := rns.DigitBounds(level, params.Alpha)
-
-	// Extended limb set indices into ringQP.
-	extQP := make([]int, 0, level+1+k)
-	for i := 0; i <= level; i++ {
-		extQP = append(extQP, i)
-	}
-	for j := 0; j < k; j++ {
-		extQP = append(extQP, nQ+j)
+	// Shared Decomp + ModUp + NTT. The digits are read-only from here on.
+	arena := getArena()
+	defer arena.release()
+	extQP := ev.extendedBasis(level)
+	ext, err := ev.modUpNTT(ct.A, level, extQP, arena)
+	if err != nil {
+		return nil, err
 	}
 
-	// Shared ModUp: per digit, in COEFFICIENT form (so the automorphism
-	// can be applied per rotation before the NTT). Digits are independent
-	// and fan out across the worker pool.
-	moduped := make([][][]uint64, len(digits)) // [digit][extLimb][N]
-	modUpErrs := make([]error, len(digits))
-	parallel.For(len(digits), func(d int) {
-		lo, hi := digits[d][0], digits[d][1]
-		conv, err := ev.modUpConvFor(level, d, lo, hi)
-		if err != nil {
-			modUpErrs[d] = err
-			return
-		}
-		ext := make([][]uint64, len(extQP))
-		compRows := make([][]uint64, 0, len(extQP)-(hi-lo))
-		for t, qp := range extQP {
-			if qp >= lo && qp < hi {
-				ext[t] = append([]uint64(nil), aCoeff.Coeffs[qp]...)
-			} else {
-				row := make([]uint64, n)
-				ext[t] = row
-				compRows = append(compRows, row)
-			}
-		}
-		conv.ConvertColumns(compRows, aCoeff.Coeffs[lo:hi])
-		moduped[d] = ext
-	})
-	for _, err := range modUpErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Every requested rotation reuses the shared ModUp digits read-only,
-	// so the rotations themselves are independent pool tasks. Results are
-	// collected by input position to keep assembly deterministic.
+	// The rotations are independent pool tasks. Results are collected by
+	// input position to keep assembly deterministic.
 	results := make([]*Ciphertext, len(rotations))
 	rotErrs := make([]error, len(rotations))
 	parallel.For(len(rotations), func(ri int) {
@@ -98,59 +53,24 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 			rotErrs[ri] = err
 			return
 		}
-		if len(digits) > key.Digits() {
-			rotErrs[ri] = fmt.Errorf("ckks: rotation key for %d has %d digits, need %d",
-				r, key.Digits(), len(digits))
+		if err := checkKeyDigits(key, level, ev.params.Alpha); err != nil {
+			rotErrs[ri] = fmt.Errorf("rotation %d: %w", r, err)
 			return
 		}
 		galois := rq.GaloisElement(r)
 
-		arena := getArena()
-		defer arena.release()
-		acc0 := arena.rows(len(extQP), n, true)
-		acc1 := arena.rows(len(extQP), n, true)
-
-		// Per digit: permute the shared ModUp result, NTT, inner-product.
-		// Extended limbs write disjoint accumulator rows, so the t loop
-		// nests in the pool; each chunk reuses one permutation buffer.
-		for d := range digits {
-			kb, ka := key.B[d], key.A[d]
-			ext := moduped[d]
-			parallel.ForChunk(len(extQP), func(tlo, thi int) {
-				chunkArena := getArena()
-				// Deferred, not trailing: the pool re-raises worker panics,
-				// and a panic between here and a trailing release would
-				// leak the arena for the process lifetime.
-				defer chunkArena.release()
-				permuted := chunkArena.alloc(n)
-				for t := tlo; t < thi; t++ {
-					qp := extQP[t]
-					m := rqp.Mod(qp)
-					// σ_g of this limb in coefficient form.
-					applyAutoRow(rqp, permuted, ext[t], galois, qp)
-					rqp.Tables[qp].Forward(permuted)
-					bRow, aRow := kb.Coeffs[qp], ka.Coeffs[qp]
-					m.MulAddVec(acc0[t], permuted, bRow)
-					m.MulAddVec(acc1[t], permuted, aRow)
-				}
-			})
-		}
-
-		c0, err := ev.modDown(acc0, extQP, level)
-		if err != nil {
-			rotErrs[ri] = err
-			return
-		}
-		c1, err := ev.modDown(acc1, extQP, level)
+		rotArena := getArena()
+		defer rotArena.release()
+		acc0, acc1 := ev.keyInnerProduct(ext, extQP, rqp.AutomorphismNTTIndex(galois), key, rotArena)
+		c0, c1, err := ev.modDownPair(acc0, acc1, extQP, level)
 		if err != nil {
 			rotErrs[ri] = err
 			return
 		}
 
-		// Add σ_g(b).
-		bAuto := rq.NewPoly(level + 1)
-		rq.Automorphism(bAuto, bCoeff, galois)
-		rq.NTT(bAuto)
+		// Add σ_g(b), permuted in the NTT domain.
+		bAuto := &poly.Poly{Coeffs: rotArena.rows(level+1, rq.N, false)}
+		rq.AutomorphismNTT(bAuto, ct.B, galois)
 		rq.Add(c0, c0, bAuto)
 
 		results[ri] = &Ciphertext{B: c0, A: c1, Scale: ct.Scale, Level: level}
@@ -160,39 +80,9 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 			return nil, err
 		}
 	}
+	out := make(map[int]*Ciphertext, len(rotations))
 	for ri, r := range rotations {
 		out[r] = results[ri]
 	}
 	return out, nil
-}
-
-// applyAutoRow applies the coefficient permutation of σ_g to a single
-// limb row under the modulus at QP index qp.
-func applyAutoRow(rqp *poly.Ring, dst, src []uint64, galois uint64, qp int) {
-	tmpIn := &poly.Poly{Coeffs: [][]uint64{src}}
-	tmpOut := &poly.Poly{Coeffs: [][]uint64{dst}}
-	// Build a single-limb view ring operation: Automorphism works on the
-	// limb list given; the modulus index must match, so shift the view.
-	subRing := ringView{rqp, qp}
-	subRing.automorphism(tmpOut, tmpIn, galois)
-}
-
-// ringView lets single-limb operations use the modulus at an arbitrary
-// limb index of a ring.
-type ringView struct {
-	r  *poly.Ring
-	qp int
-}
-
-func (v ringView) automorphism(dst, src *poly.Poly, galois uint64) {
-	m := v.r.Mod(v.qp)
-	entries := v.r.AutomorphismIndex(galois)
-	da, dd := src.Coeffs[0], dst.Coeffs[0]
-	for out, e := range entries {
-		val := da[e.Src()]
-		if e.Negate() {
-			val = m.Neg(val)
-		}
-		dd[out] = val
-	}
 }

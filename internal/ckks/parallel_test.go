@@ -14,9 +14,9 @@ func ctEqual(a, b *Ciphertext) bool {
 
 // TestKeySwitchParallelBitExact runs the full key-switch pipeline (via
 // Rotate and MulRelin) at pool size 1 and at a large pool: the
-// digit-parallel path with per-digit partial accumulators must reproduce
-// the serial accumulation bit-for-bit (modular arithmetic is exact, so
-// any divergence is a bug, not rounding).
+// digit-parallel ModUp and the limb-parallel inner product must reproduce
+// the serial run bit-for-bit (modular arithmetic is exact, so any
+// divergence is a bug, not rounding).
 func TestKeySwitchParallelBitExact(t *testing.T) {
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)

@@ -1,5 +1,7 @@
 package modmath
 
+import "math/bits"
+
 // Vectorised kernels over []uint64 residue rows — the element-wise lane
 // operations of the limb-major kernel layer. Every kernel re-slices its
 // operands to a common length up front (bounds-check elimination) and
@@ -259,5 +261,72 @@ func (m Modulus) AddScalarVec(dst, a []uint64, c uint64) {
 	q := m.Q
 	for i := 0; i < n; i++ {
 		dst[i] = condSub(a[i]+c, q)
+	}
+}
+
+// lazyTerms returns how many products of reduced residues a 128-bit
+// accumulator may sum before Reduce128's precondition hi < q could fail.
+// k products of operands < q sum to at most k·(q−1)² < k·q·q, which stays
+// below q·2^64 whenever k·q ≤ 2^64; so k = ⌊(2^64−1)/q⌋, which is at
+// least 4 for every modulus below 2^62.
+func (m Modulus) lazyTerms() int {
+	k := ^uint64(0) / m.Q
+	if k > 1<<30 {
+		k = 1 << 30
+	}
+	return int(k)
+}
+
+// DotPairGatherVec sets, for every i,
+//
+//	dst0[i] = Σ_k x[k][j]·w0[k][i] mod q,   dst1[i] = Σ_k x[k][j]·w1[k][i] mod q,
+//
+// with j = idx[i], or j = i when idx is nil. This is the key-switch inner
+// product of the digit rows x with both halves of a switching key, fused
+// with the gather that applies an NTT-domain automorphism to the digits.
+// Each sum runs in a 128-bit accumulator with one Barrett reduction per
+// output word. Sums longer than lazyTerms() are reduced every lazyTerms()
+// terms; the carried residue counts as one term, since q−1 ≤ (q−1)².
+// All inputs must be < q, and dst0/dst1 must not alias any row of x.
+func (m Modulus) DotPairGatherVec(dst0, dst1 []uint64, idx []uint32, x, w0, w1 [][]uint64) {
+	n := len(dst0)
+	dst1 = dst1[:n:n]
+	if len(w0) != len(x) || len(w1) != len(x) {
+		panic("modmath: DotPairGatherVec term count mismatch")
+	}
+	if idx != nil {
+		idx = idx[:n:n]
+	}
+	for k := range x {
+		if len(x[k]) < n || len(w0[k]) < n || len(w1[k]) < n {
+			panic("modmath: DotPairGatherVec row shorter than destination")
+		}
+	}
+	limit := m.lazyTerms()
+	for i := 0; i < n; i++ {
+		j := i
+		if idx != nil {
+			j = int(idx[i])
+		}
+		var h0, l0, h1, l1 uint64
+		terms := 0
+		for k, row := range x {
+			if terms == limit {
+				l0, h0 = m.reduce128(h0, l0), 0
+				l1, h1 = m.reduce128(h1, l1), 0
+				terms = 1
+			}
+			v := row[j]
+			var c uint64
+			ph, pl := bits.Mul64(v, w0[k][i])
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(v, w1[k][i])
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
+			terms++
+		}
+		dst0[i] = m.reduce128(h0, l0)
+		dst1[i] = m.reduce128(h1, l1)
 	}
 }

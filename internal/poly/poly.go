@@ -7,6 +7,7 @@ package poly
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -23,23 +24,21 @@ type Ring struct {
 	Basis  *rns.Basis
 	Tables []*ntt.Table
 
-	// galois caches automorphism index maps keyed by the exponent g,
-	// built lazily by AutomorphismIndex under galoisMu.
-	galoisMu sync.Mutex
-	galois   map[uint64][]autoEntry
+	// galois and galoisNTT cache the coefficient- and NTT-domain
+	// automorphism index maps keyed by the exponent g, built lazily under
+	// galoisMu.
+	galoisMu  sync.Mutex
+	galois    map[uint64][]autoEntry
+	galoisNTT map[uint64][]uint32
 }
 
+// autoEntry is one output coefficient of a coefficient-domain
+// automorphism: its source index and whether it wraps past X^N (and so
+// flips sign).
 type autoEntry struct {
 	src    int
 	negate bool
 }
-
-// Src returns the source coefficient index of the permutation entry.
-func (e autoEntry) Src() int { return e.src }
-
-// Negate reports whether the moved coefficient flips sign (negacyclic
-// wrap past X^N).
-func (e autoEntry) Negate() bool { return e.negate }
 
 // NewRing creates a ring of degree n (power of two) over the given primes,
 // each of which must support the negacyclic NTT (p ≡ 1 mod 2n).
@@ -48,7 +47,8 @@ func NewRing(n int, primes []uint64) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{N: n, Basis: basis, galois: make(map[uint64][]autoEntry)}
+	r := &Ring{N: n, Basis: basis,
+		galois: make(map[uint64][]autoEntry), galoisNTT: make(map[uint64][]uint32)}
 	r.Tables = make([]*ntt.Table, basis.K())
 	// Per-limb tables are independent; build them across the pool.
 	errs := make([]error, basis.K())
@@ -226,15 +226,12 @@ func (r *Ring) INTT(p *Poly) {
 	p.IsNTT = false
 }
 
-// AutomorphismIndex returns (building if needed) the coefficient-domain
+// automorphismIndex returns (building if needed) the coefficient-domain
 // permutation for the map X → X^g: source index and sign for each output
 // coefficient. g must be odd (an element of (Z/2NZ)*).
-func (r *Ring) AutomorphismIndex(g uint64) []autoEntry {
-	if g%2 == 0 {
-		panic(fmt.Sprintf("poly: automorphism exponent %d must be odd", g))
-	}
+func (r *Ring) automorphismIndex(g uint64) []autoEntry {
+	g = r.galoisExponent(g)
 	twoN := uint64(2 * r.N)
-	g %= twoN
 	r.galoisMu.Lock()
 	defer r.galoisMu.Unlock()
 	if e, ok := r.galois[g]; ok {
@@ -255,16 +252,69 @@ func (r *Ring) AutomorphismIndex(g uint64) []autoEntry {
 	return entries
 }
 
+// galoisExponent checks that g is odd (an element of (Z/2NZ)*) and
+// reduces it mod 2N.
+func (r *Ring) galoisExponent(g uint64) uint64 {
+	if g%2 == 0 {
+		panic(fmt.Sprintf("poly: automorphism exponent %d must be odd", g))
+	}
+	return g % uint64(2*r.N)
+}
+
+// AutomorphismNTTIndex returns (building if needed) the NTT-domain
+// permutation of X → X^g: σ_g(a) in NTT form is out[i] = in[idx[i]].
+// ntt.Table.Forward leaves a(ψ^(2·brv(i)+1)) in slot i, and σ_g(a)
+// evaluated there is a(ψ^(g·(2·brv(i)+1))), another odd power of ψ, so the
+// automorphism is a pure permutation of slots with no sign flips. The
+// map depends only on N and g, so it serves every limb modulus.
+func (r *Ring) AutomorphismNTTIndex(g uint64) []uint32 {
+	g = r.galoisExponent(g)
+	mask := uint64(2*r.N - 1)
+	r.galoisMu.Lock()
+	defer r.galoisMu.Unlock()
+	if idx, ok := r.galoisNTT[g]; ok {
+		return idx
+	}
+	logN := bits.TrailingZeros(uint(r.N))
+	brv := func(x uint64) uint64 { return bits.Reverse64(x) >> (64 - logN) }
+	idx := make([]uint32, r.N)
+	for i := range idx {
+		e := (2*brv(uint64(i)) + 1) * g & mask
+		idx[i] = uint32(brv((e - 1) >> 1))
+	}
+	r.galoisNTT[g] = idx
+	return idx
+}
+
+// AutomorphismNTT applies a(X) → a(X^g) to an NTT-form polynomial by
+// permuting its slots, writing into dst (which must not alias a). It is
+// bit-identical to INTT → Automorphism → NTT at no transform cost; the
+// hardware realises the same permutation with its inter-lane shift
+// networks.
+func (r *Ring) AutomorphismNTT(dst, a *Poly, g uint64) {
+	if !a.IsNTT {
+		panic(fmt.Sprintf("poly: AutomorphismNTT (g=%d) requires NTT form, got coefficient form", g))
+	}
+	ensureLike(dst, a)
+	idx := r.AutomorphismNTTIndex(g)
+	parallel.For(a.Limbs(), func(i int) {
+		da, dd := a.Coeffs[i], dst.Coeffs[i][:len(idx)]
+		for out, src := range idx {
+			dd[out] = da[src]
+		}
+	})
+	dst.IsNTT = true
+}
+
 // Automorphism applies a(X) → a(X^g) in the coefficient domain, writing
-// into dst (which must not alias a). For NTT-form inputs the caller is
-// expected to convert first; the hardware realises the same permutation
-// with its inter-lane shift networks.
+// into dst (which must not alias a). NTT-form inputs take
+// AutomorphismNTT instead.
 func (r *Ring) Automorphism(dst, a *Poly, g uint64) {
 	if a.IsNTT {
 		panic(fmt.Sprintf("poly: Automorphism (g=%d) requires coefficient form, got NTT", g))
 	}
 	ensureLike(dst, a)
-	entries := r.AutomorphismIndex(g)
+	entries := r.automorphismIndex(g)
 	parallel.For(a.Limbs(), func(i int) {
 		m := r.Mod(i)
 		da, dd := a.Coeffs[i], dst.Coeffs[i]

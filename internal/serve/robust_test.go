@@ -227,7 +227,10 @@ func TestChaosAcceptance(t *testing.T) {
 		body map[string]any
 		err  error
 	}
-	results := make([]outcome, total)
+	// One slot past the storm for a serial chaos request: a 429 can shed
+	// every storm request, but not a lone request to an idle server, so
+	// at least one seeded panic always reaches a handler.
+	results := make([]outcome, total+1)
 	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
@@ -249,6 +252,12 @@ func TestChaosAcceptance(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	code, out, _, err := postRaw(client, url, map[string]any{"hw": "crophe64", "workload": "helr",
+		"chaos_panic": true, "seed": total}, nil)
+	results[total] = outcome{total, code, out, err}
+	if err == nil && code != 500 {
+		t.Fatalf("serial chaos request after the storm = %d %v; want the seeded 500", code, out)
+	}
 
 	var served, shed, seededPanics int
 	for _, r := range results {
