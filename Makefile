@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels trace-smoke chaos-smoke serve-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels bench-sched trace-smoke chaos-smoke serve-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -49,6 +49,12 @@ bench:
 # for a real measurement.
 bench-kernels:
 	$(GO) test -race -run='^$$' -bench BenchmarkBatchNTT -benchtime=1x ./internal/ntt/
+
+# One iteration of the cold scheduler benchmark (one Figure 9 cell, four
+# designs) under the race detector: keeps the allocation-free pricing
+# path and its scratch reuse race-checked and the benchmark compiling.
+bench-sched:
+	$(GO) test -race -run='^$$' -bench BenchmarkDesignEvaluateCold -benchtime=1x ./internal/sched/
 
 # Machine-readable benchmark report (fast mode) and regression diff
 # against the committed baseline.

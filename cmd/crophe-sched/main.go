@@ -72,10 +72,9 @@ func main() {
 
 	if *verbose {
 		for _, seg := range res.Segments {
-			pipelined, shared := 0, 0
+			pipelined := 0
 			for _, g := range seg.Groups {
 				pipelined += g.Pipelined
-				shared += g.AuxShared
 			}
 			fmt.Printf("  segment %-16s ×%-4d %8.3f ms/run, %3d groups, %4d pipelined edges, DRAM %7.1f MB/run\n",
 				seg.Name, seg.Count, seg.TimeSec*1e3, len(seg.Groups), pipelined, seg.Traffic.DRAM/1e6)

@@ -1,10 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Fingerprint returns a structural hash of the graph: operator kinds,
@@ -16,18 +17,24 @@ import (
 // schedules by (fingerprint, hardware, options).
 func (g *Graph) Fingerprint() string {
 	topo := g.Topological()
-	pos := make(map[*Node]int, len(topo))
+	pos := make([]int, len(g.Nodes)) // by node ID
 	for i, n := range topo {
-		pos[n] = i
+		pos[n.ID] = i
 	}
 	// Canonical aux numbering: order of first appearance in topo order.
 	auxNum := map[string]int{}
+	// The hash input is a stream of little-endian int64s, fed to the
+	// hash in blocks.
 	h := sha256.New()
-	buf := make([]byte, 8)
+	buf := make([]byte, 0, 4096)
 	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf, uint64(int64(v)))
-		h.Write(buf)
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
+	var edges []*Edge
 	for _, n := range topo {
 		writeInt(int(n.Kind))
 		writeInt(n.Out.Digits)
@@ -36,17 +43,16 @@ func (g *Graph) Fingerprint() string {
 		writeInt(n.SubNTTLen)
 		writeInt(n.BConvWidth)
 		// Edges sorted by (consumer position, class) for determinism.
-		edges := append([]*Edge(nil), n.OutEdges...)
-		sort.Slice(edges, func(i, j int) bool {
-			pi, pj := pos[edges[i].To], pos[edges[j].To]
-			if pi != pj {
-				return pi < pj
+		edges = append(edges[:0], n.OutEdges...)
+		slices.SortFunc(edges, func(a, b *Edge) int {
+			if c := cmp.Compare(pos[a.To.ID], pos[b.To.ID]); c != 0 {
+				return c
 			}
-			return edges[i].Class < edges[j].Class
+			return cmp.Compare(a.Class, b.Class)
 		})
 		writeInt(len(edges))
 		for _, e := range edges {
-			writeInt(pos[e.To])
+			writeInt(pos[e.To.ID])
 			writeInt(int(e.Class))
 			writeInt(e.Shape.Digits)
 			writeInt(e.Shape.Limbs)
@@ -67,6 +73,7 @@ func (g *Graph) Fingerprint() string {
 			}
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

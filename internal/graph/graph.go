@@ -8,10 +8,7 @@
 // and shares.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OpKind enumerates the primitive FHE operator types.
 type OpKind int
@@ -224,41 +221,76 @@ func (g *Graph) ComputeNodes() []*Node {
 }
 
 // Topological returns a deterministic topological ordering (Kahn's
-// algorithm with ID tie-breaking). It panics on cycles, which would be a
-// builder bug.
+// algorithm emitting the smallest-ID ready node first). It panics on
+// cycles, which would be a builder bug.
+//
+// Node IDs are dense — AddNode assigns 0, 1, 2, … — so per-node state
+// here and in the other graph passes lives in slices indexed by ID.
 func (g *Graph) Topological() []*Node {
-	indeg := make(map[*Node]int, len(g.Nodes))
+	indeg := make([]int, len(g.Nodes))
+	var ready idHeap
 	for _, n := range g.Nodes {
-		indeg[n] = len(n.InEdges)
-	}
-	var ready []*Node
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+		indeg[n.ID] = len(n.InEdges)
+		if indeg[n.ID] == 0 {
+			ready.push(n)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
 	out := make([]*Node, 0, len(g.Nodes))
 	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+		n := ready.pop()
 		out = append(out, n)
-		inserted := false
 		for _, e := range n.OutEdges {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-				inserted = true
+			indeg[e.To.ID]--
+			if indeg[e.To.ID] == 0 {
+				ready.push(e.To)
 			}
-		}
-		if inserted {
-			sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
 		}
 	}
 	if len(out) != len(g.Nodes) {
 		panic("graph: cycle detected")
 	}
 	return out
+}
+
+// idHeap is a binary min-heap of nodes keyed by ID: the ready set of
+// Kahn's algorithm with smallest-ID-first tie-breaking.
+type idHeap []*Node
+
+func (h *idHeap) push(n *Node) {
+	*h = append(*h, n)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].ID <= q[i].ID {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *idHeap) pop() *Node {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < len(q) && q[l].ID < q[m].ID {
+			m = l
+		}
+		if r := 2*i + 2; r < len(q) && q[r].ID < q[m].ID {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // TotalModMuls sums the modular-multiplication load over all nodes.

@@ -14,9 +14,9 @@ func DecomposeNTTs(src *Graph, split func(n int) (n1, n2 int)) *Graph {
 		split = BalancedSplit
 	}
 	dst := New()
-	// head/tail map an original node to its replacement chain ends.
-	head := make(map[*Node]*Node, len(src.Nodes))
-	tail := make(map[*Node]*Node, len(src.Nodes))
+	// head/tail map an original node's ID to its replacement chain ends.
+	head := make([]*Node, len(src.Nodes))
+	tail := make([]*Node, len(src.Nodes))
 
 	for _, n := range src.Topological() {
 		switch n.Kind {
@@ -36,17 +36,17 @@ func DecomposeNTTs(src *Graph, split func(n int) (n1, n2 int)) *Graph {
 			dst.Connect(col, tw)
 			dst.Connect(tw, tr)
 			dst.Connect(tr, row)
-			head[n], tail[n] = col, row
+			head[n.ID], tail[n.ID] = col, row
 		default:
 			c := dst.AddNode(n.Kind, n.Name, n.Out)
 			c.SubNTTLen = n.SubNTTLen
 			c.BConvWidth = n.BConvWidth
 			c.Tag = n.Tag
-			head[n], tail[n] = c, c
+			head[n.ID], tail[n.ID] = c, c
 		}
 		for _, e := range n.InEdges {
-			from := tail[e.From]
-			to := head[n]
+			from := tail[e.From.ID]
+			to := head[n.ID]
 			var ne *Edge
 			if e.Class == Auxiliary {
 				ne = dst.ConnectAux(from, to, e.AuxID)

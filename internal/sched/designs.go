@@ -51,9 +51,15 @@ func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 		}
 	}
 
+	// The winner is reported under the name of the first (Min-KS)
+	// candidate's workload.
 	var best *Schedule
-	for _, c := range cands {
+	var name string
+	for i, c := range cands {
 		w := factory(c.mode, c.r)
+		if i == 0 {
+			name = w.Name
+		}
 		if d.NTTDec {
 			w = w.DecomposeNTTs()
 		}
@@ -62,7 +68,7 @@ func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 			best = res
 		}
 	}
-	best.Workload = factory(workload.RotMinKS, 0).Name
+	best.Workload = name
 	return best
 }
 

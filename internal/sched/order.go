@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"crophe/internal/graph"
 )
@@ -14,17 +15,19 @@ import (
 // back-to-back and land in one group, so the evk is streamed once.
 // A graph with a dependency cycle yields a *CycleError.
 func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
-	indeg := make(map[*graph.Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n] = len(n.InEdges)
-	}
+	// Node IDs are dense (graph.AddNode), so in-degrees live in a slice
+	// indexed by ID, and the ready set is kept sorted by ID: the score
+	// scan below breaks ties towards the smallest ID.
+	indeg := make([]int, len(g.Nodes))
+	primary := make([]string, len(g.Nodes))
 	var ready []*graph.Node
 	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+		primary[n.ID] = primaryAux(n)
+		indeg[n.ID] = len(n.InEdges)
+		if indeg[n.ID] == 0 {
+			ready = insertByID(ready, n)
 		}
 	}
-	sortByID(ready)
 
 	out := make([]*graph.Node, 0, len(g.Nodes))
 	visited := 0
@@ -48,7 +51,7 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 					}
 				}
 			}
-			if lastAux != "" && primaryAux(n) == lastAux {
+			if lastAux != "" && primary[n.ID] == lastAux {
 				score++
 			}
 			if score > bestScore {
@@ -60,22 +63,17 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 		visited++
 		if n.Kind.IsCompute() {
 			out = append(out, n)
-			lastAux = primaryAux(n)
+			lastAux = primary[n.ID]
 			recent = append(recent, n)
 			if len(recent) > 6 {
 				recent = recent[1:]
 			}
 		}
-		inserted := false
 		for _, e := range n.OutEdges {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-				inserted = true
+			indeg[e.To.ID]--
+			if indeg[e.To.ID] == 0 {
+				ready = insertByID(ready, e.To)
 			}
-		}
-		if inserted {
-			sortByID(ready)
 		}
 	}
 	// A well-formed operator graph is a DAG; leftovers mean a dependency
@@ -108,6 +106,9 @@ func primaryAux(n *graph.Node) string {
 	return best
 }
 
-func sortByID(ns []*graph.Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
+// insertByID inserts n into ns, which is sorted by ascending ID, keeping
+// it sorted.
+func insertByID(ns []*graph.Node, n *graph.Node) []*graph.Node {
+	i, _ := slices.BinarySearchFunc(ns, n.ID, func(m *graph.Node, id int) int { return cmp.Compare(m.ID, id) })
+	return slices.Insert(ns, i, n)
 }

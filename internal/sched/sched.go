@@ -144,7 +144,11 @@ type GroupSchedule struct {
 	Compute   float64 // seconds bound by PE throughput
 	Traffic   Traffic
 	Pipelined int // intra-group fine-pipelined edges
-	AuxShared int // aux fetches saved by intra-group sharing
+	// AuxShared is meant to count the aux fetches saved by intra-group
+	// sharing. It is not computed yet and is always 0: sharing is priced
+	// at the segment level (collectAuxUses), not per group (see ROADMAP,
+	// "Explainable, honest search").
+	AuxShared int
 	PEAlloc   map[int]int
 	// ResidentBytes is the SRAM working set the group occupies while it
 	// runs: materialised intermediates (whole tensors) for coarse
@@ -264,14 +268,16 @@ func (st *searchState) markCut() {
 // Scheduler.WithTelemetry) mirrors them as counters.
 var (
 	statCandidates atomic.Uint64 // candidate groups costed by the DP
-	statPruned     atomic.Uint64 // candidates rejected as infeasible
+	statPruned     atomic.Uint64 // candidates rejected as infeasible (none are: see SearchStats)
 	statCacheHits  atomic.Uint64 // segment-schedule memo hits
 	statCacheMiss  atomic.Uint64 // segment-schedule memo misses
 )
 
 // SearchStats is a snapshot of the cumulative search counters.
 type SearchStats struct {
-	Candidates  uint64
+	Candidates uint64
+	// Pruned counts candidates rejected as infeasible. The cost model
+	// has no capacity rule that rejects a group, so it stays 0.
 	Pruned      uint64
 	CacheHits   uint64
 	CacheMisses uint64
@@ -306,6 +312,10 @@ type Scheduler struct {
 	// is bound to one hardware configuration and option set, so the
 	// fingerprint alone suffices within one instance.
 	segCache map[segKey]*SegmentSchedule
+
+	// pricer is the candidate-pricing working memory of the DP. Like
+	// segCache it makes a Scheduler unsafe for concurrent use.
+	pricer groupPricer
 }
 
 type segKey struct {
@@ -541,81 +551,76 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	}
 
 	// DP over the topological order: best[i] = minimal time to schedule
-	// nodes[0..i).
+	// nodes[0..i), reached from the group nodes[prev..i). Candidates are
+	// only priced, each by extending the previous one of its row by one
+	// operator; the chosen groups are materialised afterwards.
 	type cell struct {
-		time   float64
-		prev   int
-		group  *GroupSchedule
-		hasVal bool
+		time float64
+		prev int // -1 while no composition reaches the cell
 	}
 	best := make([]cell, n+1)
-	best[0] = cell{hasVal: true}
+	for i := range best {
+		best[i].prev = -1
+	}
+	best[0].prev = 0
 	// Search telemetry accumulates locally inside the DP loop (the hot
 	// path) and publishes once per segment below.
-	var candidates, pruned uint64
+	var candidates uint64
 	for i := 0; i < n; i++ {
-		if !best[i].hasVal {
-			continue
-		}
 		st.poll()
+		p := s.newGroup(hw)
 		for k := 1; k <= maxK && i+k <= n; k++ {
 			// Solo groups are the always-feasible fallback and run even
-			// after the anytime cut; multi-operator candidates are the
-			// search proper and each costs one unit of budget.
+			// after the anytime cut, so every cell is reached; multi-
+			// operator candidates are the search proper and each costs
+			// one unit of budget.
 			if k > 1 && !st.charge() {
 				break
 			}
 			candidates++
-			g := s.costGroup(hw, seg.G, nodes[i:i+k])
-			if g == nil {
-				pruned++
-				continue
-			}
-			t := best[i].time + g.TimeSec
-			if !best[i+k].hasVal || t < best[i+k].time {
-				best[i+k] = cell{time: t, prev: i, group: g, hasVal: true}
+			p.add(nodes[i+k-1])
+			t := best[i].time + p.cost().TimeSec
+			if best[i+k].prev < 0 || t < best[i+k].time {
+				best[i+k] = cell{time: t, prev: i}
 			}
 		}
 	}
 	statCandidates.Add(candidates)
-	statPruned.Add(pruned)
 	if s.tel.Enabled() {
 		s.tel.EmitCounter("sched/candidates", float64(candidates))
-		s.tel.EmitCounter("sched/pruned", float64(pruned))
-	}
-	if !best[n].hasVal {
-		// Cannot happen while solo groups are unprunable, but the search
-		// contract allows costGroup to reject, so fail loudly rather than
-		// dereference a hole in the DP table.
-		return SegmentSchedule{}, &InfeasibleError{
-			HW:     hw.Name,
-			Reason: fmt.Sprintf("no feasible group composition for segment %q", seg.Name),
-		}
+		// No candidate is ever rejected (see SearchStats.Pruned).
+		s.tel.EmitCounter("sched/pruned", 0)
 	}
 
-	// Reconstruct groups.
-	var groups []GroupSchedule
-	for i := n; i > 0; {
-		c := best[i]
-		groups = append([]GroupSchedule{*c.group}, groups...)
-		i = c.prev
+	// Reconstruct the chosen groups: count them, then fill back to front.
+	ng := 0
+	for i := n; i > 0; i = best[i].prev {
+		ng++
+	}
+	groups := make([]GroupSchedule, ng)
+	for i := n; i > 0; i = best[i].prev {
+		ng--
+		groups[ng].Nodes = nodes[best[i].prev:i]
 	}
 
-	// Degraded pricing (see WithPricing): the composition above was
-	// searched on the base configuration; re-cost the chosen groups on
-	// the effective view so the schedule charges every lost resource.
-	// The PE allocation keeps the base layout — placement geometry is a
+	// Materialise the chosen groups. Under degraded pricing (see
+	// WithPricing) the composition above was searched on the base
+	// configuration; the chosen groups are re-costed on the effective
+	// view so the schedule charges every lost resource. The PE
+	// allocation keeps the base layout — placement geometry is a
 	// logical-design decision that must not re-roll under faults (the
 	// mapper remaps failed rows onto survivors); the lost compute is
 	// charged through the re-priced stage times.
-	if price != hw {
-		for gi := range groups {
-			g := s.costGroup(price, seg.G, groups[gi].Nodes)
-			g.PEAlloc = groups[gi].PEAlloc
-			groups[gi] = *g
+	for gi := range groups {
+		g := s.costGroup(hw, groups[gi].Nodes)
+		if price != hw {
+			alloc := g.PEAlloc
+			g = s.costGroup(price, g.Nodes)
+			g.PEAlloc = alloc
 		}
-		hw = price
+		groups[gi] = g
 	}
+	hw = price
 
 	ss := SegmentSchedule{Name: seg.Name, Count: seg.Count, Groups: groups}
 	var comp float64
@@ -636,7 +641,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// overflow round-trips through DRAM. This capacity pressure dominates
 	// the Figure 10 sweep.
 	fine := s.Opt.Dataflow == DataflowCROPHE
-	groupOf := map[int]int{}
+	groupOf := make([]int, len(seg.G.Nodes)) // by node ID; 0 for non-compute nodes
 	for gi, g := range groups {
 		for _, n := range g.Nodes {
 			groupOf[n.ID] = gi
@@ -644,8 +649,9 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	}
 	wb := hw.WordBytes()
 	var tensors []matTensor
+	var crossConsumers []*graph.Edge
 	for _, n := range nodes {
-		var crossConsumers []*graph.Edge
+		crossConsumers = crossConsumers[:0]
 		for _, e := range n.OutEdges {
 			if e.Class != graph.Intermediate || !e.To.Kind.IsCompute() {
 				continue
@@ -727,7 +733,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// The policies differ in how many times an aux must be *delivered*:
 	// MAD delivers once per consuming operator; CROPHE's fine-grained
 	// spatial/temporal sharing delivers once per co-running group.
-	aux := s.collectAuxUses(hw, seg, groups)
+	aux := s.collectAuxUses(hw, seg, groupOf)
 	// The aux residency budget is the capacity left after the resident
 	// intermediates and the largest granule working set any group pins —
 	// the §VII-C effect: fine-grained pipelining buffers only granules,
@@ -794,15 +800,10 @@ type auxUse struct {
 	uses  int
 }
 
-// collectAuxUses gathers per-aux delivery counts under the active policy.
-func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, groups []GroupSchedule) []auxUse {
+// collectAuxUses gathers per-aux delivery counts under the active policy;
+// groupOf maps a node ID to the index of its group.
+func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, groupOf []int) []auxUse {
 	fine := s.Opt.Dataflow == DataflowCROPHE
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, n := range g.Nodes {
-			groupOf[n.ID] = gi
-		}
-	}
 	type rec struct {
 		bytes  float64
 		ops    int
@@ -890,35 +891,158 @@ func isPlaintext(auxID string) bool {
 	return len(auxID) >= 3 && auxID[:3] == "pt:"
 }
 
-// costGroup evaluates one candidate spatial group. Returns nil if the
-// group is infeasible (never happens with the current constraints, but the
-// search contract allows rejection).
-func (s *Scheduler) costGroup(hw *arch.HWConfig, g *graph.Graph, nodes []*graph.Node) *GroupSchedule {
-	inGroup := make(map[*graph.Node]bool, len(nodes))
-	for _, n := range nodes {
-		inGroup[n] = true
-	}
-	fine := s.Opt.Dataflow == DataflowCROPHE
+// groupPricer prices a candidate group that grows one operator at a
+// time. The DP's candidates from node i are nodes[i:i+1], nodes[i:i+2],
+// …, and every running sum of the cost model — loads, traffic, pipelined
+// edges, resident bytes — over nodes[i:i+k] is the sum over
+// nodes[i:i+k-1] plus the k-th operator's terms, added in the same
+// order. Extending a group therefore yields, bit for bit, the cost of
+// pricing it from scratch, provided operators are added in topological
+// order (an operator's in-group producers are then already members).
+// Its slices are reused from group to group, so pricing allocates
+// nothing once they have grown to the largest graph and group seen.
+type groupPricer struct {
+	hw      *arch.HWConfig
+	fine    bool // DataflowCROPHE
+	uniform bool // Options.UniformAlloc
 
-	gs := &GroupSchedule{Nodes: nodes, PEAlloc: map[int]int{}}
+	// stamp[id] == gen marks node id as a member of the current group;
+	// bumping gen empties the group.
+	stamp []uint32
+	gen   uint32
+	loads []float64 // effLoad of each member, in group order
+	alloc []int     // PE allocation of each member, in group order
+	// allocated reports that cost placed the group in a fine-grained
+	// pipeline, whose PE allocation is in alloc.
+	allocated bool
 
-	// --- Compute time --------------------------------------------------
-	var totalLoad float64 // modmul-equivalents
-	classLoad := map[arch.OpClass]float64{}
-	for _, n := range nodes {
-		load := effLoad(n)
-		totalLoad += load
-		classLoad[opClassOf(n.Kind)] += load
+	totalLoad float64 // modmul-equivalents
+	classLoad [arch.NumOpClasses]float64
+	tr        Traffic
+	pipelined int
+	resident  float64
+}
+
+// newGroup empties the scheduler's pricer and returns it, ready to price
+// a group on hw.
+func (s *Scheduler) newGroup(hw *arch.HWConfig) *groupPricer {
+	p := &s.pricer
+	p.hw = hw
+	p.fine = s.Opt.Dataflow == DataflowCROPHE
+	p.uniform = s.Opt.UniformAlloc
+	p.gen++
+	if p.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(p.stamp)
+		p.gen = 1
 	}
+	p.loads = p.loads[:0]
+	p.totalLoad = 0
+	p.classLoad = [arch.NumOpClasses]float64{}
+	p.tr = Traffic{}
+	p.pipelined = 0
+	p.resident = 0
+	return p
+}
+
+// add appends n to the group. Every in-group producer of n must have been
+// added before it.
+func (p *groupPricer) add(n *graph.Node) {
+	hw := p.hw
+	load := effLoad(n)
+	p.loads = append(p.loads, load)
+	p.totalLoad += load
+	p.classLoad[opClassOf(n.Kind)] += load
+
+	// Auxiliary (evk/plaintext/BConv-matrix) traffic is accounted at the
+	// segment level (residency and sharing are cross-group decisions);
+	// the group cost covers intermediates, compute and on-chip movement.
+	wb := hw.WordBytes()
+	transCapBytes := hw.TransposeMB * 1e6
+	for _, e := range n.InEdges {
+		bytes := e.Shape.Bytes(wb)
+		switch e.Class {
+		case graph.Auxiliary:
+			// Counted in scheduleSegment (residency & sharing).
+		case graph.Intermediate:
+			if !e.From.Kind.IsCompute() {
+				// Segment input: produced by the preceding segment, read
+				// from the global buffer (the segment split is a search
+				// artifact, not a spill).
+				p.tr.SRAM += bytes
+				continue
+			}
+			if id := e.From.ID; id >= len(p.stamp) || p.stamp[id] != p.gen {
+				// Cross-group edge: accounted in the segment-level
+				// boundary pass (live-range residency).
+				continue
+			}
+			if p.fine && canPipeline(e, hw) {
+				// Fine-grained forwarding over the NoC: only a granule
+				// is ever buffered.
+				p.tr.NoC += bytes
+				p.pipelined++
+				p.resident += perLimbBytes(e.Shape, wb)
+			} else if !hw.Homogeneous {
+				// Specialised baseline under MAD fusion: the fused pair
+				// forwards through the dedicated inter-unit datapath,
+				// buffering a tensor slice.
+				p.tr.NoC += bytes
+				p.resident += perLimbBytes(e.Shape, wb)
+			} else if e.From.Kind == graph.OpTranspose || e.To.Kind == graph.OpTranspose {
+				// Through the transpose unit when the working chunk fits;
+				// else the global buffer.
+				if perLimbBytes(e.Shape, wb) <= transCapBytes && transCapBytes > 0 {
+					p.tr.Transpose += bytes * spillRoundTrip
+				} else {
+					p.tr.SRAM += bytes * spillRoundTrip
+					p.resident += bytes
+				}
+			} else {
+				// Materialise in the global buffer (orientation switch or
+				// coarse-grained step within the group); tensors too
+				// large for their buffer share spill to DRAM — the §VII-D
+				// penalty of running MAD's per-operator mapping on the
+				// homogeneous array.
+				if bytes <= hw.SRAMCapacityMB*1e6*interSpillFrac {
+					p.tr.SRAM += bytes * spillRoundTrip
+					p.resident += bytes
+				} else {
+					p.tr.DRAM += bytes * spillRoundTrip
+				}
+			}
+		}
+	}
+	// Chip outputs are written back to the global buffer for the next
+	// segment.
+	for _, e := range n.OutEdges {
+		if e.Class == graph.Intermediate && !e.To.Kind.IsCompute() {
+			p.tr.SRAM += e.Shape.Bytes(wb)
+		}
+	}
+
+	if n.ID >= len(p.stamp) {
+		p.stamp = append(p.stamp, make([]uint32, n.ID+1-len(p.stamp))...)
+	}
+	p.stamp[n.ID] = p.gen
+}
+
+// cost prices the current group with the analytical model, leaving the
+// composition (Nodes, PEAlloc) to the caller. Every group is feasible:
+// there is no capacity rule that rejects one.
+func (p *groupPricer) cost() GroupSchedule {
+	hw := p.hw
+	k := len(p.loads)
 	freq := hw.FreqGHz * 1e9
 	lanesTotal := float64(hw.TotalLanes())
+	p.allocated = false
 	var computeSec float64
 	switch {
 	case !hw.Homogeneous:
 		// Specialised baseline: each class limited to its FU share; MAD
-		// fusion overlaps classes within the (small) group.
-		for c, load := range classLoad {
-			share := hw.FUShare[c]
+		// fusion overlaps classes within the (small) group. A class with
+		// no operator in the group has zero load and never sets the max.
+		for c, load := range p.classLoad {
+			share := hw.FUShare[arch.OpClass(c)]
 			if share <= 0 {
 				share = 0.05 // minimal fallback path
 			}
@@ -927,36 +1051,37 @@ func (s *Scheduler) costGroup(hw *arch.HWConfig, g *graph.Graph, nodes []*graph.
 				computeSec = t
 			}
 		}
-	case fine && len(nodes) > 1:
+	case p.fine && k > 1:
 		// Fine-grained pipeline: PEs allocated proportional to load
 		// (§IV-B); pipeline throughput set by the slowest stage after
 		// integer allocation. Each operator's multi-dimensional
 		// decomposition spreads over at most perOpPECap PEs, so small
 		// groups cannot fill a large array — the utilisation gap CROPHE-p
 		// closes by partitioning the chip into clusters.
-		usable := len(nodes) * perOpPECap
+		usable := k * perOpPECap
 		if usable > hw.NumPEs {
 			usable = hw.NumPEs
 		}
-		var allocs []int
-		if s.Opt.UniformAlloc {
-			allocs = make([]int, len(nodes))
-			for i := range allocs {
-				allocs[i] = usable / len(nodes)
-				if allocs[i] < 1 {
-					allocs[i] = 1
+		if cap(p.alloc) < k {
+			p.alloc = make([]int, k, cap(p.loads))
+		}
+		p.alloc = p.alloc[:k]
+		if p.uniform {
+			for i := range p.alloc {
+				p.alloc[i] = usable / k
+				if p.alloc[i] < 1 {
+					p.alloc[i] = 1
 				}
 			}
 		} else {
-			allocs = allocatePEs(nodes, usable)
+			allocatePEs(p.alloc, p.loads, usable)
 		}
-		for i, n := range nodes {
-			gs.PEAlloc[n.ID] = allocs[i]
-			load := effLoad(n)
+		p.allocated = true
+		for i, load := range p.loads {
 			if load == 0 {
 				continue
 			}
-			t := load / (float64(allocs[i]) * float64(hw.Lanes) * effPipelined * freq)
+			t := load / (float64(p.alloc[i]) * float64(hw.Lanes) * effPipelined * freq)
 			if t > computeSec {
 				computeSec = t
 			}
@@ -964,91 +1089,42 @@ func (s *Scheduler) costGroup(hw *arch.HWConfig, g *graph.Graph, nodes []*graph.
 	default:
 		// Solo operators on the homogeneous array execute sequentially
 		// at reduced efficiency.
-		computeSec = totalLoad / (lanesTotal * effSoloHomogeneous * freq)
+		computeSec = p.totalLoad / (lanesTotal * effSoloHomogeneous * freq)
 	}
-	gs.Compute = computeSec
+	tr := p.tr
+	return GroupSchedule{
+		TimeSec: maxOf(
+			computeSec,
+			tr.DRAM/(hw.DRAMBandwidthTBs*1e12),
+			tr.SRAM/(hw.SRAMBandwidthTBs*1e12),
+			tr.NoC/nocBandwidth(hw),
+			tr.Transpose/(hw.SRAMBandwidthTBs*1e12*0.5),
+		),
+		Compute:       computeSec,
+		Traffic:       tr,
+		Pipelined:     p.pipelined,
+		ResidentBytes: p.resident,
+	}
+}
 
-	// --- Traffic --------------------------------------------------------
-	// Auxiliary (evk/plaintext/BConv-matrix) traffic is accounted at the
-	// segment level (residency and sharing are cross-group decisions);
-	// costGroup handles intermediates, compute and on-chip movement.
-	wb := hw.WordBytes()
-	var tr Traffic
-	transCapBytes := hw.TransposeMB * 1e6
-
+// costGroup prices nodes, in topological order, as one group and
+// materialises it with its PE allocation. The DP prices its candidates
+// by extending a groupPricer and calls this only for the groups it
+// chose; both give bit-identical costs.
+func (s *Scheduler) costGroup(hw *arch.HWConfig, nodes []*graph.Node) GroupSchedule {
+	p := s.newGroup(hw)
 	for _, n := range nodes {
-		for _, e := range n.InEdges {
-			bytes := e.Shape.Bytes(wb)
-			switch e.Class {
-			case graph.Auxiliary:
-				// Counted in scheduleSegment (residency & sharing).
-			case graph.Intermediate:
-				if !e.From.Kind.IsCompute() {
-					// Segment input: produced by the preceding segment,
-					// read from the global buffer (the segment split is a
-					// search artifact, not a spill).
-					tr.SRAM += bytes
-					continue
-				}
-				if !inGroup[e.From] {
-					// Cross-group edge: accounted in the segment-level
-					// boundary pass (live-range residency).
-					continue
-				}
-				if fine && canPipeline(e, hw) {
-					// Fine-grained forwarding over the NoC: only a
-					// granule is ever buffered.
-					tr.NoC += bytes
-					gs.Pipelined++
-					gs.ResidentBytes += perLimbBytes(e.Shape, wb)
-				} else if !hw.Homogeneous {
-					// Specialised baseline under MAD fusion: the fused
-					// pair forwards through the dedicated inter-unit
-					// datapath, buffering a tensor slice.
-					tr.NoC += bytes
-					gs.ResidentBytes += perLimbBytes(e.Shape, wb)
-				} else if e.From.Kind == graph.OpTranspose || e.To.Kind == graph.OpTranspose {
-					// Through the transpose unit when the working chunk
-					// fits; else the global buffer.
-					if perLimbBytes(e.Shape, wb) <= transCapBytes && transCapBytes > 0 {
-						tr.Transpose += bytes * spillRoundTrip
-					} else {
-						tr.SRAM += bytes * spillRoundTrip
-						gs.ResidentBytes += bytes
-					}
-				} else {
-					// Materialise in the global buffer (orientation
-					// switch or coarse-grained step within the group);
-					// tensors too large for their buffer share spill to
-					// DRAM — the §VII-D penalty of running MAD's
-					// per-operator mapping on the homogeneous array.
-					if bytes <= hw.SRAMCapacityMB*1e6*interSpillFrac {
-						tr.SRAM += bytes * spillRoundTrip
-						gs.ResidentBytes += bytes
-					} else {
-						tr.DRAM += bytes * spillRoundTrip
-					}
-				}
-			}
-		}
-		// Chip outputs are written back to the global buffer for the next
-		// segment.
-		for _, e := range n.OutEdges {
-			if e.Class == graph.Intermediate && !e.To.Kind.IsCompute() {
-				tr.SRAM += e.Shape.Bytes(wb)
-			}
+		p.add(n)
+	}
+	g := p.cost()
+	g.Nodes = nodes
+	g.PEAlloc = make(map[int]int, len(nodes))
+	if p.allocated {
+		for i, n := range nodes {
+			g.PEAlloc[n.ID] = p.alloc[i]
 		}
 	}
-	gs.Traffic = tr
-
-	gs.TimeSec = maxOf(
-		computeSec,
-		tr.DRAM/(hw.DRAMBandwidthTBs*1e12),
-		tr.SRAM/(hw.SRAMBandwidthTBs*1e12),
-		tr.NoC/nocBandwidth(hw),
-		tr.Transpose/(hw.SRAMBandwidthTBs*1e12*0.5),
-	)
-	return gs
+	return g
 }
 
 // canPipeline reports whether an intermediate edge supports fine-grained
@@ -1085,24 +1161,22 @@ func effLoad(n *graph.Node) float64 {
 	return load
 }
 
-// allocatePEs distributes PEs to group operators proportionally to their
-// load with a minimum of one each (§IV-B).
-func allocatePEs(nodes []*graph.Node, pes int) []int {
-	loads := make([]float64, len(nodes))
+// allocatePEs distributes pes PEs to group operators proportionally to
+// their loads with a minimum of one each (§IV-B), writing operator i's
+// share to alloc[i].
+func allocatePEs(alloc []int, loads []float64, pes int) {
 	var total float64
-	for i, n := range nodes {
-		loads[i] = effLoad(n)
-		total += loads[i]
+	for _, l := range loads {
+		total += l
 	}
-	alloc := make([]int, len(nodes))
-	remaining := pes
 	if total == 0 {
 		for i := range alloc {
 			alloc[i] = 1
 		}
-		return alloc
+		return
 	}
-	for i := range nodes {
+	remaining := pes
+	for i := range loads {
 		a := int(math.Floor(loads[i] / total * float64(pes)))
 		if a < 1 {
 			a = 1
@@ -1113,7 +1187,7 @@ func allocatePEs(nodes []*graph.Node, pes int) []int {
 	// Hand out leftovers (or reclaim overdraft) to the heaviest stages.
 	for remaining != 0 {
 		idx, bestRatio := -1, -1.0
-		for i := range nodes {
+		for i := range loads {
 			var ratio float64
 			if remaining > 0 {
 				ratio = loads[i] / float64(alloc[i])
@@ -1138,7 +1212,6 @@ func allocatePEs(nodes []*graph.Node, pes int) []int {
 			remaining++
 		}
 	}
-	return alloc
 }
 
 // opClassOf maps an operator kind to the baseline functional-unit class.

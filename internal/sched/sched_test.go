@@ -17,6 +17,17 @@ func bootFactory(mode workload.RotMode, rHyb int) *workload.Workload {
 	return workload.Bootstrapping(testParams, mode, rHyb)
 }
 
+// allocateFor is allocatePEs over the effective loads of nodes.
+func allocateFor(nodes []*graph.Node, pes int) []int {
+	loads := make([]float64, len(nodes))
+	for i, n := range nodes {
+		loads[i] = effLoad(n)
+	}
+	alloc := make([]int, len(nodes))
+	allocatePEs(alloc, loads, pes)
+	return alloc
+}
+
 func TestAllocatePEsProportional(t *testing.T) {
 	g := graph.New()
 	shape := graph.Tensor{Digits: 1, Limbs: 4, N: 4096}
@@ -24,7 +35,7 @@ func TestAllocatePEsProportional(t *testing.T) {
 	heavy.SubNTTLen = 4096
 	light := g.AddNode(graph.OpEWMul, "mul", shape)
 
-	alloc := allocatePEs([]*graph.Node{heavy, light}, 16)
+	alloc := allocateFor([]*graph.Node{heavy, light}, 16)
 	if alloc[0]+alloc[1] != 16 {
 		t.Fatalf("allocation %v does not sum to 16", alloc)
 	}
@@ -43,7 +54,7 @@ func TestAllocatePEsMinimumOne(t *testing.T) {
 	zero := g.AddNode(graph.OpAutomorph, "auto", shape) // tiny move load
 	big := g.AddNode(graph.OpNTT, "ntt", graph.Tensor{Digits: 1, Limbs: 16, N: 65536})
 	big.SubNTTLen = 65536
-	alloc := allocatePEs([]*graph.Node{zero, big}, 8)
+	alloc := allocateFor([]*graph.Node{zero, big}, 8)
 	if alloc[0] < 1 || alloc[1] < 1 {
 		t.Fatalf("allocation %v violates minimum", alloc)
 	}
@@ -261,7 +272,7 @@ func TestGroupCostRespectsBaselineShares(t *testing.T) {
 	ntt.SubNTTLen = 65536
 
 	s := New(arch.SHARP, DefaultOptions(DataflowMAD))
-	gs := s.costGroup(arch.SHARP, g, []*graph.Node{ntt})
+	gs := s.costGroup(arch.SHARP, []*graph.Node{ntt})
 	load := float64(ntt.ModMuls())
 	full := load / (float64(arch.SHARP.TotalLanes()) * effSpecialized * arch.SHARP.FreqGHz * 1e9)
 	if gs.Compute <= full {
@@ -290,7 +301,7 @@ func TestAllocatePEsProperty(t *testing.T) {
 			})
 			nodes[i] = n
 		}
-		alloc := allocatePEs(nodes, pes)
+		alloc := allocateFor(nodes, pes)
 		sum := 0
 		for _, a := range alloc {
 			if a < 1 {
