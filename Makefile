@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels bench-sched trace-smoke chaos-smoke serve-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels bench-sched bench-sim trace-smoke chaos-smoke serve-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAutomorphismNTT -fuzztime=$(FUZZTIME) ./internal/poly/
 	$(GO) test -run=^$$ -fuzz=FuzzMarshalRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckks/
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run=^$$ -fuzz=FuzzRouteAvoiding -fuzztime=$(FUZZTIME) ./internal/noc/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -55,6 +56,12 @@ bench-kernels:
 # path and its scratch reuse race-checked and the benchmark compiling.
 bench-sched:
 	$(GO) test -race -run='^$$' -bench BenchmarkDesignEvaluateCold -benchtime=1x ./internal/sched/
+
+# One iteration of the healthy and the faulted simulator benchmarks under
+# the race detector: keeps the mesh's cached detour trees and dense link
+# accounting race-checked and both benchmarks compiling.
+bench-sim:
+	$(GO) test -race -run='^$$' -bench 'BenchmarkSimulate$$|BenchmarkSimulateFaulted' -benchtime=1x ./internal/sim/
 
 # Machine-readable benchmark report (fast mode) and regression diff
 # against the committed baseline.

@@ -208,26 +208,19 @@ func placeSegment(p *Placement, seg []*graph.Node, alloc map[int]int, band Band,
 		}
 	}
 
-	// Walk cells column-major in the band, in the band's direction.
-	cells := make([]noc.Coord, 0, avail)
-	if band.LeftToRight {
-		for x := 0; x < w; x++ {
-			for y := band.Row0; y < band.Row0+band.Rows; y++ {
-				cells = append(cells, noc.Coord{X: x, Y: y})
-			}
-		}
-	} else {
-		for x := w - 1; x >= 0; x-- {
-			for y := band.Row0; y < band.Row0+band.Rows; y++ {
-				cells = append(cells, noc.Coord{X: x, Y: y})
-			}
-		}
-	}
+	// Walk cells column-major in the band, in the band's direction: the
+	// j-th cell sits in the band's (j/Rows)-th column from its starting
+	// edge, at row Row0 + j%Rows; requests past the band wrap around.
 	idx := 0
 	for i, n := range seg {
 		pes := make([]noc.Coord, 0, req[i])
 		for k := 0; k < req[i]; k++ {
-			pes = append(pes, cells[idx%len(cells)])
+			j := idx % avail
+			x := j / band.Rows
+			if !band.LeftToRight {
+				x = w - 1 - x
+			}
+			pes = append(pes, noc.Coord{X: x, Y: band.Row0 + j%band.Rows})
 			idx++
 		}
 		p.PEsOf[n.ID] = pes
@@ -264,7 +257,10 @@ func BuildTrace(seg *sched.SegmentSchedule, wordBytes float64, w, h int) (*Trace
 // BuildTraceAvoiding is BuildTrace with failed mesh rows excluded from
 // every group's placement (see MapAvoiding).
 func BuildTraceAvoiding(seg *sched.SegmentSchedule, wordBytes float64, w, h int, badRows map[int]bool) (*Trace, error) {
-	t := &Trace{}
+	t := &Trace{Groups: make([]TraceGroup, 0, len(seg.Groups))}
+	// groupOf[id] is 1 + the index of the last group holding node id, so
+	// one slice serves every group's membership test.
+	var groupOf []int
 	for gi := range seg.Groups {
 		g := &seg.Groups[gi]
 		pl, err := MapAvoiding(g, w, h, badRows)
@@ -272,13 +268,15 @@ func BuildTraceAvoiding(seg *sched.SegmentSchedule, wordBytes float64, w, h int,
 			return nil, fmt.Errorf("mapper: group %d: %w", gi, err)
 		}
 		tg := TraceGroup{Group: g, Placement: pl}
-		inGroup := map[int]bool{}
 		for _, n := range g.Nodes {
-			inGroup[n.ID] = true
+			if n.ID >= len(groupOf) {
+				groupOf = append(groupOf, make([]int, n.ID+1-len(groupOf))...)
+			}
+			groupOf[n.ID] = gi + 1
 		}
 		for _, n := range g.Nodes {
 			for _, e := range n.OutEdges {
-				if e.Class != graph.Intermediate || !inGroup[e.To.ID] {
+				if e.Class != graph.Intermediate || e.To.ID >= len(groupOf) || groupOf[e.To.ID] != gi+1 {
 					continue
 				}
 				tg.Transfers = append(tg.Transfers, Transfer{

@@ -6,6 +6,7 @@ import (
 
 	"crophe/internal/arch"
 	"crophe/internal/graph"
+	"crophe/internal/noc"
 	"crophe/internal/sched"
 	"crophe/internal/workload"
 )
@@ -210,6 +211,54 @@ func TestMapAvoidingNilBadRowsIsIdentity(t *testing.T) {
 	for id, pes := range a.PEsOf {
 		if len(b.PEsOf[id]) != len(pes) {
 			t.Fatalf("node %d placement differs", id)
+		}
+	}
+}
+
+// TestPlaceSegmentMatchesCellWalk checks the arithmetic cell assignment
+// against an explicit column-major walk of the band's cells, in both
+// directions and with more requested PEs than the band holds, so that
+// the walk wraps.
+func TestPlaceSegmentMatchesCellWalk(t *testing.T) {
+	gr := graph.New()
+	shape := graph.Tensor{Digits: 1, Limbs: 4, N: 4096}
+	var seg []*graph.Node
+	alloc := map[int]int{}
+	for i := 0; i < 7; i++ {
+		n := gr.AddNode(graph.OpEWMul, "m", shape)
+		seg = append(seg, n)
+		alloc[n.ID] = 1 + i%3
+	}
+	const w = 5
+	for _, band := range []Band{
+		{Row0: 0, Rows: 3, LeftToRight: true},
+		{Row0: 2, Rows: 2, LeftToRight: false},
+		{Row0: 1, Rows: 1, LeftToRight: true},
+		{Row0: 4, Rows: 1, LeftToRight: false},
+	} {
+		var cells []noc.Coord
+		for i := 0; i < w; i++ {
+			x := i
+			if !band.LeftToRight {
+				x = w - 1 - i
+			}
+			for y := band.Row0; y < band.Row0+band.Rows; y++ {
+				cells = append(cells, noc.Coord{X: x, Y: y})
+			}
+		}
+		p := &Placement{PEsOf: map[int][]noc.Coord{}}
+		placeSegment(p, seg, alloc, band, w)
+		idx := 0
+		for _, n := range seg {
+			for k, got := range p.PEsOf[n.ID] {
+				if want := cells[idx%len(cells)]; got != want {
+					t.Fatalf("band %+v: node %d PE %d at %v, cell walk %v", band, n.ID, k, got, want)
+				}
+				idx++
+			}
+		}
+		if idx == 0 {
+			t.Fatalf("band %+v: nothing placed", band)
 		}
 	}
 }

@@ -14,7 +14,7 @@ package noc
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crophe/internal/telemetry"
 )
@@ -34,28 +34,57 @@ type Mesh struct {
 	// HopLatency is the per-hop router+wire latency in cycles.
 	HopLatency int
 
-	// linkLoad accumulates bytes per directed link, keyed by the link's
-	// source coordinate and direction.
-	linkLoad map[linkKey]float64
-	// totalLoad is the running Σ over linkLoad, maintained at the update
-	// sites so TotalBytesHops never sums the map in iteration order
-	// (float addition is non-associative, so a map-order sum differs
-	// run to run).
+	// load accumulates bytes per directed link, indexed by the link's
+	// source PE (y*W+x) times linkSlots plus its direction slot. touched
+	// lists, in first-touch order, the links used since the last Reset
+	// (zero-byte sends included), and used marks them, so that Reset,
+	// DrainCycles and EmitCounters cost O(links used).
+	load    []float64
+	used    []bool
+	touched []int32
+	// totalLoad is the running Σ over load, maintained at the update
+	// sites in update order.
 	totalLoad float64
 	// sends counts routed transfers (unicasts plus multicast legs) since
 	// the last Reset.
 	sends int
 
-	// dead marks directed links that are down; routing detours around
-	// them. slow maps directed links to a capacity factor in (0, 1).
-	dead map[linkKey]bool
-	slow map[linkKey]float64
+	// charged stamps the links a multicast has already paid for with the
+	// multicast's generation mcGen, so each call starts from an empty set
+	// without clearing the slice.
+	charged []uint32
+	mcGen   uint32
+
+	// dead marks directed links that are down (nil while none is);
+	// routing detours around them. slow holds a capacity factor in (0, 1]
+	// per slowed directed link, 0 for a link at full speed (nil while none
+	// is slowed). nDead and nSlow count the marked directed links.
+	dead         []bool
+	slow         []float64
+	nDead, nSlow int
+
+	// trees caches, per source PE, the BFS predecessor tree over the
+	// surviving links (nil until that source first routes around a dead
+	// link): trees[src][v] is the PE before v on the detour from src, -1
+	// when v is unreachable. DisableLink clears the cache.
+	trees [][]int32
+	queue []int32
 }
 
-type linkKey struct {
-	from Coord
-	dir  byte // 'E','W','N','S'
-}
+// Link direction slots, in the byte order of the direction letters
+// ('E' < 'L' < 'N' < 'S' < 'W'), so that ascending link indices walk the
+// links in (y, x, direction) order. L is a PE's loopback port.
+const (
+	slotE = iota
+	slotL
+	slotN
+	slotS
+	slotW
+	linkSlots
+)
+
+// slotDir maps a direction slot to its letter.
+const slotDir = "ELNSW"
 
 // NewMesh creates a mesh with the given dimensions and link capacity.
 func NewMesh(w, h int, linkBytesPerCycle float64, hopLatency int) (*Mesh, error) {
@@ -68,11 +97,13 @@ func NewMesh(w, h int, linkBytesPerCycle float64, hopLatency int) (*Mesh, error)
 	if hopLatency < 1 {
 		hopLatency = 1
 	}
+	n := w * h * linkSlots
 	return &Mesh{
 		W: w, H: h,
 		LinkBytesPerCycle: linkBytesPerCycle,
 		HopLatency:        hopLatency,
-		linkLoad:          make(map[linkKey]float64),
+		load:              make([]float64, n),
+		used:              make([]bool, n),
 	}, nil
 }
 
@@ -86,8 +117,11 @@ func (m *Mesh) Contains(c Coord) bool {
 	return c.X >= 0 && c.X < m.W && c.Y >= 0 && c.Y < m.H
 }
 
-// step offsets in the deterministic neighbour order used by both the
-// fault-free X-Y router and the BFS detour router.
+// pe returns the linear index y*W+x of a PE inside the mesh.
+func (m *Mesh) pe(c Coord) int { return c.Y*m.W + c.X }
+
+// step offsets in the deterministic E,W,S,N neighbour order of the BFS
+// detour router.
 var dirs = []struct {
 	dx, dy int
 	dir    byte
@@ -105,10 +139,15 @@ func (m *Mesh) DisableLink(from Coord, dir byte) error {
 		return err
 	}
 	if m.dead == nil {
-		m.dead = make(map[linkKey]bool)
+		m.dead = make([]bool, len(m.load))
 	}
-	m.dead[k] = true
-	m.dead[rev] = true
+	for _, i := range [2]int{k, rev} {
+		if !m.dead[i] {
+			m.dead[i] = true
+			m.nDead++
+		}
+	}
+	clear(m.trees)
 	return nil
 }
 
@@ -123,18 +162,22 @@ func (m *Mesh) SlowLink(from Coord, dir byte, factor float64) error {
 		return err
 	}
 	if m.slow == nil {
-		m.slow = make(map[linkKey]float64)
+		m.slow = make([]float64, len(m.load))
 	}
-	m.slow[k] = factor
-	m.slow[rev] = factor
+	for _, i := range [2]int{k, rev} {
+		if m.slow[i] == 0 {
+			m.nSlow++
+		}
+		m.slow[i] = factor
+	}
 	return nil
 }
 
 // linkPair validates a (coord, direction) link reference and returns the
-// directed key plus its reverse.
-func (m *Mesh) linkPair(from Coord, dir byte) (linkKey, linkKey, error) {
+// directed link's index plus its reverse's.
+func (m *Mesh) linkPair(from Coord, dir byte) (int, int, error) {
 	if !m.Contains(from) {
-		return linkKey{}, linkKey{}, fmt.Errorf("noc: link source %v outside %dx%d mesh", from, m.W, m.H)
+		return 0, 0, fmt.Errorf("noc: link source %v outside %dx%d mesh", from, m.W, m.H)
 	}
 	for _, d := range dirs {
 		if d.dir != dir {
@@ -142,22 +185,34 @@ func (m *Mesh) linkPair(from Coord, dir byte) (linkKey, linkKey, error) {
 		}
 		to := Coord{X: from.X + d.dx, Y: from.Y + d.dy}
 		if !m.Contains(to) {
-			return linkKey{}, linkKey{}, fmt.Errorf("noc: no %c link at %v (mesh edge)", dir, from)
+			return 0, 0, fmt.Errorf("noc: no %c link at %v (mesh edge)", dir, from)
 		}
-		rev, err := linkOf(to, from)
-		if err != nil {
-			return linkKey{}, linkKey{}, err
-		}
-		return linkKey{from, dir}, rev, nil
+		return m.hop(m.pe(from), m.pe(to)), m.hop(m.pe(to), m.pe(from)), nil
 	}
-	return linkKey{}, linkKey{}, fmt.Errorf("noc: unknown link direction %q", string(dir))
+	return 0, 0, fmt.Errorf("noc: unknown link direction %q", string(dir))
+}
+
+// hop returns the index of the directed link between two adjacent PEs,
+// given as linear indices. Vertical steps are tested first: on a
+// one-column mesh a ±1 step is vertical.
+func (m *Mesh) hop(from, to int) int {
+	slot := slotW
+	switch to - from {
+	case m.W:
+		slot = slotS
+	case -m.W:
+		slot = slotN
+	case 1:
+		slot = slotE
+	}
+	return from*linkSlots + slot
 }
 
 // DeadLinks returns the number of disabled physical links (undirected).
-func (m *Mesh) DeadLinks() int { return len(m.dead) / 2 }
+func (m *Mesh) DeadLinks() int { return m.nDead / 2 }
 
 // SlowLinks returns the number of slowed physical links (undirected).
-func (m *Mesh) SlowLinks() int { return len(m.slow) / 2 }
+func (m *Mesh) SlowLinks() int { return m.nSlow / 2 }
 
 // Route returns a path from src to dst, excluding src, including dst.
 // With a healthy mesh this is the X-Y (dimension-ordered) route; with
@@ -166,13 +221,35 @@ func (m *Mesh) SlowLinks() int { return len(m.slow) / 2 }
 // when dead links partition src from dst, and a validation error when an
 // endpoint lies outside the mesh.
 func (m *Mesh) Route(src, dst Coord) ([]Coord, error) {
-	if !m.Contains(src) || !m.Contains(dst) {
-		return nil, fmt.Errorf("noc: route endpoints out of %dx%d mesh: %v -> %v", m.W, m.H, src, dst)
+	if err := m.checkEndpoints(src, dst); err != nil {
+		return nil, err
 	}
-	if len(m.dead) == 0 {
+	if m.nDead == 0 {
 		return m.routeXY(src, dst), nil
 	}
-	return m.routeAvoiding(src, dst)
+	if src == dst {
+		return nil, nil
+	}
+	prev, err := m.detour(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	s := m.pe(src)
+	var path []Coord
+	for v := m.pe(dst); v != s; v = int(prev[v]) {
+		path = append(path, m.PEIndex(v))
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, nil
+}
+
+func (m *Mesh) checkEndpoints(src, dst Coord) error {
+	if !m.Contains(src) || !m.Contains(dst) {
+		return fmt.Errorf("noc: route endpoints out of %dx%d mesh: %v -> %v", m.W, m.H, src, dst)
+	}
+	return nil
 }
 
 // routeXY is the dimension-ordered route of the healthy mesh.
@@ -198,41 +275,54 @@ func (m *Mesh) routeXY(src, dst Coord) []Coord {
 	return path
 }
 
-// routeAvoiding finds the shortest path that skips dead links. BFS with a
-// fixed neighbour order makes the detour deterministic, which the
+// detour returns src's BFS predecessor tree over the surviving links,
+// or an error wrapping ErrUnreachable when dst is not in it. The tree
+// is built once per source and mesh fault state. A full BFS in the
+// fixed E,W,S,N neighbour order sets every predecessor exactly as a
+// BFS that stops at dst does, so each detour is the one a per-pair
+// search finds; the fixed order makes it deterministic, which the
 // bit-reproducible resilience sweeps rely on.
-func (m *Mesh) routeAvoiding(src, dst Coord) ([]Coord, error) {
-	if src == dst {
-		return nil, nil
+func (m *Mesh) detour(src, dst Coord) ([]int32, error) {
+	s := m.pe(src)
+	if m.trees == nil {
+		m.trees = make([][]int32, m.W*m.H)
 	}
-	prev := map[Coord]Coord{src: src}
-	queue := []Coord{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	prev := m.trees[s]
+	if prev == nil {
+		prev = m.bfs(s)
+		m.trees[s] = prev
+	}
+	if prev[m.pe(dst)] < 0 {
+		return nil, fmt.Errorf("noc: %v -> %v with %d dead links: %w", src, dst, m.DeadLinks(), ErrUnreachable)
+	}
+	return prev, nil
+}
+
+func (m *Mesh) bfs(s int) []int32 {
+	prev := make([]int32, m.W*m.H)
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[s] = int32(s)
+	queue := append(m.queue[:0], int32(s))
+	for head := 0; head < len(queue); head++ {
+		cur := int(queue[head])
+		x, y := cur%m.W, cur/m.W
 		for _, d := range dirs {
-			next := Coord{X: cur.X + d.dx, Y: cur.Y + d.dy}
-			if !m.Contains(next) || m.dead[linkKey{cur, d.dir}] {
+			nx, ny := x+d.dx, y+d.dy
+			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
 				continue
 			}
-			if _, seen := prev[next]; seen {
+			next := ny*m.W + nx
+			if m.dead[m.hop(cur, next)] || prev[next] >= 0 {
 				continue
 			}
-			prev[next] = cur
-			if next == dst {
-				var path []Coord
-				for c := dst; c != src; c = prev[c] {
-					path = append(path, c)
-				}
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path, nil
-			}
-			queue = append(queue, next)
+			prev[next] = int32(cur)
+			queue = append(queue, int32(next))
 		}
 	}
-	return nil, fmt.Errorf("noc: %v -> %v with %d dead links: %w", src, dst, m.DeadLinks(), ErrUnreachable)
+	m.queue = queue
+	return prev
 }
 
 // Hops returns the Manhattan distance between two PEs (the fault-free
@@ -256,76 +346,110 @@ func (m *Mesh) Hops(src, dst Coord) int {
 // loopback link — without this, packing more operators onto fewer
 // surviving PEs under row faults makes traffic evaporate.
 func (m *Mesh) Send(src, dst Coord, bytes float64) (int, error) {
-	path, err := m.Route(src, dst)
+	prev, err := m.routeTree(src, dst)
 	if err != nil {
 		return 0, err
 	}
+	m.sends++
 	if src == dst {
-		m.sends++
-		m.linkLoad[linkKey{src, 'L'}] += bytes
-		m.totalLoad += bytes
+		m.addLoad(m.pe(src)*linkSlots+slotL, bytes)
 		return 0, nil
 	}
-	m.sends++
-	prev := src
-	for _, next := range path {
-		k, err := linkOf(prev, next)
-		if err != nil {
-			return 0, err
-		}
-		m.linkLoad[k] += bytes
-		m.totalLoad += bytes
-		prev = next
-	}
-	return len(path) * m.HopLatency, nil
+	return m.walk(src, dst, prev, bytes, false) * m.HopLatency, nil
 }
 
 // Multicast accumulates a tree multicast from src to all dsts: shared
 // prefixes of the routes carry the payload once (§IV-A's multicast
 // support). Returns the worst-case head latency.
 func (m *Mesh) Multicast(src Coord, dsts []Coord, bytes float64) (int, error) {
-	charged := make(map[linkKey]bool)
+	if m.charged == nil {
+		m.charged = make([]uint32, len(m.load))
+	}
+	m.mcGen++
+	if m.mcGen == 0 {
+		clear(m.charged)
+		m.mcGen = 1
+	}
 	worst := 0
 	m.sends += len(dsts)
 	for _, dst := range dsts {
-		path, err := m.Route(src, dst)
+		prev, err := m.routeTree(src, dst)
 		if err != nil {
 			return 0, err
 		}
-		prev := src
-		for _, next := range path {
-			k, err := linkOf(prev, next)
-			if err != nil {
-				return 0, err
-			}
-			if !charged[k] {
-				charged[k] = true
-				m.linkLoad[k] += bytes
-				m.totalLoad += bytes
-			}
-			prev = next
-		}
-		if h := len(path) * m.HopLatency; h > worst {
+		if h := m.walk(src, dst, prev, bytes, true) * m.HopLatency; h > worst {
 			worst = h
 		}
 	}
 	return worst, nil
 }
 
-// linkOf returns the directed link key between two adjacent routers, or
-// an error for a non-adjacent pair (a malformed path).
-func linkOf(from, to Coord) (linkKey, error) {
-	switch {
-	case to.X == from.X+1 && to.Y == from.Y:
-		return linkKey{from, 'E'}, nil
-	case to.X == from.X-1 && to.Y == from.Y:
-		return linkKey{from, 'W'}, nil
-	case to.Y == from.Y+1 && to.X == from.X:
-		return linkKey{from, 'S'}, nil
-	case to.Y == from.Y-1 && to.X == from.X:
-		return linkKey{from, 'N'}, nil
+// routeTree validates a transfer's endpoints and returns the detour tree
+// to walk from src, or nil when the X-Y route applies (a healthy mesh or
+// a co-located transfer).
+func (m *Mesh) routeTree(src, dst Coord) ([]int32, error) {
+	if err := m.checkEndpoints(src, dst); err != nil {
+		return nil, err
 	}
-	return linkKey{}, fmt.Errorf("noc: non-adjacent hop %v -> %v", from, to)
+	if m.nDead == 0 || src == dst {
+		return nil, nil
+	}
+	return m.detour(src, dst)
+}
+
+// walk charges bytes to every link of the route from src to dst — the
+// X-Y route when prev is nil, else the detour in src's tree prev — and
+// returns its hop count. With once set, a link this multicast already
+// charged is skipped.
+func (m *Mesh) walk(src, dst Coord, prev []int32, bytes float64, once bool) int {
+	hops := 0
+	if prev != nil {
+		s := m.pe(src)
+		for v := m.pe(dst); v != s; v = int(prev[v]) {
+			m.charge(m.hop(int(prev[v]), v), bytes, once)
+			hops++
+		}
+		return hops
+	}
+	cur := m.pe(src)
+	for x := src.X; x != dst.X; hops++ {
+		if dst.X > x {
+			m.charge(cur*linkSlots+slotE, bytes, once)
+			x, cur = x+1, cur+1
+		} else {
+			m.charge(cur*linkSlots+slotW, bytes, once)
+			x, cur = x-1, cur-1
+		}
+	}
+	for y := src.Y; y != dst.Y; hops++ {
+		if dst.Y > y {
+			m.charge(cur*linkSlots+slotS, bytes, once)
+			y, cur = y+1, cur+m.W
+		} else {
+			m.charge(cur*linkSlots+slotN, bytes, once)
+			y, cur = y-1, cur-m.W
+		}
+	}
+	return hops
+}
+
+func (m *Mesh) charge(link int, bytes float64, once bool) {
+	if once {
+		if m.charged[link] == m.mcGen {
+			return
+		}
+		m.charged[link] = m.mcGen
+	}
+	m.addLoad(link, bytes)
+}
+
+func (m *Mesh) addLoad(link int, bytes float64) {
+	if !m.used[link] {
+		m.used[link] = true
+		m.touched = append(m.touched, int32(link))
+	}
+	m.load[link] += bytes
+	m.totalLoad += bytes
 }
 
 // DrainCycles returns the cycles needed to drain the accumulated traffic:
@@ -334,12 +458,12 @@ func linkOf(from, to Coord) (linkKey, error) {
 // reduced capacity.
 func (m *Mesh) DrainCycles() float64 {
 	var worst float64
-	for k, load := range m.linkLoad {
+	for _, i := range m.touched {
 		cap := m.LinkBytesPerCycle
-		if f, ok := m.slow[k]; ok {
-			cap *= f
+		if m.slow != nil && m.slow[i] != 0 {
+			cap *= m.slow[i]
 		}
-		if c := load / cap; c > worst {
+		if c := m.load[i] / cap; c > worst {
 			worst = c
 		}
 	}
@@ -368,7 +492,11 @@ func (m *Mesh) numLinks() int {
 
 // Reset clears accumulated loads, keeping any link-fault state.
 func (m *Mesh) Reset() {
-	m.linkLoad = make(map[linkKey]float64)
+	for _, i := range m.touched {
+		m.load[i] = 0
+		m.used[i] = false
+	}
+	m.touched = m.touched[:0]
 	m.totalLoad = 0
 	m.sends = 0
 }
@@ -385,27 +513,15 @@ func (m *Mesh) EmitCounters(c *telemetry.Collector) {
 	if !c.Enabled() {
 		return
 	}
-	keys := make([]linkKey, 0, len(m.linkLoad))
-	for k := range m.linkLoad {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from.Y != b.from.Y {
-			return a.from.Y < b.from.Y
-		}
-		if a.from.X != b.from.X {
-			return a.from.X < b.from.X
-		}
-		return a.dir < b.dir
-	})
-	// Sum bytes×hops over the sorted keys, not via TotalBytesHops: map
-	// iteration order would perturb the float sum's last bits and break
-	// the byte-identical trace guarantee.
+	// Link indices ascend in (y, x, direction) order. Sum bytes×hops in
+	// that order, not via TotalBytesHops, whose update order differs: the
+	// float sum's last bits would break the byte-identical trace.
+	slices.Sort(m.touched)
 	var bytesHops float64
-	for _, k := range keys {
-		c.EmitCounter(fmt.Sprintf("noc/link/%d,%d/%c", k.from.X, k.from.Y, k.dir), m.linkLoad[k])
-		bytesHops += m.linkLoad[k]
+	for _, i := range m.touched {
+		pe := int(i) / linkSlots
+		c.EmitCounter(fmt.Sprintf("noc/link/%d,%d/%c", pe%m.W, pe/m.W, slotDir[int(i)%linkSlots]), m.load[i])
+		bytesHops += m.load[i]
 	}
 	c.EmitCounter("noc/bytes_hops", bytesHops)
 	c.EmitCounter("noc/sends", float64(m.sends))

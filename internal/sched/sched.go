@@ -14,9 +14,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -316,6 +318,10 @@ type Scheduler struct {
 	// pricer is the candidate-pricing working memory of the DP. Like
 	// segCache it makes a Scheduler unsafe for concurrent use.
 	pricer groupPricer
+	// auxIndex and auxPairs are collectAuxUses' working memory, reused
+	// across segments.
+	auxIndex map[string]int
+	auxPairs []auxGroup
 }
 
 type segKey struct {
@@ -800,23 +806,31 @@ type auxUse struct {
 	uses  int
 }
 
+// auxGroup is one use of auxiliary aux (its index in collectAuxUses'
+// output) by an operator of group group.
+type auxGroup struct{ aux, group int }
+
 // collectAuxUses gathers per-aux delivery counts under the active policy;
 // groupOf maps a node ID to the index of its group.
 func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, groupOf []int) []auxUse {
 	fine := s.Opt.Dataflow == DataflowCROPHE
-	type rec struct {
-		bytes  float64
-		ops    int
-		groups map[int]bool
+	// One index per segment numbers the auxiliaries in first-use order;
+	// the (aux, group) pair of every use, sorted, yields each aux's
+	// distinct consuming groups without a set per aux.
+	if s.auxIndex == nil {
+		s.auxIndex = map[string]int{}
 	}
-	recs := map[string]*rec{}
+	index := s.auxIndex
+	clear(index)
+	var out []auxUse
+	pairs := s.auxPairs[:0]
 	for _, n := range seg.G.Nodes {
 		for _, e := range n.OutEdges {
 			if e.Class != graph.Auxiliary {
 				continue
 			}
-			r := recs[e.AuxID]
-			if r == nil {
+			i, ok := index[e.AuxID]
+			if !ok {
 				b := e.Shape.Bytes(hw.WordBytes())
 				if isEvk(e.AuxID) {
 					b *= prngEvkFactor // PRNG regeneration of the a-half
@@ -825,25 +839,34 @@ func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, grou
 					// and extended on-chip.
 					b /= float64(e.Shape.Limbs)
 				}
-				r = &rec{bytes: b, groups: map[int]bool{}}
-				recs[e.AuxID] = r
+				i = len(out)
+				index[e.AuxID] = i
+				out = append(out, auxUse{id: e.AuxID, bytes: b})
 			}
-			r.ops++
-			r.groups[groupOf[e.To.ID]] = true
+			if fine {
+				pairs = append(pairs, auxGroup{i, groupOf[e.To.ID]})
+			} else {
+				out[i].uses++ // one delivery per consuming operator
+			}
 		}
 	}
-	out := make([]auxUse, 0, len(recs))
-	for id, r := range recs {
-		uses := r.ops
-		if fine {
-			uses = len(r.groups)
+	if fine {
+		// One delivery per distinct consuming group.
+		slices.SortFunc(pairs, func(a, b auxGroup) int {
+			if c := cmp.Compare(a.aux, b.aux); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.group, b.group)
+		})
+		for k, p := range pairs {
+			if k == 0 || p != pairs[k-1] {
+				out[p.aux].uses++
+			}
 		}
-		out = append(out, auxUse{id: id, bytes: r.bytes, uses: uses})
 	}
+	s.auxPairs = pairs
 	// The residency greedy sorts by savings with a stable tie order, so
-	// the collection order must itself be deterministic or ties resolve
-	// by map iteration order and the chosen residency set flaps run to
-	// run.
+	// ties resolve by this order: by aux ID, not by graph encounter order.
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -397,5 +398,58 @@ func TestDegradedRunPricesSDCRecovery(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no sdc recovery span on the Fault track")
+	}
+}
+
+// BenchmarkSimulateFaulted replays two schedules on seeded faulted
+// machines: CROPHE-64's fine-grained schedule of an NTT-decomposed
+// bootstrap on its 8×8 mesh with downed links (detour routing), and the
+// ARK baseline's schedule on its 64×1 row with slowed links (a downed
+// link would partition a row). One op simulates both schedules on each
+// of four fault plans; plans are built beforehand.
+func BenchmarkSimulateFaulted(b *testing.B) {
+	type replay struct {
+		hw *arch.HWConfig
+		w  *workload.Workload
+		s  *sched.Schedule
+		m  []*fault.Machine
+	}
+	w := resilienceWorkload()
+	dec := w.DecomposeNTTs()
+	replays := []replay{
+		{hw: arch.CROPHE64, w: dec, s: sched.New(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE)).Run(dec)},
+		{hw: arch.ARK, w: w, s: sched.New(arch.ARK, sched.DefaultOptions(sched.DataflowMAD)).Run(w)},
+	}
+	specs := []fault.Spec{
+		{DeadLinks: 2, DeadBanks: 4, HBMFrac: 0.8, Stalls: 4, StallCycles: 200, FlipRate: 1e-3},
+		{SlowLinks: 2, SlowFactor: 0.5, DeadBanks: 4, HBMFrac: 0.8, Stalls: 4, StallCycles: 200, FlipRate: 1e-3},
+	}
+	for i := range replays {
+		r := &replays[i]
+		// Take the first four plans the machine survives.
+		for seed := int64(1); len(r.m) < 4; seed++ {
+			plan, err := fault.Generate(r.hw, specs[i], seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := fault.NewMachine(r.hw, plan)
+			if errors.Is(err, fault.ErrMachineDead) {
+				continue
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.m = append(r.m, m)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range replays {
+			for _, m := range r.m {
+				if _, err := New(r.hw, WithFaults(m)).SimulateSchedule(r.w, r.s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }

@@ -207,18 +207,24 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 	// trace timeline (one execution per unique segment).
 	var cursor float64
 	var nGroups, nTransfers int
+	// One mesh serves the whole run: its fault state is fixed, its
+	// cached detours stay valid, and every group starts from Reset. It is
+	// built at the first segment with groups, so a schedule without any
+	// never checks the fault plan's geometry.
+	var mesh *noc.Mesh
 
 	for si, seg := range s.Segments {
 		if len(seg.Groups) == 0 {
 			continue
 		}
-		mesh, err := noc.NewMesh(meshW, meshH, linkBytesPerCycle, 1)
-		if err != nil {
-			return nil, err
-		}
-		if e.faults != nil {
-			if err := e.faults.ApplyToMesh(mesh); err != nil {
+		if mesh == nil {
+			if mesh, err = noc.NewMesh(meshW, meshH, linkBytesPerCycle, 1); err != nil {
 				return nil, err
+			}
+			if e.faults != nil {
+				if err := e.faults.ApplyToMesh(mesh); err != nil {
+					return nil, err
+				}
 			}
 		}
 		trace, err := mapper.BuildTraceAvoiding(&s.Segments[si], hw.WordBytes(), meshW, meshH, failedRows)
@@ -233,7 +239,11 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			tg := &trace.Groups[gi]
 			g := tg.Group
 			groupStart := segStart + segCycles
-			groupName := fmt.Sprintf("%s/g%d", seg.Name, gi)
+			// The name labels spans and errors only: build it just then.
+			var groupName string
+			if tel.Enabled() {
+				groupName = groupLabel(seg.Name, gi)
+			}
 			nGroups++
 
 			// Compute cycles from the pre-characterised operator
@@ -267,7 +277,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 					lat, err := mesh.Send(src, dst, share)
 					if err != nil {
 						return nil, fmt.Errorf("sim: %s transfer %d→%d: %w",
-							groupName, tr.FromID, tr.ToID, err)
+							groupLabel(seg.Name, gi), tr.FromID, tr.ToID, err)
 					}
 					if lat > headLatency {
 						headLatency = lat
@@ -530,6 +540,11 @@ func DegradedRunner(ctx context.Context, opt sched.Options, w *workload.Workload
 		}
 		return fault.Outcome{TimeSec: res.TimeSec, Cycles: res.Cycles, Partial: s.Partial}, nil
 	}
+}
+
+// groupLabel names group gi of a segment in spans and errors.
+func groupLabel(seg string, gi int) string {
+	return fmt.Sprintf("%s/g%d", seg, gi)
 }
 
 func hbmBytesPerCycle(hw *arch.HWConfig) float64 {
