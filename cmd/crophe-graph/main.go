@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	crophe-graph [-workload bootstrapping|helr|resnet20|resnet110]
+//	crophe-graph [-workload bootstrapping|boot|helr1024|helr|resnet-20|resnet20|resnet-110|resnet110]
 //	             [-params ark|bts|sharp|cl] [-rot minks|hoisting|hybrid]
 //	             [-nttdec] [-dot segment-name]
 package main
@@ -45,20 +45,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	var w *workload.Workload
-	switch *wlName {
-	case "bootstrapping", "boot":
-		w = workload.Bootstrapping(params, mode, *rHyb)
-	case "helr", "helr1024":
-		w = workload.HELR(params, mode, *rHyb)
-	case "resnet20":
-		w = workload.ResNet(params, 20, mode, *rHyb)
-	case "resnet110":
-		w = workload.ResNet(params, 110, mode, *rHyb)
-	default:
+	factory, ok := workload.Lookup(*wlName, params)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-graph: unknown workload %q\n", *wlName)
 		os.Exit(1)
 	}
+	w := factory(mode, *rHyb)
 	if *nttdec {
 		w = w.DecomposeNTTs()
 	}

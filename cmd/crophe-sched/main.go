@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	crophe-sched [-hw crophe64|crophe36|bts|ark|sharp|cl]
-//	             [-workload bootstrapping|helr|resnet20|resnet110]
+//	crophe-sched [-hw crophe64|crophe36|bts|ark|sharp|cl|cl+]
+//	             [-workload bootstrapping|boot|helr1024|helr|resnet-20|resnet20|resnet-110|resnet110]
 //	             [-dataflow crophe|mad] [-nttdec] [-hybrot] [-clusters N]
 //	             [-sram MB] [-v]
 package main
@@ -31,26 +31,17 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-segment detail")
 	flag.Parse()
 
-	hw := lookupHW(*hwName)
-	if hw == nil {
+	hw, ok := arch.Lookup(*hwName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-sched: unknown hardware %q\n", *hwName)
 		os.Exit(1)
 	}
 	if *sramMB > 0 {
 		hw = hw.WithSRAM(*sramMB)
 	}
-	params := arch.ParamsFor(hw)
-	if hw.Homogeneous {
-		// CROPHE variants default to the matching baseline's parameters.
-		if hw.WordBits == 64 {
-			params = arch.ParamsARK
-		} else {
-			params = arch.ParamsSHARP
-		}
-	}
 
-	factory := lookupWorkload(*wlName, params)
-	if factory == nil {
+	factory, ok := workload.Lookup(*wlName, arch.ParamsFor(hw))
+	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-sched: unknown workload %q\n", *wlName)
 		os.Exit(1)
 	}
@@ -80,44 +71,4 @@ func main() {
 				seg.Name, seg.Count, seg.TimeSec*1e3, len(seg.Groups), pipelined, seg.Traffic.DRAM/1e6)
 		}
 	}
-}
-
-func lookupHW(name string) *arch.HWConfig {
-	switch name {
-	case "crophe64":
-		return arch.CROPHE64
-	case "crophe36":
-		return arch.CROPHE36
-	case "bts":
-		return arch.BTS
-	case "ark":
-		return arch.ARK
-	case "sharp":
-		return arch.SHARP
-	case "cl", "cl+":
-		return arch.CLPlus
-	}
-	return nil
-}
-
-func lookupWorkload(name string, p arch.ParamSet) sched.WorkloadFactory {
-	switch name {
-	case "bootstrapping", "boot":
-		return func(m workload.RotMode, r int) *workload.Workload {
-			return workload.Bootstrapping(p, m, r)
-		}
-	case "helr", "helr1024":
-		return func(m workload.RotMode, r int) *workload.Workload {
-			return workload.HELR(p, m, r)
-		}
-	case "resnet20", "resnet-20":
-		return func(m workload.RotMode, r int) *workload.Workload {
-			return workload.ResNet(p, 20, m, r)
-		}
-	case "resnet110", "resnet-110":
-		return func(m workload.RotMode, r int) *workload.Workload {
-			return workload.ResNet(p, 110, m, r)
-		}
-	}
-	return nil
 }

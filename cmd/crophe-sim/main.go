@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	crophe-sim [-hw crophe64|crophe36|bts|ark|sharp|cl]
-//	           [-workload bootstrapping|helr|resnet20|resnet110]
+//	crophe-sim [-hw crophe64|crophe36|bts|ark|sharp|cl|cl+]
+//	           [-workload bootstrapping|boot|helr1024|helr|resnet-20|resnet20|resnet-110|resnet110]
 //	           [-dataflow crophe|mad] [-clusters N]
 //	           [-trace out.json] [-mesh WxH]
 //	           [-faults spec -seed N -deadline D]
@@ -43,9 +43,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"crophe"
-	"crophe/internal/arch"
 	"crophe/internal/cliutil"
 	"crophe/internal/fault"
 	"crophe/internal/sched"
@@ -169,9 +169,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crophe-sim: unknown hardware %q\n", *hwName)
 		os.Exit(1)
 	}
-	params := crophe.DefaultParamsFor(hw)
-
-	w, ok := crophe.LookupWorkload(*wlName, params, workload.RotHoisted)
+	w, ok := crophe.LookupWorkload(*wlName, crophe.DefaultParamsFor(hw), workload.RotHoisted)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-sim: unknown workload %q\n", *wlName)
 		os.Exit(1)
@@ -181,14 +179,7 @@ func main() {
 	if *dfName == "mad" {
 		df = sched.DataflowMAD
 	}
-	opt := sched.DefaultOptions(df)
-	opt.Clusters = *clusters
-	if df == sched.DataflowCROPHE {
-		w = w.DecomposeNTTs()
-	}
-	if deadline > 0 {
-		opt.SearchBudget = sched.BudgetForDeadline(deadline)
-	}
+	d := sched.Design{Name: hw.Name, HW: hw, Dataflow: df, NTTDec: df == sched.DataflowCROPHE, Clusters: *clusters}
 
 	var opts []sim.Option
 	var tel *telemetry.Collector
@@ -205,15 +196,14 @@ func main() {
 	}
 
 	if degraded {
-		if err := runDegraded(hw, w, opt, spec, *seed, *sweepSteps, opts, tel, *tracePath); err != nil {
+		if err := runDegraded(d, w, deadline, spec, *seed, *sweepSteps, opts, tel, *tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "crophe-sim: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	s := sched.New(hw, opt).WithTelemetry(tel).Run(w)
-	r, err := sim.New(hw, opts...).SimulateSchedule(w, s)
+	r, s, err := crophe.SimulateWorkloadContext(context.Background(), d, w, deadline, opts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crophe-sim: %v\n", err)
 		os.Exit(1)
@@ -230,10 +220,11 @@ func main() {
 }
 
 // runDegraded drives the fault-injection modes: a single degraded run
-// under -faults, or an escalating resilience sweep under -sweep. An
-// invariant violation escaping the degraded stack is recovered into an
-// error carrying the fault seed — the one number needed to replay it.
-func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spec fault.Spec,
+// under -faults, or an escalating resilience sweep under -sweep, both
+// scheduling the design's run of w. An invariant violation escaping the
+// degraded stack is recovered into an error carrying the fault seed —
+// the one number needed to replay it.
+func runDegraded(d sched.Design, w *workload.Workload, deadline time.Duration, spec fault.Spec,
 	seed int64, sweepSteps int, opts []sim.Option, tel *telemetry.Collector, tracePath string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,9 +232,10 @@ func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spe
 		}
 	}()
 	ctx := context.Background()
+	hw, opt, run := d.HW, d.Options(deadline), d.Prepare(w)
 
 	if sweepSteps > 0 {
-		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, w))
+		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, run))
 		if err != nil {
 			return err
 		}
@@ -260,7 +252,7 @@ func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spe
 		return err
 	}
 	fmt.Println(m.Describe())
-	r, s, err := sim.SimulateDegraded(ctx, m, opt, w, opts...)
+	r, s, err := sim.SimulateDegraded(ctx, m, opt, run, opts...)
 	if err != nil {
 		return err
 	}
@@ -278,8 +270,7 @@ func runDegraded(hw *arch.HWConfig, w *workload.Workload, opt sched.Options, spe
 
 	// Baseline the healthy machine with the same options so the report
 	// states throughput retained under this fault plan.
-	hs := sched.New(hw, opt).Run(w)
-	hr, err := sim.New(hw).SimulateSchedule(w, hs)
+	hr, _, err := crophe.SimulateWorkloadContext(ctx, d, w, deadline)
 	if err != nil {
 		return fmt.Errorf("healthy baseline: %w", err)
 	}

@@ -170,58 +170,23 @@ func ResNetWorkload(p ParamSet, layers int) WorkloadFactory {
 }
 
 // LookupHW maps a hardware name ("crophe64", "crophe36", "bts", "ark",
-// "sharp", "cl") to its Table I configuration.
-func LookupHW(name string) (*HWConfig, bool) {
-	hw, ok := map[string]*arch.HWConfig{
-		"crophe64": arch.CROPHE64, "crophe36": arch.CROPHE36,
-		"bts": arch.BTS, "ark": arch.ARK, "sharp": arch.SHARP, "cl": arch.CLPlus,
-	}[name]
-	return hw, ok
-}
+// "sharp", "cl" or "cl+") to its Table I configuration.
+func LookupHW(name string) (*HWConfig, bool) { return arch.Lookup(name) }
 
 // DefaultParamsFor returns the CKKS parameter set a hardware
 // configuration natively evaluates under (the Table III pairing; the
 // homogeneous CROPHE chips pick by word width).
-func DefaultParamsFor(hw *HWConfig) ParamSet {
-	if hw.Homogeneous {
-		if hw.WordBits == 64 {
-			return arch.ParamsARK
-		}
-		return arch.ParamsSHARP
-	}
-	return arch.ParamsFor(hw)
-}
+func DefaultParamsFor(hw *HWConfig) ParamSet { return arch.ParamsFor(hw) }
 
 // LookupWorkload builds the named benchmark workload ("bootstrapping"/
-// "boot", "helr"/"helr1024", "resnet20", "resnet110") under parameter set
-// p and rotation mode m.
+// "boot", "helr1024"/"helr", "resnet-20"/"resnet20", "resnet-110"/
+// "resnet110") under parameter set p and rotation mode m.
 func LookupWorkload(name string, p ParamSet, m RotMode) (*Workload, bool) {
-	switch name {
-	case "bootstrapping", "boot":
-		return workload.Bootstrapping(p, m, 0), true
-	case "helr", "helr1024":
-		return workload.HELR(p, m, 0), true
-	case "resnet20", "resnet-20":
-		return workload.ResNet(p, 20, m, 0), true
-	case "resnet110", "resnet-110":
-		return workload.ResNet(p, 110, m, 0), true
+	factory, ok := workload.Lookup(name, p)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
-}
-
-// designOptions translates a design point plus a deadline into scheduler
-// options: the deadline (when positive) becomes the deterministic anytime
-// candidate budget via BudgetForDeadline, so requests whose deadlines
-// land in the same power-of-two bucket get bit-identical schedules.
-func designOptions(d Design, deadline time.Duration) sched.Options {
-	opt := sched.DefaultOptions(d.Dataflow)
-	if d.Clusters > 1 {
-		opt.Clusters = d.Clusters
-	}
-	if deadline > 0 {
-		opt.SearchBudget = sched.BudgetForDeadline(deadline)
-	}
-	return opt
+	return factory(m, 0), true
 }
 
 // ScheduleWorkload schedules w on the design point with the anytime
@@ -229,33 +194,42 @@ func designOptions(d Design, deadline time.Duration) sched.Options {
 // deterministic candidate budget, and ctx cancellation is the wall-clock
 // backstop. An expiring budget or context yields a valid best-so-far
 // schedule flagged Partial, never an error — the serving layer's
-// deadline-propagation contract. NTT decomposition is applied when the
-// design asks for it, mirroring Design.Evaluate.
+// deadline-propagation contract. The design's options and graph rewrites
+// come from Design.Options and Design.Prepare, as in Design.Evaluate.
 func ScheduleWorkload(ctx context.Context, d Design, w *Workload, deadline time.Duration) (*Schedule, error) {
-	if d.NTTDec {
-		w = w.DecomposeNTTs()
-	}
-	return sched.New(d.HW, designOptions(d, deadline)).Schedule(ctx, w)
+	return sched.New(d.HW, d.Options(deadline)).Schedule(ctx, d.Prepare(w))
 }
 
 // SimulateWorkloadContext schedules w under ctx/deadline (anytime, like
 // ScheduleWorkload) and runs the cycle-level simulator on the chosen
 // schedule, returning both so callers can surface the Partial marker.
+// A collector attached with WithTelemetry also receives the search
+// counters (sched/*).
 func SimulateWorkloadContext(ctx context.Context, d Design, w *Workload, deadline time.Duration, opts ...SimOption) (*SimResult, *Schedule, error) {
-	if d.NTTDec {
-		w = w.DecomposeNTTs()
+	w = d.Prepare(w)
+	e := sim.New(d.HW, opts...)
+	s, err := sched.New(d.HW, d.Options(deadline)).WithTelemetry(e.Telemetry()).Schedule(ctx, w)
+	if err != nil {
+		return nil, nil, err
 	}
-	return sim.RunContext(ctx, d.HW, designOptions(d, deadline), w, opts...)
+	res, err := e.SimulateSchedule(w, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, s, nil
 }
 
-// MemoizedSchedule evaluates the design on the named workload through the
-// process-global schedule cache: identical concurrent requests coalesce
-// (single-flight) and repeats are cache hits; cached reports which. Only
-// full-fidelity evaluations belong here — deadline-bounded partial
-// schedules must go through ScheduleWorkload, as their shape depends on
-// the budget. workloadKey must uniquely identify what factory builds.
-func MemoizedSchedule(d Design, workloadKey string, factory WorkloadFactory) (s *Schedule, cached bool) {
-	return bench.EvaluateMemoized(d, workloadKey, factory)
+// MemoizedSchedule is ScheduleWorkload(context.Background(), d, w, 0)
+// through the process-global schedule cache: identical concurrent
+// requests coalesce (single-flight) and repeats are cache hits; cached
+// reports which. Only full-fidelity schedules belong here —
+// deadline-bounded partial schedules must go through ScheduleWorkload,
+// as their shape depends on the budget. workloadKey must uniquely
+// identify w.
+func MemoizedSchedule(d Design, workloadKey string, w *Workload) (s *Schedule, cached bool) {
+	return bench.Memoized(d, workloadKey, func() *Schedule {
+		return sched.New(d.HW, d.Options(0)).Run(d.Prepare(w))
+	})
 }
 
 // ScheduleMemoStats re-exports the schedule-cache counters (hits, misses,
@@ -272,7 +246,9 @@ func Simulate(hw *HWConfig, w *Workload, s *Schedule, opts ...SimOption) (*SimRe
 // the cycle-level simulator in one step — the shortest public path to an
 // ordered per-segment result and (with WithTelemetry) a Chrome trace.
 func SimulateWorkload(hw *HWConfig, w *Workload, opts ...SimOption) (*SimResult, error) {
-	return sim.Run(hw, sched.DefaultOptions(sched.DataflowCROPHE), w, opts...)
+	d := Design{HW: hw, Dataflow: sched.DataflowCROPHE}
+	res, _, err := SimulateWorkloadContext(context.Background(), d, w, 0, opts...)
+	return res, err
 }
 
 // RunExperiment regenerates a paper table or figure by id (table1..table4,

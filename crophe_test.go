@@ -71,3 +71,63 @@ func TestFacadeExperiments(t *testing.T) {
 		t.Fatal("unknown experiment should fail")
 	}
 }
+
+// TestNameCatalogue pins the shared hardware and workload name tables:
+// every name a command-line tool or the serving layer has accepted
+// resolves to the same configuration or workload, and every workload's
+// own Name resolves to that workload.
+func TestNameCatalogue(t *testing.T) {
+	for name, want := range map[string]*HWConfig{
+		"crophe64": HWCROPHE64, "crophe36": HWCROPHE36,
+		"bts": HWBTS, "ark": HWARK, "sharp": HWSHARP, "cl": HWCLPlus, "cl+": HWCLPlus,
+	} {
+		if hw, ok := LookupHW(name); !ok || hw != want {
+			t.Errorf("LookupHW(%q) = %v, %v; want %s", name, hw, ok, want.Name)
+		}
+	}
+	if _, ok := LookupHW("CROPHE-64"); ok {
+		t.Error("LookupHW accepts a display name")
+	}
+
+	p := ParamsARK
+	for name, want := range map[string]*Workload{
+		"bootstrapping": workload.Bootstrapping(p, RotHoisted, 0),
+		"boot":          workload.Bootstrapping(p, RotHoisted, 0),
+		"helr1024":      workload.HELR(p, RotHoisted, 0),
+		"helr":          workload.HELR(p, RotHoisted, 0),
+		"resnet-20":     workload.ResNet(p, 20, RotHoisted, 0),
+		"resnet20":      workload.ResNet(p, 20, RotHoisted, 0),
+		"resnet-110":    workload.ResNet(p, 110, RotHoisted, 0),
+		"resnet110":     workload.ResNet(p, 110, RotHoisted, 0),
+	} {
+		if own, ok := LookupWorkload(want.Name, p, RotHoisted); !ok || own.Name != want.Name {
+			t.Errorf("workload %q does not resolve to itself", want.Name)
+		}
+		w, ok := LookupWorkload(name, p, RotHoisted)
+		if !ok {
+			t.Errorf("LookupWorkload(%q) failed", name)
+			continue
+		}
+		if w.Name != want.Name || len(w.Segments) != len(want.Segments) {
+			t.Errorf("LookupWorkload(%q) = %s with %d segments; want %s with %d",
+				name, w.Name, len(w.Segments), want.Name, len(want.Segments))
+			continue
+		}
+		for i := range w.Segments {
+			if w.Segments[i].Count != want.Segments[i].Count ||
+				w.Segments[i].G.Fingerprint() != want.Segments[i].G.Fingerprint() {
+				t.Errorf("LookupWorkload(%q) segment %s differs", name, w.Segments[i].Name)
+			}
+		}
+	}
+	if _, ok := LookupWorkload("doom", p, RotHoisted); ok {
+		t.Error("LookupWorkload accepts an unknown name")
+	}
+
+	for _, name := range workload.Names() {
+		w, ok := LookupWorkload(name, p, RotMinKS)
+		if !ok || w.Name != name {
+			t.Errorf("workload %q does not resolve to itself (got %v)", name, w)
+		}
+	}
+}

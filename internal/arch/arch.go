@@ -246,11 +246,18 @@ func Table3() []ParamSet {
 	return []ParamSet{ParamsBTS, ParamsARK, ParamsSHARP, ParamsCL}
 }
 
-// ParamsFor returns the parameter set used when comparing with the named
-// baseline configuration (the paper pairs each CROPHE variant with the
-// baseline's own parameters).
-func ParamsFor(baseline *HWConfig) ParamSet {
-	switch baseline.Name {
+// ParamsFor returns the parameter set a configuration evaluates under:
+// a baseline runs its own Table III set, and a homogeneous CROPHE chip
+// runs the set of the baselines it is compared with at its word width —
+// ARK's on a 64-bit chip, SHARP's otherwise.
+func ParamsFor(hw *HWConfig) ParamSet {
+	if hw.Homogeneous {
+		if hw.WordBits == 64 {
+			return ParamsARK
+		}
+		return ParamsSHARP
+	}
+	switch hw.Name {
 	case "BTS":
 		return ParamsBTS
 	case "ARK":
@@ -261,4 +268,18 @@ func ParamsFor(baseline *HWConfig) ParamSet {
 		return ParamsCL
 	}
 	return ParamsSHARP
+}
+
+// hwNames is the one table of hardware names the CLIs and the serving
+// layer accept.
+var hwNames = map[string]*HWConfig{
+	"crophe64": CROPHE64, "crophe36": CROPHE36,
+	"bts": BTS, "ark": ARK, "sharp": SHARP, "cl": CLPlus, "cl+": CLPlus,
+}
+
+// Lookup maps a hardware name (crophe64, crophe36, bts, ark, sharp, cl
+// or cl+) to its Table I configuration.
+func Lookup(name string) (*HWConfig, bool) {
+	hw, ok := hwNames[name]
+	return hw, ok
 }

@@ -117,6 +117,16 @@ func TestParamsFor(t *testing.T) {
 	if ParamsFor(CLPlus).DNum != 1 {
 		t.Error("CL+ params")
 	}
+	// The homogeneous chips take their word width's baseline set.
+	if got := ParamsFor(CROPHE64); got != ParamsARK {
+		t.Errorf("CROPHE-64 params %s, want ARK", got.Name)
+	}
+	if got := ParamsFor(CROPHE36); got != ParamsSHARP {
+		t.Errorf("CROPHE-36 params %s, want SHARP", got.Name)
+	}
+	if got := ParamsFor(CROPHE64.WithSRAM(128)); got != ParamsARK {
+		t.Errorf("CROPHE-64 at 128 MB params %s, want ARK", got.Name)
+	}
 }
 
 func TestPEModelReproducesTable2(t *testing.T) {

@@ -49,24 +49,12 @@ func (p Pairing) Designs() []sched.Design {
 // pairing's parameters, keyed by workload name, each as the
 // rotation-structure factory the scheduler sweeps.
 func (p Pairing) WorkloadFactories() map[string]sched.WorkloadFactory {
-	ps := p.Params
-	return map[string]sched.WorkloadFactory{
-		"bootstrapping": func(m workload.RotMode, r int) *workload.Workload {
-			return workload.Bootstrapping(ps, m, r)
-		},
-		"helr1024": func(m workload.RotMode, r int) *workload.Workload {
-			return workload.HELR(ps, m, r)
-		},
-		"resnet-20": func(m workload.RotMode, r int) *workload.Workload {
-			return workload.ResNet(ps, 20, m, r)
-		},
-		"resnet-110": func(m workload.RotMode, r int) *workload.Workload {
-			return workload.ResNet(ps, 110, m, r)
-		},
+	out := make(map[string]sched.WorkloadFactory)
+	for _, name := range workload.Names() {
+		out[name], _ = workload.Lookup(name, p.Params)
 	}
+	return out
 }
 
 // WorkloadNames lists the benchmarks in the paper's plotting order.
-func WorkloadNames() []string {
-	return []string{"bootstrapping", "helr1024", "resnet-20", "resnet-110"}
-}
+func WorkloadNames() []string { return workload.Names() }

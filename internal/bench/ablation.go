@@ -22,7 +22,11 @@ type AblationRow struct {
 	DRAMGB  float64
 }
 
-func ablationHW() *arch.HWConfig { return arch.CROPHE36.WithSRAM(90) }
+// ablationDesign is the CROPHE design point (without the r_Hyb sweep)
+// whose knobs the ablations perturb one at a time.
+func ablationDesign() sched.Design {
+	return sched.Design{HW: arch.CROPHE36.WithSRAM(90), Dataflow: sched.DataflowCROPHE, NTTDec: true}
+}
 
 func ablationWorkload(mode workload.RotMode, rHyb int) *workload.Workload {
 	return workload.Bootstrapping(arch.ParamsSHARP, mode, rHyb)
@@ -33,11 +37,12 @@ func ablationWorkload(mode workload.RotMode, rHyb int) *workload.Workload {
 // is 7–10.
 func AblateGroupSize() []AblationRow {
 	var rows []AblationRow
-	w := ablationWorkload(workload.RotHoisted, 0).DecomposeNTTs()
+	d := ablationDesign()
+	w := d.Prepare(ablationWorkload(workload.RotHoisted, 0))
 	for _, size := range []int{1, 2, 4, 8, 12} {
-		opt := sched.DefaultOptions(sched.DataflowCROPHE)
+		opt := d.Options(0)
 		opt.MaxGroupSize = size
-		res := sched.New(ablationHW(), opt).Run(w)
+		res := sched.New(d.HW, opt).Run(w)
 		rows = append(rows, AblationRow{
 			Study:   "group-size",
 			Setting: fmt.Sprintf("max %d ops/group", size),
@@ -70,7 +75,7 @@ func AblateNTTSplit() []AblationRow {
 		{"minimal N1=2", func(n int) (int, int) { return 2, n / 2 }},
 	}
 	var rows []AblationRow
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
+	d := ablationDesign()
 	for _, sp := range splits {
 		base := ablationWorkload(workload.RotHoisted, 0)
 		w := &workload.Workload{Name: base.Name, Params: base.Params, DataParallel: base.DataParallel}
@@ -81,7 +86,7 @@ func AblateNTTSplit() []AblationRow {
 				Count: seg.Count,
 			})
 		}
-		res := sched.New(ablationHW(), opt).Run(w)
+		res := sched.New(d.HW, d.Options(0)).Run(w)
 		rows = append(rows, AblationRow{
 			Study:   "ntt-split",
 			Setting: sp.name,
@@ -97,8 +102,7 @@ func AblateNTTSplit() []AblationRow {
 // Hoisting.
 func AblateRHyb() []AblationRow {
 	var rows []AblationRow
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
-	hw := ablationHW()
+	d := ablationDesign()
 	cases := []struct {
 		name string
 		mode workload.RotMode
@@ -111,8 +115,7 @@ func AblateRHyb() []AblationRow {
 		{"hoisting (endpoint)", workload.RotHoisted, 0},
 	}
 	for _, c := range cases {
-		w := ablationWorkload(c.mode, c.r).DecomposeNTTs()
-		res := sched.New(hw, opt).Run(w)
+		res := sched.New(d.HW, d.Options(0)).Run(d.Prepare(ablationWorkload(c.mode, c.r)))
 		rows = append(rows, AblationRow{
 			Study:   "r-hyb",
 			Setting: c.name,
@@ -127,15 +130,16 @@ func AblateRHyb() []AblationRow {
 // against a uniform split.
 func AblatePEAllocation() []AblationRow {
 	var rows []AblationRow
-	w := ablationWorkload(workload.RotHoisted, 0).DecomposeNTTs()
+	d := ablationDesign()
+	w := d.Prepare(ablationWorkload(workload.RotHoisted, 0))
 	for _, uniform := range []bool{false, true} {
-		opt := sched.DefaultOptions(sched.DataflowCROPHE)
+		opt := d.Options(0)
 		opt.UniformAlloc = uniform
 		name := "proportional to load (§IV-B)"
 		if uniform {
 			name = "uniform split"
 		}
-		res := sched.New(ablationHW(), opt).Run(w)
+		res := sched.New(d.HW, opt).Run(w)
 		rows = append(rows, AblationRow{
 			Study:   "pe-alloc",
 			Setting: name,

@@ -146,47 +146,35 @@ type Table4Row struct {
 // Table4 measures resource utilisation on ResNet-20 via the cycle
 // simulator, reproducing the Table IV design set.
 func Table4() ([]Table4Row, error) {
-	type cfg struct {
-		name     string
-		hw       *arch.HWConfig
-		dataflow sched.Dataflow
-		nttDec   bool
-		hybrid   bool
-		clusters int
-		params   arch.ParamSet
+	cro := func(name string, hw *arch.HWConfig, clusters int) sched.Design {
+		return sched.Design{Name: name, HW: hw, Dataflow: sched.DataflowCROPHE, NTTDec: true, HybridRot: true, Clusters: clusters}
 	}
-	cfgs := []cfg{
-		{"ARK+MAD", arch.ARK, sched.DataflowMAD, false, false, 1, arch.ParamsARK},
-		{"CROPHE-64", arch.CROPHE64, sched.DataflowCROPHE, true, true, 1, arch.ParamsARK},
-		{"CROPHE-p-64", arch.CROPHE64, sched.DataflowCROPHE, true, true, 4, arch.ParamsARK},
-		{"SHARP+MAD", arch.SHARP, sched.DataflowMAD, false, false, 1, arch.ParamsSHARP},
-		{"CROPHE-36", arch.CROPHE36, sched.DataflowCROPHE, true, true, 1, arch.ParamsSHARP},
-		{"CROPHE-p-36", arch.CROPHE36, sched.DataflowCROPHE, true, true, 4, arch.ParamsSHARP},
+	designs := []sched.Design{
+		{Name: "ARK+MAD", HW: arch.ARK, Dataflow: sched.DataflowMAD, Clusters: 1},
+		cro("CROPHE-64", arch.CROPHE64, 1),
+		cro("CROPHE-p-64", arch.CROPHE64, 4),
+		{Name: "SHARP+MAD", HW: arch.SHARP, Dataflow: sched.DataflowMAD, Clusters: 1},
+		cro("CROPHE-36", arch.CROPHE36, 1),
+		cro("CROPHE-p-36", arch.CROPHE36, 4),
 	}
 	// The six design points are independent simulator runs; fan out and
-	// collect by index so row order matches the config list.
-	rows := make([]Table4Row, len(cfgs))
-	errs := make([]error, len(cfgs))
-	parallel.For(len(cfgs), func(i int) {
-		c := cfgs[i]
-		d := sched.Design{
-			Name: c.name, HW: c.hw, Dataflow: c.dataflow,
-			NTTDec: c.nttDec, HybridRot: c.hybrid, Clusters: c.clusters,
-		}
-		params := c.params
-		factory := func(m workload.RotMode, r int) *workload.Workload {
-			return workload.ResNet(params, 20, m, r)
-		}
+	// collect by index so row order matches the design list.
+	rows := make([]Table4Row, len(designs))
+	errs := make([]error, len(designs))
+	parallel.For(len(designs), func(i int) {
+		d := designs[i]
+		params := arch.ParamsFor(d.HW)
+		factory, _ := workload.Lookup("resnet-20", params)
 		s := evaluateMemo(d, params.Name+"/resnet-20", factory)
 		// Validate the schedule on the cycle simulator (its refined time
 		// stays within the analytical envelope) but report the
 		// scheduler's utilisation, which knows the traffic provenance.
 		w := factory(workload.RotHoisted, 0)
-		if _, err := sim.New(c.hw).SimulateSchedule(w, s); err != nil {
+		if _, err := sim.New(d.HW).SimulateSchedule(w, s); err != nil {
 			errs[i] = err
 			return
 		}
-		rows[i] = Table4Row{Design: c.name, Util: s.Util}
+		rows[i] = Table4Row{Design: d.Name, Util: s.Util}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -260,20 +248,12 @@ func Figure10(fast bool) []Fig10Row {
 	parallel.For(len(jobs), func(i int) {
 		j := jobs[i]
 		wkey := j.pairing.Params.Name + "/" + j.wn
-		base := evaluateMemo(sched.Design{
-			Name: j.pairing.Baseline.Name + "+MAD",
-			HW:   j.pairing.Baseline.WithSRAM(j.size), Dataflow: sched.DataflowMAD,
-		}, wkey, j.factory)
-		cro := evaluateMemo(sched.Design{
-			Name: j.pairing.CROPHE.Name,
-			HW:   j.pairing.CROPHE.WithSRAM(j.size), Dataflow: sched.DataflowCROPHE,
-			NTTDec: true, HybridRot: true,
-		}, wkey, j.factory)
-		crop := evaluateMemo(sched.Design{
-			Name: j.pairing.CROPHE.Name + "-p",
-			HW:   j.pairing.CROPHE.WithSRAM(j.size), Dataflow: sched.DataflowCROPHE,
-			NTTDec: true, HybridRot: true, Clusters: 4,
-		}, wkey, j.factory)
+		// PaperDesigns 0, 2 and 3: baseline+MAD, CROPHE and CROPHE-p at
+		// this SRAM capacity.
+		ds := sched.PaperDesigns(j.pairing.CROPHE.WithSRAM(j.size), j.pairing.Baseline.WithSRAM(j.size))
+		base := evaluateMemo(ds[0], wkey, j.factory)
+		cro := evaluateMemo(ds[2], wkey, j.factory)
+		crop := evaluateMemo(ds[3], wkey, j.factory)
 		rows[i] = Fig10Row{
 			Pairing:  j.pairing.Baseline.Name + " vs " + j.pairing.CROPHE.Name,
 			Workload: j.wn,
@@ -339,11 +319,8 @@ func Figure11(fast bool) []Fig11Row {
 	}
 	var jobs []job
 	for _, v := range variants {
-		params := v.params
-		factory := func(m workload.RotMode, r int) *workload.Workload {
-			return workload.Bootstrapping(params, m, r)
-		}
-		wkey := params.Name + "/bootstrapping"
+		factory, _ := workload.Lookup("bootstrapping", v.params)
+		wkey := v.params.Name + "/bootstrapping"
 		jobs = append(jobs, job{v.name, wkey, sched.Design{
 			Name: v.base.Name + "+MAD", HW: v.base.WithSRAM(v.smallMB),
 			Dataflow: sched.DataflowMAD,
@@ -377,39 +354,107 @@ func RenderFig11(rows []Fig11Row) string {
 	return b.String()
 }
 
-// Experiments lists the available experiment ids.
+// experiment is one table or figure of the evaluation: a run returns
+// its rendered text and the headline metrics crophe-bench -json records
+// (nil for the static tables), from a single evaluation.
+type experiment struct {
+	id  string
+	run func(fast bool) (string, map[string]float64, error)
+}
+
+// experiments lists every experiment in run order.
+var experiments = []experiment{
+	{"table1", func(bool) (string, map[string]float64, error) { return Table1(), nil, nil }},
+	{"table2", func(bool) (string, map[string]float64, error) {
+		chip := arch.ChipModel(arch.CROPHE36).Total()
+		return Table2(), map[string]float64{
+			"table2/area_mm2/total": chip.AreaMM2,
+			"table2/power_w/total":  chip.PowerW,
+		}, nil
+	}},
+	{"table3", func(bool) (string, map[string]float64, error) { return Table3(), nil, nil }},
+	{"table4", func(bool) (string, map[string]float64, error) {
+		rows, err := Table4()
+		if err != nil {
+			return "", nil, err
+		}
+		m := map[string]float64{}
+		for _, r := range rows {
+			m["table4/pe_util/"+r.Design] = r.Util.PE
+		}
+		return RenderTable4(rows), m, nil
+	}},
+	{"fig9", func(fast bool) (string, map[string]float64, error) {
+		rows := Figure9(fast)
+		m := map[string]float64{}
+		for _, ps := range SpeedupSummary(rows) {
+			for j, sp := range ps.Speedups {
+				m["fig9/speedup/"+ps.Pairing+"/"+ps.Workloads[j]] = sp
+			}
+		}
+		return RenderFig9(rows), m, nil
+	}},
+	{"fig10", func(fast bool) (string, map[string]float64, error) {
+		rows := Figure10(fast)
+		m := map[string]float64{}
+		for _, r := range rows {
+			m[fmt.Sprintf("fig10/speedup/%s/%s/%gMB", r.Pairing, r.Workload, r.SRAMMB)] = r.Speedup
+		}
+		return RenderFig10(rows), m, nil
+	}},
+	{"fig11", func(fast bool) (string, map[string]float64, error) {
+		rows := Figure11(fast)
+		m := map[string]float64{}
+		ladder := map[string]map[string]float64{}
+		for _, r := range rows {
+			m[fmt.Sprintf("fig11/time_ms/%s/%s", r.Variant, r.Design)] = r.TimeSec * 1e3
+			if ladder[r.Variant] == nil {
+				ladder[r.Variant] = map[string]float64{}
+			}
+			ladder[r.Variant][r.Design] = r.TimeSec
+		}
+		for v, t := range ladder {
+			if t["MAD"] > 0 && t["CROPHE"] > 0 {
+				m["fig11/ladder_speedup/"+v] = t["MAD"] / t["CROPHE"]
+			}
+		}
+		return RenderFig11(rows), m, nil
+	}},
+	{"ablations", func(bool) (string, map[string]float64, error) {
+		rows := Ablations()
+		m := map[string]float64{}
+		for _, r := range rows {
+			m[fmt.Sprintf("ablations/time_ms/%s/%s", r.Study, r.Setting)] = r.TimeSec * 1e3
+		}
+		return RenderAblations(rows), m, nil
+	}},
+	{"kernels", kernelsExperiment},
+}
+
+// Experiments lists the available experiment ids in run order.
 func Experiments() []string {
-	return []string{"table1", "table2", "table3", "table4", "fig9", "fig10", "fig11", "ablations", "kernels"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run executes an experiment by id and returns its rendered output.
 func Run(id string, fast bool) (string, error) {
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(), nil
-	case "table4":
-		rows, err := Table4()
-		if err != nil {
-			return "", err
+	out, _, err := runWithMetrics(id, fast)
+	return out, err
+}
+
+// runWithMetrics runs one experiment and returns both its rendered text
+// and its headline metrics.
+func runWithMetrics(id string, fast bool) (string, map[string]float64, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(fast)
 		}
-		return RenderTable4(rows), nil
-	case "fig9":
-		return RenderFig9(Figure9(fast)), nil
-	case "fig10":
-		return RenderFig10(Figure10(fast)), nil
-	case "fig11":
-		return RenderFig11(Figure11(fast)), nil
-	case "ablations":
-		return RenderAblations(Ablations()), nil
-	case "kernels":
-		out, _, err := kernelsExperiment(fast)
-		return out, err
 	}
-	return "", fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
+	return "", nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 }
 
 // PairingSummary is the headline CROPHE-vs-baseline speedup of one

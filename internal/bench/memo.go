@@ -54,13 +54,13 @@ func designKey(d sched.Design) string {
 		d.Name, d.Dataflow, d.NTTDec, d.HybridRot, d.Clusters)
 }
 
-// EvaluateMemoized evaluates the design on the named workload,
-// consulting the process-global schedule cache first, and reports
-// whether the cache answered (true) or the search ran (false). Design
-// evaluation is deterministic (an exhaustive sweep over
-// rotation-structure candidates), so a cached schedule is bit-identical
-// to a fresh one. workloadKey must uniquely identify the workload the
-// factory builds (benchmark name + parameter set). Cached schedules are
+// Memoized returns the schedule cached under the design and workload
+// key, running eval on a miss, and reports whether the cache answered
+// (true) or eval ran (false). eval must be deterministic — a design
+// evaluation or a single full-fidelity schedule, never a
+// deadline-bounded partial one — so a cached schedule is bit-identical
+// to a fresh one. workloadKey must uniquely identify the workload eval
+// schedules (benchmark name + parameter set). Cached schedules are
 // shared across experiments, goroutines and serving requests: callers
 // must treat them as read-only, which every consumer does (they read
 // TimeSec, Traffic and Util, and the cycle simulator only reads the
@@ -72,7 +72,7 @@ func designKey(d sched.Design) string {
 // search. If the evaluating caller panics, waiters observe a nil
 // schedule and evaluate for themselves (the panic propagates on the
 // original goroutine only).
-func EvaluateMemoized(d sched.Design, workloadKey string, factory sched.WorkloadFactory) (*sched.Schedule, bool) {
+func Memoized(d sched.Design, workloadKey string, eval func() *sched.Schedule) (*sched.Schedule, bool) {
 	key := memoKey{design: designKey(d), hw: arch.ConfigHash(d.HW), workload: workloadKey}
 	for {
 		memoMu.Lock()
@@ -109,7 +109,7 @@ func EvaluateMemoized(d sched.Design, workloadKey string, factory sched.Workload
 				close(e.ready)
 			}
 		}()
-		s := d.Evaluate(factory)
+		s := eval()
 		ok = true
 
 		memoMu.Lock()
@@ -147,10 +147,9 @@ func evictOverCapLocked(keep memoKey) {
 	}
 }
 
-// evaluateMemo is EvaluateMemoized for callers that only need the
-// schedule.
+// evaluateMemo memoises the design's evaluation over factory.
 func evaluateMemo(d sched.Design, workloadKey string, factory sched.WorkloadFactory) *sched.Schedule {
-	s, _ := EvaluateMemoized(d, workloadKey, factory)
+	s, _ := Memoized(d, workloadKey, func() *sched.Schedule { return d.Evaluate(factory) })
 	return s
 }
 

@@ -43,7 +43,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _ = EvaluateMemoized(d, "singleflight/helr", counting)
+			got[i] = evaluateMemo(d, "singleflight/helr", counting)
 		}(i)
 	}
 	wg.Wait()
@@ -64,7 +64,7 @@ func TestMemoSingleFlight(t *testing.T) {
 	// sweep), but only by the single evaluating flight: a second identical
 	// single-flight run must not add factory calls.
 	before := evals.Load()
-	EvaluateMemoized(d, "singleflight/helr", counting)
+	evaluateMemo(d, "singleflight/helr", counting)
 	if evals.Load() != before {
 		t.Error("cache hit re-ran the evaluation")
 	}
@@ -80,11 +80,11 @@ func TestMemoEviction(t *testing.T) {
 	d := madDesign(arch.CROPHE36)
 	factory := helrFactory(arch.ParamsSHARP)
 
-	EvaluateMemoized(d, "evict/a", factory)
-	EvaluateMemoized(d, "evict/b", factory)
+	evaluateMemo(d, "evict/a", factory)
+	evaluateMemo(d, "evict/b", factory)
 	// Touch a so b becomes the LRU entry.
-	EvaluateMemoized(d, "evict/a", factory)
-	EvaluateMemoized(d, "evict/c", factory) // evicts b
+	evaluateMemo(d, "evict/a", factory)
+	evaluateMemo(d, "evict/c", factory) // evicts b
 
 	st := ScheduleMemoStats()
 	if st.Size != 2 {
@@ -96,12 +96,12 @@ func TestMemoEviction(t *testing.T) {
 
 	// a must still be cached (it was touched); b must have been evicted.
 	hits0 := ScheduleMemoStats().Hits
-	EvaluateMemoized(d, "evict/a", factory)
+	evaluateMemo(d, "evict/a", factory)
 	if ScheduleMemoStats().Hits != hits0+1 {
 		t.Error("LRU evicted the recently-used entry instead of the stale one")
 	}
 	misses0 := ScheduleMemoStats().Misses
-	EvaluateMemoized(d, "evict/b", factory)
+	evaluateMemo(d, "evict/b", factory)
 	if ScheduleMemoStats().Misses != misses0+1 {
 		t.Error("evicted entry was still served from cache")
 	}
@@ -117,7 +117,7 @@ func TestMemoCapacityClamp(t *testing.T) {
 	d := madDesign(arch.CROPHE36)
 	factory := helrFactory(arch.ParamsSHARP)
 	for _, k := range []string{"clamp/a", "clamp/b", "clamp/c"} {
-		EvaluateMemoized(d, k, factory)
+		evaluateMemo(d, k, factory)
 	}
 	SetScheduleMemoCapacity(0) // clamps to 1
 	st := ScheduleMemoStats()

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"crophe/internal/arch"
 	"crophe/internal/parallel"
 	"crophe/internal/sched"
 	"crophe/internal/telemetry"
@@ -66,74 +65,6 @@ type Report struct {
 	Workers       int                `json:"workers"`
 	Fast          bool               `json:"fast"`
 	Experiments   []ExperimentResult `json:"experiments"`
-}
-
-// runWithMetrics runs one experiment and returns both its rendered text
-// and its headline metrics, from a single evaluation.
-func runWithMetrics(id string, fast bool) (string, map[string]float64, error) {
-	switch id {
-	case "table2":
-		chip := arch.ChipModel(arch.CROPHE36).Total()
-		return Table2(), map[string]float64{
-			"table2/area_mm2/total": chip.AreaMM2,
-			"table2/power_w/total":  chip.PowerW,
-		}, nil
-	case "table4":
-		rows, err := Table4()
-		if err != nil {
-			return "", nil, err
-		}
-		m := map[string]float64{}
-		for _, r := range rows {
-			m["table4/pe_util/"+r.Design] = r.Util.PE
-		}
-		return RenderTable4(rows), m, nil
-	case "fig9":
-		rows := Figure9(fast)
-		m := map[string]float64{}
-		for _, ps := range SpeedupSummary(rows) {
-			for j, sp := range ps.Speedups {
-				m["fig9/speedup/"+ps.Pairing+"/"+ps.Workloads[j]] = sp
-			}
-		}
-		return RenderFig9(rows), m, nil
-	case "fig10":
-		rows := Figure10(fast)
-		m := map[string]float64{}
-		for _, r := range rows {
-			m[fmt.Sprintf("fig10/speedup/%s/%s/%gMB", r.Pairing, r.Workload, r.SRAMMB)] = r.Speedup
-		}
-		return RenderFig10(rows), m, nil
-	case "fig11":
-		rows := Figure11(fast)
-		m := map[string]float64{}
-		ladder := map[string]map[string]float64{}
-		for _, r := range rows {
-			m[fmt.Sprintf("fig11/time_ms/%s/%s", r.Variant, r.Design)] = r.TimeSec * 1e3
-			if ladder[r.Variant] == nil {
-				ladder[r.Variant] = map[string]float64{}
-			}
-			ladder[r.Variant][r.Design] = r.TimeSec
-		}
-		for v, t := range ladder {
-			if t["MAD"] > 0 && t["CROPHE"] > 0 {
-				m["fig11/ladder_speedup/"+v] = t["MAD"] / t["CROPHE"]
-			}
-		}
-		return RenderFig11(rows), m, nil
-	case "ablations":
-		rows := Ablations()
-		m := map[string]float64{}
-		for _, r := range rows {
-			m[fmt.Sprintf("ablations/time_ms/%s/%s", r.Study, r.Setting)] = r.TimeSec * 1e3
-		}
-		return RenderAblations(rows), m, nil
-	case "kernels":
-		return kernelsExperiment(fast)
-	default:
-		out, err := Run(id, fast)
-		return out, nil, err
-	}
 }
 
 // Collect runs the given experiments in order and assembles a Report.

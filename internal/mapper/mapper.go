@@ -49,15 +49,11 @@ type Band struct {
 	LeftToRight bool
 }
 
-// Map places a group on a W×H mesh. alloc gives the PE count per node
-// (from the scheduler); nodes with zero allocation receive one PE.
-func Map(group *sched.GroupSchedule, w, h int) (*Placement, error) {
-	return MapAvoiding(group, w, h, nil)
-}
-
-// MapAvoiding places a group like Map but keeps work off failed mesh
-// rows (degraded-mode mapping). The logical placement — band split,
-// direction walk, cell assignment — is computed on the full mesh exactly
+// MapAvoiding places a group on a W×H mesh and keeps work off failed
+// mesh rows (nil badRows for a healthy chip). The group's PE allocation
+// comes from the scheduler; nodes with zero allocation receive one PE.
+// The logical placement — band split, direction walk, cell assignment —
+// is computed on the full mesh exactly
 // as for a healthy chip, then every cell on a failed row is remapped to
 // its nearest surviving row (spare-row redundancy). Keeping the logical
 // geometry fault-independent matters for graceful degradation: each
@@ -248,14 +244,9 @@ type Transfer struct {
 	Multicast    bool
 }
 
-// BuildTrace maps every group of a segment schedule and extracts its
-// transfers.
-func BuildTrace(seg *sched.SegmentSchedule, wordBytes float64, w, h int) (*Trace, error) {
-	return BuildTraceAvoiding(seg, wordBytes, w, h, nil)
-}
-
-// BuildTraceAvoiding is BuildTrace with failed mesh rows excluded from
-// every group's placement (see MapAvoiding).
+// BuildTraceAvoiding maps every group of a segment schedule, with failed
+// mesh rows excluded from every placement (see MapAvoiding), and
+// extracts its transfers.
 func BuildTraceAvoiding(seg *sched.SegmentSchedule, wordBytes float64, w, h int, badRows map[int]bool) (*Trace, error) {
 	t := &Trace{Groups: make([]TraceGroup, 0, len(seg.Groups))}
 	// groupOf[id] is 1 + the index of the last group holding node id, so

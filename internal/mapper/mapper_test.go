@@ -31,7 +31,7 @@ func TestMapPlacesEveryNonTransposeOp(t *testing.T) {
 	seg := scheduledSegment(t)
 	for gi := range seg.Groups {
 		g := &seg.Groups[gi]
-		pl, err := Map(g, 8, 8)
+		pl, err := MapAvoiding(g, 8, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +54,13 @@ func TestMapPlacesEveryNonTransposeOp(t *testing.T) {
 
 func TestMapValidation(t *testing.T) {
 	g := &sched.GroupSchedule{}
-	if _, err := Map(g, 8, 8); err == nil {
+	if _, err := MapAvoiding(g, 8, 8, nil); err == nil {
 		t.Error("empty group should fail")
 	}
 	gr := graph.New()
 	n := gr.AddNode(graph.OpEWMul, "m", graph.Tensor{Digits: 1, Limbs: 1, N: 8})
 	g2 := &sched.GroupSchedule{Nodes: []*graph.Node{n}, PEAlloc: map[int]int{}}
-	if _, err := Map(g2, 0, 8); err == nil {
+	if _, err := MapAvoiding(g2, 0, 8, nil); err == nil {
 		t.Error("invalid mesh should fail")
 	}
 }
@@ -82,7 +82,7 @@ func TestTransposeSplitsBands(t *testing.T) {
 		Nodes:   []*graph.Node{col, tw, tr, row},
 		PEAlloc: map[int]int{col.ID: 8, tw.ID: 4, tr.ID: 1, row.ID: 8},
 	}
-	pl, err := Map(g, 8, 8)
+	pl, err := MapAvoiding(g, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTransposeSplitsBands(t *testing.T) {
 
 func TestBuildTraceTransfers(t *testing.T) {
 	seg := scheduledSegment(t)
-	tr, err := BuildTrace(seg, 8, 8, 8)
+	tr, err := BuildTraceAvoiding(seg, 8, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMapOversubscribedGroupScalesDown(t *testing.T) {
 		alloc[n.ID] = 10
 	}
 	g := &sched.GroupSchedule{Nodes: nodes, PEAlloc: alloc}
-	pl, err := Map(g, 4, 2) // only 8 PEs for 40 requested
+	pl, err := MapAvoiding(g, 4, 2, nil) // only 8 PEs for 40 requested
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestMapAvoidingAllRowsFailedIsTypedError(t *testing.T) {
 func TestMapAvoidingNilBadRowsIsIdentity(t *testing.T) {
 	seg := scheduledSegment(t)
 	g := &seg.Groups[0]
-	a, err := Map(g, 8, 8)
+	a, err := MapAvoiding(g, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MapAvoiding(g, 8, 8, nil)
+	b, err := MapAvoiding(g, 8, 8, map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}

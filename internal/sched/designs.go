@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"time"
+
 	"crophe/internal/arch"
 	"crophe/internal/workload"
 )
@@ -17,14 +19,37 @@ type Design struct {
 	Clusters  int  // >1 enables CROPHE-p partitioning
 }
 
-// WorkloadFactory builds a workload for a given rotation structure — the
-// graph-level transform the scheduler enumerates for hybrid rotation
-// (§V-D: "we enumerate it at the very beginning and generate one
-// computational graph for each r_Hyb").
-type WorkloadFactory func(mode workload.RotMode, rHyb int) *workload.Workload
+// WorkloadFactory builds a workload for a given rotation structure (see
+// workload.Factory).
+type WorkloadFactory = workload.Factory
 
 // rHybCandidates is the stride sweep for hybrid rotation.
 var rHybCandidates = []int{2, 4, 8}
+
+// Options returns the scheduler options of one run of the design: the
+// dataflow defaults, the CROPHE-p cluster count, and — when deadline is
+// positive — the deterministic anytime candidate budget of
+// BudgetForDeadline, so runs whose deadlines land in the same
+// power-of-two bucket get bit-identical schedules.
+func (d Design) Options(deadline time.Duration) Options {
+	opt := DefaultOptions(d.Dataflow)
+	if d.Clusters > 1 {
+		opt.Clusters = d.Clusters
+	}
+	if deadline > 0 {
+		opt.SearchBudget = BudgetForDeadline(deadline)
+	}
+	return opt
+}
+
+// Prepare applies the design's graph rewrites to w: the §V-B four-step
+// NTT decomposition when NTTDec is set, w itself otherwise.
+func (d Design) Prepare(w *workload.Workload) *workload.Workload {
+	if d.NTTDec {
+		return w.DecomposeNTTs()
+	}
+	return w
+}
 
 // Evaluate schedules the design over the best rotation structure it is
 // allowed to use and returns the winning schedule:
@@ -32,13 +57,9 @@ var rHybCandidates = []int{2, 4, 8}
 //   - MAD and Base pick the better of Min-KS and Hoisting (the paper notes
 //     Min-KS wins with large SRAM, Hoisting with small).
 //   - HybridRot additionally sweeps r_Hyb.
-//   - NTTDec applies the four-step rewrite before scheduling.
+//   - Each candidate graph goes through Prepare before scheduling.
 func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
-	opt := DefaultOptions(d.Dataflow)
-	if d.Clusters > 1 {
-		opt.Clusters = d.Clusters
-	}
-	sch := New(d.HW, opt)
+	sch := New(d.HW, d.Options(0))
 
 	type cand struct {
 		mode workload.RotMode
@@ -60,10 +81,7 @@ func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 		if i == 0 {
 			name = w.Name
 		}
-		if d.NTTDec {
-			w = w.DecomposeNTTs()
-		}
-		res := sch.Run(w)
+		res := sch.Run(d.Prepare(w))
 		if best == nil || res.TimeSec < best.TimeSec {
 			best = res
 		}

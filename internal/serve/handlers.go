@@ -5,22 +5,31 @@ import (
 	"net/http"
 
 	"crophe"
-	"crophe/internal/sim"
 	"crophe/internal/workload"
 )
 
-// resolve maps the request's symbolic fields onto a design point and a
-// workload, mirroring crophe-sim's conventions (hoisted rotations, NTT
-// decomposition under the CROPHE dataflow).
-func (req *ScheduleRequest) resolve() (crophe.Design, *crophe.Workload, string, error) {
-	hw, ok := crophe.LookupHW(req.HW)
+// lookup resolves a request's hardware and workload names through the
+// shared catalogues, under the hardware's own parameter set. It builds
+// nothing: callers build the graph when they need it, always under
+// hoisted rotations (crophe-sim's convention).
+func lookup(hwName, wlName string) (*crophe.HWConfig, crophe.WorkloadFactory, error) {
+	hw, ok := crophe.LookupHW(hwName)
 	if !ok {
-		return crophe.Design{}, nil, "", fmt.Errorf("unknown hw %q", req.HW)
+		return nil, nil, fmt.Errorf("unknown hw %q", hwName)
 	}
-	params := crophe.DefaultParamsFor(hw)
-	w, ok := crophe.LookupWorkload(req.Workload, params, crophe.RotHoisted)
+	factory, ok := workload.Lookup(wlName, crophe.DefaultParamsFor(hw))
 	if !ok {
-		return crophe.Design{}, nil, "", fmt.Errorf("unknown workload %q", req.Workload)
+		return nil, nil, fmt.Errorf("unknown workload %q", wlName)
+	}
+	return hw, factory, nil
+}
+
+// resolve maps the request's symbolic fields onto a design point, its
+// workload and the workload's schedule-memo key.
+func (req *ScheduleRequest) resolve() (crophe.Design, *crophe.Workload, string, error) {
+	hw, factory, err := lookup(req.HW, req.Workload)
+	if err != nil {
+		return crophe.Design{}, nil, "", err
 	}
 	var d crophe.Design
 	switch req.Dataflow {
@@ -31,9 +40,8 @@ func (req *ScheduleRequest) resolve() (crophe.Design, *crophe.Workload, string, 
 	default:
 		return crophe.Design{}, nil, "", fmt.Errorf("unknown dataflow %q (want crophe or mad)", req.Dataflow)
 	}
-	// The memo key couples design identity with what the factory builds.
-	wkey := params.Name + "/" + req.Workload + "/hoisted"
-	return d, w, wkey, nil
+	wkey := crophe.DefaultParamsFor(hw).Name + "/" + req.Workload + "/hoisted"
+	return d, factory(crophe.RotHoisted, 0), wkey, nil
 }
 
 // chaos honours an injected panic when the server allows it; the seed is
@@ -71,9 +79,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp := ScheduleResponse{Workload: wl.Name, HW: d.HW.Name}
 	if deadline <= 0 {
-		sched, cached := crophe.MemoizedSchedule(d, wkey, func(m workload.RotMode, _ int) *crophe.Workload {
-			return wl
-		})
+		sched, cached := crophe.MemoizedSchedule(d, wkey, wl)
 		resp.fillSchedule(sched)
 		resp.Cached = cached
 	} else {
@@ -146,23 +152,16 @@ func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hw, ok := crophe.LookupHW(req.HW)
-	if !ok {
+	hw, factory, err := lookup(req.HW, req.Workload)
+	if err != nil {
 		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "unknown hw %q", req.HW)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	spec, err := crophe.ParseFaultSpec(req.Faults)
 	if err != nil {
 		s.metrics.badInput.Add(1)
 		writeError(w, http.StatusBadRequest, "invalid faults: %v", err)
-		return
-	}
-	params := crophe.DefaultParamsFor(hw)
-	wl, ok := crophe.LookupWorkload(req.Workload, params, crophe.RotHoisted)
-	if !ok {
-		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "unknown workload %q", req.Workload)
 		return
 	}
 	registerSeed(r, req.Seed)
@@ -178,7 +177,8 @@ func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) 
 
 	ctx, cancel, _ := s.requestBudget(r, req.DeadlineMS)
 	defer cancel()
-	res, sched, err := crophe.SimulateDegraded(ctx, m, wl, sim.WithTelemetry(s.tel))
+	wl := factory(crophe.RotHoisted, 0)
+	res, sched, err := crophe.SimulateDegraded(ctx, m, wl, crophe.WithTelemetry(s.tel))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "degraded simulate: %v", err)
 		return

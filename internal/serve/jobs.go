@@ -148,15 +148,9 @@ func (j *job) fail(msg string) {
 }
 
 func (m *jobManager) run(j *job, doneRungs map[int]crophe.ResiliencePoint, keep int64, isNew bool) {
-	hw, ok := crophe.LookupHW(j.params.HW)
-	if !ok {
-		j.fail(fmt.Sprintf("unknown hw %q", j.params.HW))
-		return
-	}
-	p := crophe.DefaultParamsFor(hw)
-	wl, ok := crophe.LookupWorkload(j.params.Workload, p, crophe.RotHoisted)
-	if !ok {
-		j.fail(fmt.Sprintf("unknown workload %q", j.params.Workload))
+	hw, factory, err := lookup(j.params.HW, j.params.Workload)
+	if err != nil {
+		j.fail(err.Error())
 		return
 	}
 	f, err := openJournal(m.dir, j.params, keep, isNew)
@@ -180,7 +174,7 @@ func (m *jobManager) run(j *job, doneRungs map[int]crophe.ResiliencePoint, keep 
 	}
 
 	deadline := time.Duration(j.params.DeadlineMS) * time.Millisecond
-	sw, err := crophe.RunResilienceSweepWith(m.ctx, hw, wl, j.params.Seed, j.params.Steps, deadline,
+	sw, err := crophe.RunResilienceSweepWith(m.ctx, hw, factory(crophe.RotHoisted, 0), j.params.Seed, j.params.Steps, deadline,
 		crophe.SweepWithResume(doneRungs), crophe.SweepWithJournal(observe))
 	switch {
 	case err != nil && m.ctx.Err() != nil:

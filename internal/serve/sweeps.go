@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"net/http"
-
-	"crophe"
-)
+import "net/http"
 
 // statusOf renders a job for clients.
 func statusOf(j *job) SweepStatus {
@@ -50,16 +46,9 @@ func (s *Server) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hw, ok := crophe.LookupHW(req.HW)
-	if !ok {
+	if _, _, err := lookup(req.HW, req.Workload); err != nil {
 		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "unknown hw %q", req.HW)
-		return
-	}
-	p := crophe.DefaultParamsFor(hw)
-	if _, ok := crophe.LookupWorkload(req.Workload, p, crophe.RotHoisted); !ok {
-		s.metrics.badInput.Add(1)
-		writeError(w, http.StatusBadRequest, "unknown workload %q", req.Workload)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Steps < 2 || req.Steps > 256 {

@@ -18,7 +18,7 @@ func TestConcurrentRunsShareConfig(t *testing.T) {
 	w := workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
 	opt := sched.DefaultOptions(sched.DataflowCROPHE)
 
-	ref, err := Run(arch.CROPHE64, opt, w)
+	ref, err := scheduleAndSimulate(arch.CROPHE64, opt, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestConcurrentRunsShareConfig(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Run(arch.CROPHE64, opt, w)
+			results[i], errs[i] = scheduleAndSimulate(arch.CROPHE64, opt, w)
 		}(i)
 	}
 	wg.Wait()
@@ -60,7 +60,7 @@ func TestConcurrentMixedDataflows(t *testing.T) {
 		wg.Add(1)
 		go func(i int, d sched.Dataflow) {
 			defer wg.Done()
-			results[i], errs[i] = Run(arch.CROPHE64, sched.DefaultOptions(d), w)
+			results[i], errs[i] = scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(d), w)
 		}(i, d)
 	}
 	wg.Wait()

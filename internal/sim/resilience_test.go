@@ -69,7 +69,7 @@ func TestDegradedRunDeterministicPerSeed(t *testing.T) {
 
 func TestEverySingleFaultStaysFeasibleAndSlower(t *testing.T) {
 	w := resilienceWorkload()
-	healthy, err := Run(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), w)
+	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDegradationMonotoneInFaultCount(t *testing.T) {
 			{DeadLinks: 2}, {DeadLinks: 4}, {DeadLinks: 8},
 		},
 	}
-	healthy, err := Run(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMixedFaultsNeverBeatHealthy(t *testing.T) {
 	// removes the placement that detoured a dead link), so pairwise
 	// monotonicity is not a property of the refined simulation — but a
 	// degraded machine must still never beat the healthy one.
-	healthy, err := Run(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}

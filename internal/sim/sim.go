@@ -483,31 +483,6 @@ func (e *Engine) energy(res *Result, peBusy, nocBusy, sramBusy float64) float64 
 	return energy
 }
 
-// Run schedules and simulates in one step, forwarding any engine options.
-func Run(hw *arch.HWConfig, opt sched.Options, w *workload.Workload, opts ...Option) (*Result, error) {
-	e := New(hw, opts...)
-	s := sched.New(hw, opt).WithTelemetry(e.tel).Run(w)
-	return e.SimulateSchedule(w, s)
-}
-
-// RunContext is Run with the anytime schedule search bounded by ctx (and
-// by opt.SearchBudget when set): an expiring context yields a best-so-far
-// schedule flagged Partial, which is then simulated normally. The chosen
-// schedule is returned alongside the result so callers can surface the
-// Partial marker.
-func RunContext(ctx context.Context, hw *arch.HWConfig, opt sched.Options, w *workload.Workload, opts ...Option) (*Result, *sched.Schedule, error) {
-	e := New(hw, opts...)
-	s, err := sched.New(hw, opt).WithTelemetry(e.tel).Schedule(ctx, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := e.SimulateSchedule(w, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, s, nil
-}
-
 // SimulateDegraded schedules a workload for a degraded machine — the
 // composition search runs on the pristine configuration and the chosen
 // groups are priced on the machine's effective (derated) view, the

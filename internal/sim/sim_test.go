@@ -96,7 +96,7 @@ func TestUtilizationBounds(t *testing.T) {
 
 func TestRunConvenience(t *testing.T) {
 	w := workload.Bootstrapping(arch.ParamsSHARP, workload.RotHybrid, 4)
-	r, err := Run(arch.CROPHE36, sched.DefaultOptions(sched.DataflowCROPHE), w)
+	r, err := scheduleAndSimulate(arch.CROPHE36, sched.DefaultOptions(sched.DataflowCROPHE), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +149,9 @@ func TestEnergyEstimate(t *testing.T) {
 	}
 	t.Logf("bootstrapping energy: %.2f mJ over %.3f ms (avg %.1f W)",
 		r.EnergyJ*1e3, r.TimeSec*1e3, r.EnergyJ/r.TimeSec)
+}
+
+// scheduleAndSimulate schedules w under opt and simulates the schedule.
+func scheduleAndSimulate(hw *arch.HWConfig, opt sched.Options, w *workload.Workload) (*Result, error) {
+	return New(hw).SimulateSchedule(w, sched.New(hw, opt).Run(w))
 }

@@ -334,29 +334,20 @@ func (b *Builder) hoistedRotations(x *graph.Node, level int, amounts []int, tag 
 // BabyRotations builds the n1 baby-step ciphertexts with the selected
 // rotation structure (Figure 8). rHyb is only used in hybrid mode.
 func (b *Builder) BabyRotations(x *graph.Node, level, n1 int, mode RotMode, rHyb int, tag string) []*graph.Node {
-	return b.BabyRotationsStride(x, level, n1, 1, mode, rHyb, tag)
-}
-
-// BabyRotationsStride is BabyRotations with every rotation amount scaled
-// by stride.
-func (b *Builder) BabyRotationsStride(x *graph.Node, level, n1, stride int, mode RotMode, rHyb int, tag string) []*graph.Node {
-	if stride < 1 {
-		stride = 1
-	}
 	switch mode {
 	case RotMinKS:
 		outs := make([]*graph.Node, n1)
 		outs[0] = x
 		cur := x
 		for i := 1; i < n1; i++ {
-			cur = b.HRot(cur, level, stride, fmt.Sprintf("%s/minks%d", tag, i))
+			cur = b.HRot(cur, level, 1, fmt.Sprintf("%s/minks%d", tag, i))
 			outs[i] = cur
 		}
 		return outs
 	case RotHoisted:
 		amounts := make([]int, 0, n1-1)
 		for i := 1; i < n1; i++ {
-			amounts = append(amounts, stride*i)
+			amounts = append(amounts, i)
 		}
 		outs := make([]*graph.Node, n1)
 		outs[0] = x
@@ -370,12 +361,12 @@ func (b *Builder) BabyRotationsStride(x *graph.Node, level, n1, stride int, mode
 		coarse := x
 		for base := 0; base < n1; base += rHyb {
 			if base > 0 {
-				coarse = b.HRot(coarse, level, stride*rHyb, fmt.Sprintf("%s/coarse%d", tag, base))
+				coarse = b.HRot(coarse, level, rHyb, fmt.Sprintf("%s/coarse%d", tag, base))
 			}
 			outs[base] = coarse
 			var fine []int
 			for f := 1; f < rHyb && base+f < n1; f++ {
-				fine = append(fine, stride*f)
+				fine = append(fine, f)
 			}
 			if len(fine) > 0 {
 				hs := b.hoistedRotations(coarse, level, fine, fmt.Sprintf("%s/fine%d", tag, base))
@@ -392,18 +383,7 @@ func (b *Builder) BabyRotationsStride(x *graph.Node, level, n1, stride int, mode
 // diags caps the number of non-zero diagonals (structured matrices have
 // far fewer than n1·n2). Returns the output node.
 func (b *Builder) BSGSMatVec(x *graph.Node, level, n1, n2, diags int, mode RotMode, rHyb int, tag string) *graph.Node {
-	return b.BSGSMatVecStride(x, level, n1, n2, diags, 1, mode, rHyb, tag)
-}
-
-// BSGSMatVecStride is BSGSMatVec with every rotation amount scaled by
-// stride — the per-stage rotation bases of a radix-decomposed homomorphic
-// DFT (stage s of radix r rotates by multiples of r^s), which is what
-// gives each CoeffToSlot/SlotToCoeff stage its own distinct evk set.
-func (b *Builder) BSGSMatVecStride(x *graph.Node, level, n1, n2, diags, stride int, mode RotMode, rHyb int, tag string) *graph.Node {
-	if stride < 1 {
-		stride = 1
-	}
-	babies := b.BabyRotationsStride(x, level, n1, stride, mode, rHyb, tag+"/baby")
+	babies := b.BabyRotations(x, level, n1, mode, rHyb, tag+"/baby")
 	var acc *graph.Node
 	used := 0
 	for j := 0; j < n2 && used < diags; j++ {
@@ -422,7 +402,7 @@ func (b *Builder) BSGSMatVecStride(x *graph.Node, level, n1, n2, diags, stride i
 			break
 		}
 		if j > 0 {
-			inner = b.HRot(inner, level, stride*n1*j, fmt.Sprintf("%s/giant%d", tag, j))
+			inner = b.HRot(inner, level, n1*j, fmt.Sprintf("%s/giant%d", tag, j))
 		}
 		if acc == nil {
 			acc = inner

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -254,22 +253,6 @@ func TestBalancedSplit(t *testing.T) {
 	}
 }
 
-func TestStandardSet(t *testing.T) {
-	ws := StandardSet(testParams, RotHoisted, 0)
-	if len(ws) != 4 {
-		t.Fatalf("standard set size %d", len(ws))
-	}
-	names := []string{"bootstrapping", "helr1024", "resnet-20", "resnet-110"}
-	for i, w := range ws {
-		if w.Name != names[i] {
-			t.Errorf("workload %d = %s want %s", i, w.Name, names[i])
-		}
-		if w.DataParallel < 1 {
-			t.Errorf("%s: data parallel %d", w.Name, w.DataParallel)
-		}
-	}
-}
-
 func TestWorkloadDecomposeNTTs(t *testing.T) {
 	w := Bootstrapping(testParams, RotHoisted, 0)
 	d := w.DecomposeNTTs()
@@ -283,59 +266,6 @@ func TestWorkloadDecomposeNTTs(t *testing.T) {
 		s := d.Segments[i].G.Summarise(8)
 		if s.KindCounts[graph.OpNTT]+s.KindCounts[graph.OpINTT] != 0 {
 			t.Fatal("NTTs remain")
-		}
-	}
-}
-
-func TestBSGSMatVecStrideScalesRotations(t *testing.T) {
-	// With stride s, every rotation evk id must reference a multiple of s.
-	b := NewBuilder(testParams)
-	x := b.Input("x", 5)
-	out := b.BSGSMatVecStride(x, 5, 4, 4, 16, 8, RotHoisted, 0, "mv")
-	b.Output(out)
-	found := 0
-	for _, n := range b.G.Nodes {
-		if n.Kind != graph.OpConst || !strings.HasPrefix(n.Name, "evk:rot") {
-			continue
-		}
-		var amount, level int
-		if _, err := fmt.Sscanf(n.Name, "evk:rot%d:l%d", &amount, &level); err != nil {
-			t.Fatalf("unparseable evk id %q", n.Name)
-		}
-		if amount%8 != 0 {
-			t.Fatalf("rotation amount %d not a multiple of stride 8", amount)
-		}
-		found++
-	}
-	if found == 0 {
-		t.Fatal("no rotation evks found")
-	}
-	// Distinct stride → distinct evk set from the unit-stride version.
-	b2 := NewBuilder(testParams)
-	x2 := b2.Input("x", 5)
-	b2.Output(b2.BSGSMatVec(x2, 5, 4, 4, 16, RotHoisted, 0, "mv"))
-	if b.G.Fingerprint() == b2.G.Fingerprint() {
-		// Fingerprints abstract aux identity, so equality is expected —
-		// the *structure* matches; what differs is the evk naming, which
-		// matters for cross-segment sharing.
-		ids := func(g *graph.Graph) map[string]bool {
-			out := map[string]bool{}
-			for _, n := range g.Nodes {
-				if n.Kind == graph.OpConst && strings.HasPrefix(n.Name, "evk:rot") {
-					out[n.Name] = true
-				}
-			}
-			return out
-		}
-		a, c := ids(b.G), ids(b2.G)
-		same := true
-		for k := range a {
-			if !c[k] {
-				same = false
-			}
-		}
-		if same {
-			t.Fatal("strided matvec shares all evk ids with unit stride")
 		}
 	}
 }

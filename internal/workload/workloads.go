@@ -60,16 +60,10 @@ func bsgsDims(diags int) (n1, n2 int) {
 
 // matVecSegment builds one BSGS PtMatVecMult segment.
 func matVecSegment(p arch.ParamSet, name string, level, diags int, mode RotMode, rHyb int) Segment {
-	return matVecSegmentStride(p, name, level, diags, 1, mode, rHyb)
-}
-
-// matVecSegmentStride builds a BSGS PtMatVecMult whose rotation amounts
-// are multiples of stride — one stage of a radix-decomposed DFT.
-func matVecSegmentStride(p arch.ParamSet, name string, level, diags, stride int, mode RotMode, rHyb int) Segment {
 	b := NewBuilder(p)
 	in := b.Input(name+"/in", level)
 	n1, n2 := bsgsDims(diags)
-	out := b.BSGSMatVecStride(in, level, n1, n2, diags, stride, mode, rHyb, name)
+	out := b.BSGSMatVec(in, level, n1, n2, diags, mode, rHyb, name)
 	b.Output(out)
 	return Segment{Name: name, G: b.G}
 }
@@ -115,9 +109,7 @@ func Bootstrapping(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 
 	// Three radix stages; identical structure per stage (the evk working
 	// set repeats across stages and steady-state invocations, which is
-	// what lets every design amortise resident-key fills). Stage-distinct
-	// rotation sets are available through matVecSegmentStride for
-	// worst-case studies.
+	// what lets every design amortise resident-key fills).
 	lC2S := p.L // C2S runs right after ModRaise, near the top level
 	w.Segments = append(w.Segments,
 		withCount(matVecSegment(p, "c2s", lC2S, stageDiags, mode, rHyb), 3))
@@ -249,14 +241,42 @@ func withCount(s Segment, count int) Segment {
 	return s
 }
 
-// StandardSet returns the paper's four workloads under a parameter set.
-func StandardSet(p arch.ParamSet, mode RotMode, rHyb int) []*Workload {
-	return []*Workload{
-		Bootstrapping(p, mode, rHyb),
-		HELR(p, mode, rHyb),
-		ResNet(p, 20, mode, rHyb),
-		ResNet(p, 110, mode, rHyb),
+// Factory builds a workload for a given rotation structure — the
+// graph-level transform the scheduler enumerates for hybrid rotation
+// (§V-D: "we enumerate it at the very beginning and generate one
+// computational graph for each r_Hyb").
+type Factory func(mode RotMode, rHyb int) *Workload
+
+// builders is the one table of benchmark names: each workload's own Name
+// plus the short aliases the command-line tools and the serving layer
+// accept.
+var builders = map[string]func(arch.ParamSet, RotMode, int) *Workload{
+	"bootstrapping": Bootstrapping, "boot": Bootstrapping,
+	"helr1024": HELR, "helr": HELR,
+	"resnet-20": resNet(20), "resnet20": resNet(20),
+	"resnet-110": resNet(110), "resnet110": resNet(110),
+}
+
+func resNet(layers int) func(arch.ParamSet, RotMode, int) *Workload {
+	return func(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
+		return ResNet(p, layers, mode, rHyb)
 	}
+}
+
+// Names lists the paper's four benchmarks by their own names, in the
+// paper's plotting order.
+func Names() []string {
+	return []string{"bootstrapping", "helr1024", "resnet-20", "resnet-110"}
+}
+
+// Lookup returns the factory of the named benchmark under parameter set
+// p. It builds nothing: each call of the factory builds one graph.
+func Lookup(name string, p arch.ParamSet) (Factory, bool) {
+	build, ok := builders[name]
+	if !ok {
+		return nil, false
+	}
+	return func(mode RotMode, rHyb int) *Workload { return build(p, mode, rHyb) }, true
 }
 
 // DecomposeNTTs applies the four-step rewrite to every segment.

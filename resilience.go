@@ -79,6 +79,13 @@ func recoverFaultPanic(seed int64, err *error) {
 	}
 }
 
+// degradedDesign is the design point every degraded run and resilience
+// sweep schedules: the CROPHE dataflow on the graph as given, without the
+// NTT rewrite.
+func degradedDesign(hw *HWConfig) Design {
+	return Design{Name: hw.Name, HW: hw, Dataflow: sched.DataflowCROPHE}
+}
+
 // SimulateDegraded schedules and simulates a workload on a degraded
 // machine. The context bounds the anytime schedule search: on deadline
 // or cancellation the best-so-far valid schedule is used (Partial set on
@@ -87,7 +94,8 @@ func recoverFaultPanic(seed int64, err *error) {
 // recovered into an error carrying the fault seed.
 func SimulateDegraded(ctx context.Context, m *FaultMachine, w *Workload, opts ...SimOption) (res *SimResult, s *Schedule, err error) {
 	defer recoverFaultPanic(m.Plan.Seed, &err)
-	return sim.SimulateDegraded(ctx, m, sched.DefaultOptions(sched.DataflowCROPHE), w, opts...)
+	d := degradedDesign(m.Base)
+	return sim.SimulateDegraded(ctx, m, d.Options(0), d.Prepare(w), opts...)
 }
 
 // SweepOption configures RunResilienceSweepWith; build them with the
@@ -120,10 +128,7 @@ func SweepWithResume(done map[int]ResiliencePoint) SweepOption { return fault.Wi
 func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
 	opts ...SweepOption) (sw *ResilienceSweep, err error) {
 	defer recoverFaultPanic(seed, &err)
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
-	if deadline > 0 {
-		opt.SearchBudget = sched.BudgetForDeadline(deadline)
-	}
-	runner := sim.DegradedRunner(context.Background(), opt, w)
+	d := degradedDesign(hw)
+	runner := sim.DegradedRunner(context.Background(), d.Options(deadline), d.Prepare(w))
 	return fault.RunSweep(ctx, hw, seed, steps, runner, opts...)
 }
