@@ -253,6 +253,35 @@ func TestBalancedSplit(t *testing.T) {
 	}
 }
 
+func TestStandardSet(t *testing.T) {
+	// The paper's four workloads, in plotting order, each resolvable by
+	// its own name through the catalogue.
+	names := []string{"bootstrapping", "helr1024", "resnet-20", "resnet-110"}
+	got := Names()
+	if len(got) != len(names) {
+		t.Fatalf("standard set size %d", len(got))
+	}
+	for i, name := range got {
+		if name != names[i] {
+			t.Errorf("workload %d = %s want %s", i, name, names[i])
+		}
+		f, ok := Lookup(name, testParams)
+		if !ok {
+			t.Fatalf("%s does not resolve", name)
+		}
+		w := f(RotHoisted, 0)
+		if w.Name != name {
+			t.Errorf("workload %d = %s want %s", i, w.Name, name)
+		}
+		if w.DataParallel < 1 {
+			t.Errorf("%s: data parallel %d", w.Name, w.DataParallel)
+		}
+	}
+	if _, ok := Lookup("no-such-workload", testParams); ok {
+		t.Error("unknown workload name resolved")
+	}
+}
+
 func TestWorkloadDecomposeNTTs(t *testing.T) {
 	w := Bootstrapping(testParams, RotHoisted, 0)
 	d := w.DecomposeNTTs()
