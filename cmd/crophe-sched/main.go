@@ -31,6 +31,13 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-segment detail")
 	flag.Parse()
 
+	df, ok := sched.LookupDataflow(*dfName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "crophe-sched: unknown -dataflow %q (want crophe or mad)\n", *dfName)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	hw, ok := arch.Lookup(*hwName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-sched: unknown hardware %q\n", *hwName)
@@ -46,10 +53,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	df := sched.DataflowCROPHE
-	if *dfName == "mad" {
-		df = sched.DataflowMAD
-	}
 	d := sched.Design{
 		Name: hw.Name, HW: hw, Dataflow: df,
 		NTTDec:    *nttdec && df == sched.DataflowCROPHE,

@@ -28,12 +28,14 @@
 // checked kernel, scrub prices a background scrub pass every P cycles)
 // and the run reports throughput retained versus the healthy machine,
 // plus the priced detect-recompute-escalate integrity outcome when the
-// plan carries an SDC dimension. With
-// -sweep N (N >= 2), the tool instead runs an N-rung escalating
-// resilience sweep and prints the report. -deadline bounds each schedule
+// plan carries an SDC dimension. With -sweep N (N >= 2), the tool
+// instead runs an N-rung escalating resilience sweep and prints the
+// report. Both modes run crophe.DegradedDesign through the server's own
+// path, so they print the server's numbers; they reject -mesh,
+// -dataflow mad and -clusters N>1. -deadline bounds each schedule
 // search through the deterministic anytime budget; the best-so-far
-// schedule is used when the budget runs out. Malformed -mesh, -faults,
-// -deadline or -sweep values print usage and exit 2.
+// schedule is used when the budget runs out. Malformed flag values and
+// flag combinations no mode runs print usage and exit 2.
 package main
 
 import (
@@ -47,11 +49,7 @@ import (
 
 	"crophe"
 	"crophe/internal/cliutil"
-	"crophe/internal/fault"
 	"crophe/internal/sched"
-	"crophe/internal/sim"
-	"crophe/internal/telemetry"
-	"crophe/internal/workload"
 )
 
 // checkTrace validates a Chrome trace-event file written by -trace: it
@@ -126,7 +124,7 @@ func usageExit(format string, a ...any) {
 func main() {
 	hwName := flag.String("hw", "crophe64", "hardware configuration")
 	wlName := flag.String("workload", "bootstrapping", "benchmark workload")
-	dfName := flag.String("dataflow", "crophe", "scheduling policy")
+	dfName := flag.String("dataflow", "crophe", "scheduling policy: crophe or mad")
 	clusters := flag.Int("clusters", 1, "CROPHE-p cluster count")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON to this path")
 	meshSpec := flag.String("mesh", "", "override the PE mesh as WxH (e.g. 16x4)")
@@ -149,7 +147,11 @@ func main() {
 	if err != nil {
 		usageExit("%v", err)
 	}
-	spec, err := fault.ParseSpec(*faultSpec)
+	df, ok := sched.LookupDataflow(*dfName)
+	if !ok {
+		usageExit("unknown -dataflow %q (want crophe or mad)", *dfName)
+	}
+	spec, err := crophe.ParseFaultSpec(*faultSpec)
 	if err != nil {
 		usageExit("invalid -faults: %v", err)
 	}
@@ -160,8 +162,9 @@ func main() {
 		usageExit("-sweep and -faults are mutually exclusive (the sweep escalates its own fault specs)")
 	}
 	degraded := *sweepSteps > 0 || !spec.IsZero()
-	if degraded && *meshSpec != "" {
-		usageExit("-mesh cannot be combined with -faults or -sweep (fault plans are drawn on the configuration's own mesh)")
+	if degraded && (*meshSpec != "" || df != sched.DataflowCROPHE || *clusters > 1) {
+		usageExit("-mesh, -dataflow mad and -clusters N>1 cannot be combined with -faults or -sweep " +
+			"(degraded runs schedule the CROPHE dataflow on one cluster and the configuration's own mesh)")
 	}
 
 	hw, ok := crophe.LookupHW(*hwName)
@@ -169,73 +172,65 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crophe-sim: unknown hardware %q\n", *hwName)
 		os.Exit(1)
 	}
-	w, ok := crophe.LookupWorkload(*wlName, crophe.DefaultParamsFor(hw), workload.RotHoisted)
+	w, ok := crophe.LookupWorkload(*wlName, crophe.DefaultParamsFor(hw), crophe.RotHoisted)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "crophe-sim: unknown workload %q\n", *wlName)
 		os.Exit(1)
 	}
 
-	df := sched.DataflowCROPHE
-	if *dfName == "mad" {
-		df = sched.DataflowMAD
-	}
-	d := sched.Design{Name: hw.Name, HW: hw, Dataflow: df, NTTDec: df == sched.DataflowCROPHE, Clusters: *clusters}
-
-	var opts []sim.Option
-	var tel *telemetry.Collector
+	var opts []crophe.SimOption
+	var tel *crophe.Telemetry
 	if *tracePath != "" {
-		tel = telemetry.New()
-		opts = append(opts, sim.WithTelemetry(tel))
+		tel = crophe.NewTelemetry()
+		opts = append(opts, crophe.WithTelemetry(tel))
 	}
 	if *meshSpec != "" {
 		mw, mh, err := cliutil.ParseMesh(*meshSpec)
 		if err != nil {
 			usageExit("invalid -mesh: %v", err)
 		}
-		opts = append(opts, sim.WithMeshOverride(mw, mh))
+		opts = append(opts, crophe.WithMeshOverride(mw, mh))
 	}
 
 	if degraded {
-		if err := runDegraded(d, w, deadline, spec, *seed, *sweepSteps, opts, tel, *tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "crophe-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		err = runDegraded(hw, w, deadline, spec, *seed, *sweepSteps, opts)
+	} else {
+		err = runHealthy(crophe.Design{Name: hw.Name, HW: hw, Dataflow: df, NTTDec: df == sched.DataflowCROPHE, Clusters: *clusters},
+			w, deadline, opts)
 	}
-
-	r, s, err := crophe.SimulateWorkloadContext(context.Background(), d, w, deadline, opts...)
+	if err == nil && *sweepSteps == 0 {
+		err = writeTrace(tel, *tracePath)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crophe-sim: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// runHealthy simulates the design's run of w and prints the analytical
+// and simulated times.
+func runHealthy(d crophe.Design, w *crophe.Workload, deadline time.Duration, opts []crophe.SimOption) error {
+	r, s, err := crophe.SimulateWorkloadContext(context.Background(), d, w, deadline, opts...)
+	if err != nil {
+		return err
 	}
 	fmt.Println(r.Describe())
 	fmt.Printf("analytical schedule: %.3f ms; cycle simulation: %.3f ms\n",
 		s.TimeSec*1e3, r.TimeSec*1e3)
 	fmt.Printf("traffic: DRAM %.1f MB, SRAM %.1f MB, NoC %.1f MB\n",
 		r.Traffic.DRAM/1e6, r.Traffic.SRAM/1e6, r.Traffic.NoC/1e6)
-	if err := writeTrace(tel, *tracePath); err != nil {
-		fmt.Fprintf(os.Stderr, "crophe-sim: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }
 
-// runDegraded drives the fault-injection modes: a single degraded run
-// under -faults, or an escalating resilience sweep under -sweep, both
-// scheduling the design's run of w. An invariant violation escaping the
-// degraded stack is recovered into an error carrying the fault seed —
-// the one number needed to replay it.
-func runDegraded(d sched.Design, w *workload.Workload, deadline time.Duration, spec fault.Spec,
-	seed int64, sweepSteps int, opts []sim.Option, tel *telemetry.Collector, tracePath string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("invariant violation under fault seed %d: %v", seed, r)
-		}
-	}()
+// runDegraded drives the fault-injection modes on crophe.DegradedDesign,
+// the design /v1/simulate-degraded and /v1/sweeps schedule, so the tool
+// and the server report the same numbers: a single degraded run under
+// -faults, or an escalating resilience sweep under -sweep.
+func runDegraded(hw *crophe.HWConfig, w *crophe.Workload, deadline time.Duration, spec crophe.FaultSpec,
+	seed int64, sweepSteps int, opts []crophe.SimOption) error {
 	ctx := context.Background()
-	hw, opt, run := d.HW, d.Options(deadline), d.Prepare(w)
-
 	if sweepSteps > 0 {
-		sw, err := fault.RunSweep(ctx, hw, seed, sweepSteps, sim.DegradedRunner(ctx, opt, run))
+		sw, err := crophe.RunResilienceSweepWith(ctx, hw, w, seed, sweepSteps, deadline)
 		if err != nil {
 			return err
 		}
@@ -243,16 +238,13 @@ func runDegraded(d sched.Design, w *workload.Workload, deadline time.Duration, s
 		return nil
 	}
 
-	plan, err := fault.Generate(hw, spec, seed)
-	if err != nil {
-		return err
-	}
-	m, err := fault.NewMachine(hw, plan)
+	m, err := crophe.NewFaultMachine(hw, spec, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(m.Describe())
-	r, s, err := sim.SimulateDegraded(ctx, m, opt, run, opts...)
+	d := crophe.DegradedDesign(hw)
+	r, s, err := crophe.SimulateWorkloadContext(ctx, d, w, deadline, append(opts, crophe.WithFaults(m))...)
 	if err != nil {
 		return err
 	}
@@ -268,8 +260,8 @@ func runDegraded(d sched.Design, w *workload.Workload, deadline time.Duration, s
 		fmt.Println("schedule search cut by deadline: best-so-far schedule used")
 	}
 
-	// Baseline the healthy machine with the same options so the report
-	// states throughput retained under this fault plan.
+	// Baseline the healthy machine with the same design and deadline so
+	// the report states throughput retained under this fault plan.
 	hr, _, err := crophe.SimulateWorkloadContext(ctx, d, w, deadline)
 	if err != nil {
 		return fmt.Errorf("healthy baseline: %w", err)
@@ -278,12 +270,12 @@ func runDegraded(d sched.Design, w *workload.Workload, deadline time.Duration, s
 		fmt.Printf("throughput retained vs healthy: %.1f%% (healthy %.3f ms)\n",
 			100*hr.TimeSec/r.TimeSec, hr.TimeSec*1e3)
 	}
-	return writeTrace(tel, tracePath)
+	return nil
 }
 
 // writeTrace flushes collected telemetry to tracePath; a nil collector
 // is a no-op.
-func writeTrace(tel *telemetry.Collector, tracePath string) error {
+func writeTrace(tel *crophe.Telemetry, tracePath string) error {
 	if tel == nil {
 		return nil
 	}

@@ -31,6 +31,7 @@ package crophe
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"crophe/internal/arch"
@@ -148,6 +149,13 @@ func MADDesign(hw *HWConfig) Design {
 	return Design{Name: hw.Name + "+MAD", HW: hw, Dataflow: sched.DataflowMAD}
 }
 
+// DegradedDesign is the design every degraded run, resilience sweep and
+// SimulateWorkload schedules: the CROPHE dataflow on the graph as given,
+// without the NTT rewrite or hybrid rotation.
+func DegradedDesign(hw *HWConfig) Design {
+	return Design{Name: hw.Name, HW: hw, Dataflow: sched.DataflowCROPHE}
+}
+
 // BootstrappingWorkload returns the bootstrapping benchmark factory.
 func BootstrappingWorkload(p ParamSet) WorkloadFactory {
 	return func(m workload.RotMode, r int) *Workload {
@@ -200,20 +208,39 @@ func ScheduleWorkload(ctx context.Context, d Design, w *Workload, deadline time.
 	return sched.New(d.HW, d.Options(deadline)).Schedule(ctx, d.Prepare(w))
 }
 
-// SimulateWorkloadContext schedules w under ctx/deadline (anytime, like
-// ScheduleWorkload) and runs the cycle-level simulator on the chosen
-// schedule, returning both so callers can surface the Partial marker.
-// A collector attached with WithTelemetry also receives the search
-// counters (sched/*).
-func SimulateWorkloadContext(ctx context.Context, d Design, w *Workload, deadline time.Duration, opts ...SimOption) (*SimResult, *Schedule, error) {
-	w = d.Prepare(w)
+// SimulateWorkloadContext is the one path that schedules and then
+// simulates: it schedules w on the design under ctx/deadline (anytime,
+// like ScheduleWorkload), simulates the chosen schedule, and returns both
+// so callers can surface the Partial marker. A collector attached with
+// WithTelemetry also receives the search counters (sched/*).
+//
+// With WithFaults(m) the run is degraded (DESIGN.md, "Fault model"): the
+// search composes groups on m.Base, which must be d.HW, and prices them
+// on m.EffectiveHW(), and the simulator runs the faulted chip. Errors,
+// and panics escaping the degraded stack, become errors carrying the
+// fault seed.
+func SimulateWorkloadContext(ctx context.Context, d Design, w *Workload, deadline time.Duration, opts ...SimOption) (res *SimResult, s *Schedule, err error) {
 	e := sim.New(d.HW, opts...)
-	s, err := sched.New(d.HW, d.Options(deadline)).WithTelemetry(e.Telemetry()).Schedule(ctx, w)
-	if err != nil {
+	search := sched.New(d.HW, d.Options(deadline)).WithTelemetry(e.Telemetry())
+	if m := e.Faults(); m != nil {
+		seed := m.Plan.Seed
+		if d.HW != m.Base {
+			return nil, nil, fmt.Errorf("crophe: design hardware %s is not the fault machine's %s (fault seed %d)",
+				d.HW.Name, m.Base.Name, seed)
+		}
+		defer recoverFaultPanic(seed, &err)
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("crophe: degraded run (fault seed %d): %w", seed, err)
+			}
+		}()
+		search = search.WithPricing(m.EffectiveHW())
+	}
+	w = d.Prepare(w)
+	if s, err = search.Schedule(ctx, w); err != nil {
 		return nil, nil, err
 	}
-	res, err := e.SimulateSchedule(w, s)
-	if err != nil {
+	if res, err = e.SimulateSchedule(w, s); err != nil {
 		return nil, nil, err
 	}
 	return res, s, nil
@@ -242,12 +269,11 @@ func Simulate(hw *HWConfig, w *Workload, s *Schedule, opts ...SimOption) (*SimRe
 	return sim.New(hw, opts...).SimulateSchedule(w, s)
 }
 
-// SimulateWorkload schedules w under the CROPHE dataflow policy and runs
-// the cycle-level simulator in one step — the shortest public path to an
+// SimulateWorkload schedules w with DegradedDesign(hw) and runs the
+// cycle-level simulator in one step — the shortest public path to an
 // ordered per-segment result and (with WithTelemetry) a Chrome trace.
 func SimulateWorkload(hw *HWConfig, w *Workload, opts ...SimOption) (*SimResult, error) {
-	d := Design{HW: hw, Dataflow: sched.DataflowCROPHE}
-	res, _, err := SimulateWorkloadContext(context.Background(), d, w, 0, opts...)
+	res, _, err := SimulateWorkloadContext(context.Background(), DegradedDesign(hw), w, 0, opts...)
 	return res, err
 }
 

@@ -72,10 +72,11 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-// TestNameCatalogue pins the shared hardware and workload name tables:
-// every name a command-line tool or the serving layer has accepted
-// resolves to the same configuration or workload, and every workload's
-// own Name resolves to that workload.
+// TestNameCatalogue pins the shared hardware, workload and dataflow name
+// tables: every name a command-line tool or the serving layer has
+// accepted resolves to the same configuration, workload or policy, every
+// workload's own Name and every policy's String resolve to themselves,
+// and unknown spellings are rejected.
 func TestNameCatalogue(t *testing.T) {
 	for name, want := range map[string]*HWConfig{
 		"crophe64": HWCROPHE64, "crophe36": HWCROPHE36,
@@ -128,6 +129,22 @@ func TestNameCatalogue(t *testing.T) {
 		w, ok := LookupWorkload(name, p, RotMinKS)
 		if !ok || w.Name != name {
 			t.Errorf("workload %q does not resolve to itself (got %v)", name, w)
+		}
+	}
+
+	for name, want := range map[string]sched.Dataflow{
+		"": sched.DataflowCROPHE, "crophe": sched.DataflowCROPHE, "mad": sched.DataflowMAD,
+	} {
+		if df, ok := sched.LookupDataflow(name); !ok || df != want {
+			t.Errorf("LookupDataflow(%q) = %v, %v; want %v", name, df, ok, want)
+		}
+		if df, ok := sched.LookupDataflow(want.String()); !ok || df != want {
+			t.Errorf("dataflow %v does not resolve to itself", want)
+		}
+	}
+	for _, name := range []string{"MAD", "CROPHE", "foo"} {
+		if _, ok := sched.LookupDataflow(name); ok {
+			t.Errorf("LookupDataflow accepts %q", name)
 		}
 	}
 }

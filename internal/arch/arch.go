@@ -80,6 +80,16 @@ func (c *HWConfig) PeakModMulsPerSec() float64 {
 	return float64(c.TotalLanes()) * c.FreqGHz * 1e9
 }
 
+// SimMesh returns the PE mesh the simulator and the fault model lay the
+// chip out on: MeshW×MeshH, or for meshless baselines one row of NumPEs
+// clusters, at most 64 wide, modeled with wide links.
+func (c *HWConfig) SimMesh() (w, h int) {
+	if c.MeshW >= 1 && c.MeshH >= 1 {
+		return c.MeshW, c.MeshH
+	}
+	return min(c.NumPEs, 64), 1
+}
+
 // WithSRAM returns a copy with a different global SRAM capacity — the
 // sweep knob of Figure 10.
 func (c *HWConfig) WithSRAM(capacityMB float64) *HWConfig {

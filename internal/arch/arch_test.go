@@ -204,3 +204,21 @@ func TestPeakThroughput(t *testing.T) {
 		t.Fatal("peak throughput")
 	}
 }
+
+func TestSimMesh(t *testing.T) {
+	// The meshless baselines fall back to one row of at most 64 columns.
+	for _, c := range []*HWConfig{BTS, ARK, SHARP, CLPlus} {
+		if c.MeshW != 0 || c.MeshH != 0 {
+			t.Fatalf("%s declares a %dx%d mesh; the fallback is untested", c.Name, c.MeshW, c.MeshH)
+		}
+		if w, h := c.SimMesh(); w != min(c.NumPEs, 64) || h != 1 {
+			t.Errorf("%s: SimMesh = %dx%d, want %dx1", c.Name, w, h, min(c.NumPEs, 64))
+		}
+	}
+	// The CROPHE chips keep their own mesh.
+	for _, c := range []*HWConfig{CROPHE64, CROPHE36} {
+		if w, h := c.SimMesh(); w != c.MeshW || h != c.MeshH {
+			t.Errorf("%s: SimMesh = %dx%d, want its own %dx%d", c.Name, w, h, c.MeshW, c.MeshH)
+		}
+	}
+}

@@ -10,8 +10,9 @@ import (
 
 // memoKey identifies one (design, hardware, workload) evaluation. The
 // design part spells out every field that changes scheduling behaviour
-// (name alone is not enough: Figure 11 reuses short names like "MAD"
-// across hardware variants); the hardware part is arch.ConfigHash, so
+// and nothing else: the display name decides no schedule field, so
+// Table IV's "CROPHE-p-64" shares Figure 9's "CROPHE-64-p" entry. The
+// hardware part is arch.ConfigHash, so
 // Figure 10 sweep points at distinct SRAM capacities get distinct
 // entries; the workload part couples the benchmark name with the
 // parameter set it is instantiated under.
@@ -50,8 +51,7 @@ var (
 )
 
 func designKey(d sched.Design) string {
-	return fmt.Sprintf("%s|%s|ntt=%t|hyb=%t|cl=%d",
-		d.Name, d.Dataflow, d.NTTDec, d.HybridRot, d.Clusters)
+	return fmt.Sprintf("%s|ntt=%t|hyb=%t|cl=%d", d.Dataflow, d.NTTDec, d.HybridRot, d.Clusters)
 }
 
 // Memoized returns the schedule cached under the design and workload

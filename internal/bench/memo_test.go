@@ -131,3 +131,21 @@ func TestMemoCapacityClamp(t *testing.T) {
 		t.Errorf("evictions = %d, want >= 2 after shrinking 3 entries to 1", st.Evictions)
 	}
 }
+
+// TestMemoKeyIgnoresDesignName checks that two designs differing only in
+// their display name share one entry: the name decides no schedule
+// field, so Table IV's "CROPHE-p-64" reuses Figure 9's "CROPHE-64-p".
+func TestMemoKeyIgnoresDesignName(t *testing.T) {
+	ResetScheduleMemo()
+	factory := helrFactory(arch.ParamsSHARP)
+	a := madDesign(arch.CROPHE36)
+	b := a
+	b.Name = "another name"
+	first := evaluateMemo(a, "name/helr", factory)
+	if got := evaluateMemo(b, "name/helr", factory); got != first {
+		t.Fatal("a design differing only in Name got a schedule of its own")
+	}
+	if st := ScheduleMemoStats(); st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
+		t.Fatalf("memo stats %+v; want one miss, one hit, one entry", st)
+	}
+}

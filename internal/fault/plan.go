@@ -86,15 +86,7 @@ func meshLinks(w, h int) []Link {
 // under a seed. It rejects specs that name more resources than the
 // machine has — that is a caller bug, not a degraded machine.
 func Generate(hw *arch.HWConfig, spec Spec, seed int64) (Plan, error) {
-	meshW, meshH := hw.MeshW, hw.MeshH
-	if meshW < 1 || meshH < 1 {
-		// Baselines without an explicit mesh: model as a single row, the
-		// same shape the simulator falls back to.
-		meshW, meshH = hw.NumPEs, 1
-		if meshW > 64 {
-			meshW = 64
-		}
-	}
+	meshW, meshH := hw.SimMesh()
 	p := Plan{Seed: seed, Spec: spec, MeshW: meshW, MeshH: meshH, HBMFrac: 1}
 
 	if spec.FailedRows > meshH {

@@ -21,8 +21,10 @@ type Outcome struct {
 }
 
 // Runner executes a workload on one degraded machine. The fault package
-// deliberately does not know how — the simulator injects itself here
-// (sim.DegradedRunner), keeping the dependency arrow pointing one way.
+// deliberately does not know how — crophe.RunResilienceSweepWith injects
+// the façade's one schedule→simulate path (SimulateWorkloadContext with
+// WithFaults) here, keeping the dependency arrow pointing one way. A
+// returned error marks the rung infeasible.
 type Runner func(m *Machine) (Outcome, error)
 
 // SweepPoint is one rung of a resilience sweep.
@@ -68,13 +70,7 @@ const maxSweepFrac = 0.5
 
 // sweepSpec scales a fault load to a fraction of each resource class.
 func sweepSpec(hw *arch.HWConfig, frac float64) Spec {
-	meshW, meshH := hw.MeshW, hw.MeshH
-	if meshW < 1 || meshH < 1 {
-		meshW, meshH = hw.NumPEs, 1
-		if meshW > 64 {
-			meshW = 64
-		}
-	}
+	meshW, meshH := hw.SimMesh()
 	links := len(meshLinks(meshW, meshH))
 	s := Spec{
 		FailedRows: int(frac * float64(meshH-1)),

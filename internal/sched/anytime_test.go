@@ -114,22 +114,22 @@ func TestAnytimeDeterministicPerBudget(t *testing.T) {
 }
 
 func TestBudgetForDeadlineBuckets(t *testing.T) {
-	if b := BudgetForDeadline(0); b != 1 {
+	if b := budgetForDeadline(0); b != 1 {
 		t.Fatalf("zero deadline budget %d want 1", b)
 	}
-	if b := BudgetForDeadline(-time.Second); b != 1 {
+	if b := budgetForDeadline(-time.Second); b != 1 {
 		t.Fatalf("negative deadline budget %d want 1", b)
 	}
 	// Deadlines in the same power-of-two bucket share a budget...
-	a := BudgetForDeadline(90 * time.Millisecond)
-	b := BudgetForDeadline(110 * time.Millisecond)
+	a := budgetForDeadline(90 * time.Millisecond)
+	b := budgetForDeadline(110 * time.Millisecond)
 	if a != b {
 		t.Fatalf("neighbouring deadlines map to budgets %d and %d", a, b)
 	}
 	// ...and longer deadlines never shrink it.
 	prev := 0
 	for ms := 1; ms <= 4096; ms *= 2 {
-		got := BudgetForDeadline(time.Duration(ms) * time.Millisecond)
+		got := budgetForDeadline(time.Duration(ms) * time.Millisecond)
 		if got < prev {
 			t.Fatalf("budget shrank: %d ms → %d, previous %d", ms, got, prev)
 		}

@@ -29,7 +29,7 @@ var rHybCandidates = []int{2, 4, 8}
 // Options returns the scheduler options of one run of the design: the
 // dataflow defaults, the CROPHE-p cluster count, and — when deadline is
 // positive — the deterministic anytime candidate budget of
-// BudgetForDeadline, so runs whose deadlines land in the same
+// budgetForDeadline, so runs whose deadlines land in the same
 // power-of-two bucket get bit-identical schedules.
 func (d Design) Options(deadline time.Duration) Options {
 	opt := DefaultOptions(d.Dataflow)
@@ -37,7 +37,7 @@ func (d Design) Options(deadline time.Duration) Options {
 		opt.Clusters = d.Clusters
 	}
 	if deadline > 0 {
-		opt.SearchBudget = BudgetForDeadline(deadline)
+		opt.SearchBudget = budgetForDeadline(deadline)
 	}
 	return opt
 }

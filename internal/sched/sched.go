@@ -51,6 +51,19 @@ func (d Dataflow) String() string {
 	return "crophe"
 }
 
+// LookupDataflow maps a policy name, as String spells it ("" is the
+// default, "crophe"), to its Dataflow. Every command and the server
+// resolve policy names here, so an unknown spelling is rejected.
+func LookupDataflow(name string) (Dataflow, bool) {
+	switch name {
+	case "", "crophe":
+		return DataflowCROPHE, true
+	case "mad":
+		return DataflowMAD, true
+	}
+	return 0, false
+}
+
 // Options tunes a scheduling run.
 type Options struct {
 	Dataflow     Dataflow
@@ -67,7 +80,7 @@ type Options struct {
 	// Zero means unlimited. Solo (k=1) candidates never consume budget —
 	// they are the fallback, not the search. The budget is the
 	// deterministic twin of a wall-clock deadline: the same budget cuts at
-	// the same candidate on every run (see BudgetForDeadline).
+	// the same candidate on every run (see budgetForDeadline).
 	SearchBudget int
 }
 
@@ -188,14 +201,14 @@ type Schedule struct {
 	Partial bool
 }
 
-// BudgetForDeadline converts a wall-clock deadline into a deterministic
+// budgetForDeadline converts a wall-clock deadline into a deterministic
 // candidate budget. Deadlines are quantised to power-of-two buckets so
 // that runs whose deadlines land in the same bucket explore exactly the
 // same candidates and return bit-identical schedules — wall-clock time
 // never decides where the search cuts, only which bucket it starts in.
 // The calibration (candidates per millisecond) is deliberately
 // conservative so the budget cut fires before the context backstop.
-func BudgetForDeadline(d time.Duration) int {
+func budgetForDeadline(d time.Duration) int {
 	if d <= 0 {
 		return 1
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"crophe"
+	"crophe/internal/sched"
 	"crophe/internal/workload"
 )
 
@@ -24,24 +25,22 @@ func lookup(hwName, wlName string) (*crophe.HWConfig, crophe.WorkloadFactory, er
 	return hw, factory, nil
 }
 
-// resolve maps the request's symbolic fields onto a design point, its
-// workload and the workload's schedule-memo key.
-func (req *ScheduleRequest) resolve() (crophe.Design, *crophe.Workload, string, error) {
+// resolve maps the request's symbolic fields onto a design point and
+// its hoisted-rotation workload.
+func (req *ScheduleRequest) resolve() (crophe.Design, *crophe.Workload, error) {
 	hw, factory, err := lookup(req.HW, req.Workload)
 	if err != nil {
-		return crophe.Design{}, nil, "", err
+		return crophe.Design{}, nil, err
 	}
-	var d crophe.Design
-	switch req.Dataflow {
-	case "", "crophe":
-		d = crophe.CROPHEDesign(hw)
-	case "mad":
+	df, ok := sched.LookupDataflow(req.Dataflow)
+	if !ok {
+		return crophe.Design{}, nil, fmt.Errorf("unknown dataflow %q (want crophe or mad)", req.Dataflow)
+	}
+	d := crophe.CROPHEDesign(hw)
+	if df == sched.DataflowMAD {
 		d = crophe.MADDesign(hw)
-	default:
-		return crophe.Design{}, nil, "", fmt.Errorf("unknown dataflow %q (want crophe or mad)", req.Dataflow)
 	}
-	wkey := crophe.DefaultParamsFor(hw).Name + "/" + req.Workload + "/hoisted"
-	return d, factory(crophe.RotHoisted, 0), wkey, nil
+	return d, factory(crophe.RotHoisted, 0), nil
 }
 
 // chaos honours an injected panic when the server allows it; the seed is
@@ -66,7 +65,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	d, wl, wkey, err := req.resolve()
+	d, wl, err := req.resolve()
 	if err != nil {
 		s.metrics.badInput.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -79,16 +78,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp := ScheduleResponse{Workload: wl.Name, HW: d.HW.Name}
 	if deadline <= 0 {
-		sched, cached := crophe.MemoizedSchedule(d, wkey, wl)
-		resp.fillSchedule(sched)
+		// The key names the workload canonically, so every accepted
+		// spelling ("helr", "helr1024") shares one memo entry.
+		sc, cached := crophe.MemoizedSchedule(d, wl.Params.Name+"/"+wl.Name+"/hoisted", wl)
+		resp.fillSchedule(sc)
 		resp.Cached = cached
 	} else {
-		sched, err := crophe.ScheduleWorkload(ctx, d, wl, deadline)
+		sc, err := crophe.ScheduleWorkload(ctx, d, wl, deadline)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "schedule: %v", err)
 			return
 		}
-		resp.fillSchedule(sched)
+		resp.fillSchedule(sc)
 	}
 	if resp.Partial {
 		s.metrics.partials.Add(1)
@@ -96,12 +97,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (resp *ScheduleResponse) fillSchedule(sched *crophe.Schedule) {
-	resp.TimeMS = sched.TimeSec * 1e3
-	resp.Partial = sched.Partial
-	resp.DRAMBytes = sched.Traffic.DRAM
-	resp.SRAMBytes = sched.Traffic.SRAM
-	resp.NoCBytes = sched.Traffic.NoC
+func (resp *ScheduleResponse) fillSchedule(sc *crophe.Schedule) {
+	resp.TimeMS = sc.TimeSec * 1e3
+	resp.Partial = sc.Partial
+	resp.DRAMBytes = sc.Traffic.DRAM
+	resp.SRAMBytes = sc.Traffic.SRAM
+	resp.NoCBytes = sc.Traffic.NoC
 }
 
 // handleSimulate schedules and then runs the cycle-level simulator,
@@ -114,7 +115,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	d, wl, _, err := req.resolve()
+	d, wl, err := req.resolve()
 	if err != nil {
 		s.metrics.badInput.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -125,13 +126,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, deadline := s.requestBudget(r, req.DeadlineMS)
 	defer cancel()
 
-	res, sched, err := crophe.SimulateWorkloadContext(ctx, d, wl, deadline, crophe.WithTelemetry(s.tel))
+	res, sc, err := crophe.SimulateWorkloadContext(ctx, d, wl, deadline, crophe.WithTelemetry(s.tel))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "simulate: %v", err)
 		return
 	}
 	resp := ScheduleResponse{Workload: wl.Name, HW: d.HW.Name}
-	resp.fillSchedule(sched)
+	resp.fillSchedule(sc)
 	simMS := res.TimeSec * 1e3
 	resp.SimTimeMS = &simMS
 	resp.SimCycles = &res.Cycles
@@ -143,8 +144,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSimulateDegraded degrades the chip under a seeded fault plan and
-// simulates. The seed is registered before the degraded stack runs, so
-// an invariant violation escaping it becomes a 500 carrying the seed.
+// simulates crophe.DegradedDesign on it, with the request's deadline as
+// the deterministic search budget (as /v1/simulate does). The seed is
+// registered before the degraded stack runs, so an invariant violation
+// escaping it becomes a 500 carrying the seed.
 func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) {
 	var req DegradedRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -175,21 +178,22 @@ func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 
-	ctx, cancel, _ := s.requestBudget(r, req.DeadlineMS)
+	ctx, cancel, deadline := s.requestBudget(r, req.DeadlineMS)
 	defer cancel()
 	wl := factory(crophe.RotHoisted, 0)
-	res, sched, err := crophe.SimulateDegraded(ctx, m, wl, crophe.WithTelemetry(s.tel))
+	res, sc, err := crophe.SimulateWorkloadContext(ctx, crophe.DegradedDesign(hw), wl, deadline,
+		crophe.WithFaults(m), crophe.WithTelemetry(s.tel))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "degraded simulate: %v", err)
 		return
 	}
-	if sched.Partial {
+	if sc.Partial {
 		s.metrics.partials.Add(1)
 	}
 	resp := DegradedResponse{
 		Workload: wl.Name, HW: hw.Name,
 		Faults: spec.String(), Seed: req.Seed, FaultCount: m.Plan.FaultCount(),
-		TimeMS: res.TimeSec * 1e3, Cycles: res.Cycles, Partial: sched.Partial,
+		TimeMS: res.TimeSec * 1e3, Cycles: res.Cycles, Partial: sc.Partial,
 	}
 	if res.Integrity != nil {
 		resp.Integrity = &IntegrityStats{

@@ -19,7 +19,7 @@ const DeadlineHeader = "X-Crophe-Deadline"
 // reqState is the per-request holder the middleware threads through the
 // context: the declared deadline (the duration the client asked for, not
 // the remaining wall clock — the deterministic input to
-// BudgetForDeadline) and the fault seed a handler registers before doing
+// sched.Design.Options) and the fault seed a handler registers before doing
 // anything that can panic, so the recovery middleware can stamp it into
 // the 500 response.
 type reqState struct {
@@ -69,7 +69,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 // effect only when no header already armed one). The returned context is
 // always derived from r.Context(), so client disconnects and the drain
 // path propagate; the returned duration is the deterministic
-// BudgetForDeadline input. cancel is non-nil always.
+// sched.Design.Options input. cancel is non-nil always.
 func (s *Server) requestBudget(r *http.Request, bodyDeadlineMS int) (context.Context, context.CancelFunc, time.Duration) {
 	st := stateFrom(r)
 	var declared time.Duration

@@ -16,7 +16,7 @@
 //	  - Deadline propagation turns a per-request deadline (the
 //	    X-Crophe-Deadline header or a deadline_ms JSON field) into a
 //	    context deadline and the scheduler's deterministic anytime budget
-//	    (sched.Options.SearchBudget via BudgetForDeadline): an expiring
+//	    (sched.Options.SearchBudget via sched.Design.Options): an expiring
 //	    request returns a best-so-far schedule marked "partial": true, not
 //	    an error.
 //	  - Panic isolation recovers per-request panics into structured 500

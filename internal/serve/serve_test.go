@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crophe"
 )
 
 // startServer boots a Server on an ephemeral port and tears it down with
@@ -118,6 +121,23 @@ func TestScheduleEndpointAndMemo(t *testing.T) {
 	}
 }
 
+func TestScheduleMemoKeysCanonicalWorkload(t *testing.T) {
+	// Two spellings of one workload share one memo entry: whether or not
+	// an earlier request cached "helr", "helr1024" must now hit it.
+	s := startServer(t, Config{})
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	url := "http://" + s.Addr() + "/v1/schedule"
+
+	if code, body, _ := doJSON(t, client, "POST", url, map[string]any{"hw": "crophe36", "workload": "helr"}, nil); code != 200 {
+		t.Fatalf("schedule helr = %d %v", code, body)
+	}
+	code, body, _ := doJSON(t, client, "POST", url, map[string]any{"hw": "crophe36", "workload": "helr1024"}, nil)
+	if code != 200 || body["cached"] != true {
+		t.Fatalf("schedule helr1024 after helr = %d %v; want cached=true", code, body)
+	}
+}
+
 func TestScheduleBadInput(t *testing.T) {
 	s := startServer(t, Config{})
 	client := &http.Client{}
@@ -223,6 +243,44 @@ func TestSimulateDegradedEndpoint(t *testing.T) {
 		map[string]any{"hw": "crophe64", "workload": "helr", "faults": "flip:2", "seed": 1}, nil)
 	if code != 400 {
 		t.Fatalf("bad flip rate = %d %v; want 400", code, body)
+	}
+}
+
+func TestSimulateDegradedDeadlineMatchesFacade(t *testing.T) {
+	// A deadline on /v1/simulate-degraded is the deterministic search
+	// budget, as on /v1/schedule and /v1/simulate: the response equals
+	// the façade's one schedule→simulate path under that deadline. The
+	// deadline is long enough that the request's wall-clock backstop
+	// never fires first, even under the race detector.
+	const deadline = time.Second
+	s := startServer(t, Config{})
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	url := "http://" + s.Addr() + "/v1/simulate-degraded"
+
+	code, body, _ := doJSON(t, client, "POST", url, map[string]any{"hw": "crophe64", "workload": "boot",
+		"faults": "rows:1,links:2,hbm:0.8", "seed": 7, "deadline_ms": deadline.Milliseconds()}, nil)
+	if code != 200 {
+		t.Fatalf("simulate-degraded = %d %v", code, body)
+	}
+	hw, _ := crophe.LookupHW("crophe64")
+	spec, err := crophe.ParseFaultSpec("rows:1,links:2,hbm:0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := crophe.NewFaultMachine(hw, spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := crophe.LookupWorkload("boot", crophe.DefaultParamsFor(hw), crophe.RotHoisted)
+	res, sc, err := crophe.SimulateWorkloadContext(context.Background(), crophe.DegradedDesign(hw), w, deadline,
+		crophe.WithFaults(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body["time_ms"] != res.TimeSec*1e3 || body["cycles"] != res.Cycles || body["partial"] != sc.Partial {
+		t.Fatalf("served %v; façade time_ms %v cycles %v partial %v",
+			body, res.TimeSec*1e3, res.Cycles, sc.Partial)
 	}
 }
 

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"context"
@@ -7,23 +7,27 @@ import (
 	"testing"
 	"time"
 
+	"crophe"
 	"crophe/internal/arch"
 	"crophe/internal/fault"
 	"crophe/internal/sched"
+	"crophe/internal/sim"
 	"crophe/internal/telemetry"
 	"crophe/internal/workload"
 )
 
-// Acceptance tests of the fault-injection subsystem threaded end to end:
-// per-seed bit-determinism, graceful degradation under every single
-// fault, monotone throughput loss as faults accumulate, and near-zero
-// overhead when faults are off.
+// Acceptance tests of the fault-injection subsystem threaded end to end
+// through the one schedule→simulate path (crophe.SimulateWorkloadContext
+// with WithFaults, reached through crophe.SimulateDegraded and
+// crophe.RunResilienceSweepWith): per-seed bit-determinism, graceful
+// degradation under every single fault, monotone throughput loss as
+// faults accumulate, and near-zero overhead when faults are off.
 
 func resilienceWorkload() *workload.Workload {
 	return workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
 }
 
-func degradedTime(t *testing.T, spec string, seed int64) (*Result, *sched.Schedule) {
+func degradedTime(t *testing.T, spec string, seed int64) (*sim.Result, *sched.Schedule) {
 	t.Helper()
 	s, err := fault.ParseSpec(spec)
 	if err != nil {
@@ -37,8 +41,7 @@ func degradedTime(t *testing.T, spec string, seed int64) (*Result, *sched.Schedu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sc, err := SimulateDegraded(context.Background(),
-		m, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	res, sc, err := crophe.SimulateDegraded(context.Background(), m, resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestDegradedRunDeterministicPerSeed(t *testing.T) {
 
 func TestEverySingleFaultStaysFeasibleAndSlower(t *testing.T) {
 	w := resilienceWorkload()
-	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), w)
+	healthy, err := crophe.SimulateWorkload(arch.CROPHE64, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestEverySingleFaultStaysFeasibleAndSlower(t *testing.T) {
 	}
 }
 
-func degradedForSpec(t *testing.T, spec fault.Spec, seed int64) (*Result, *sched.Schedule) {
+func degradedForSpec(t *testing.T, spec fault.Spec, seed int64) (*sim.Result, *sched.Schedule) {
 	t.Helper()
 	plan, err := fault.Generate(arch.CROPHE64, spec, seed)
 	if err != nil {
@@ -117,8 +120,7 @@ func degradedForSpec(t *testing.T, spec fault.Spec, seed int64) (*Result, *sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sc, err := SimulateDegraded(context.Background(),
-		m, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	res, sc, err := crophe.SimulateDegraded(context.Background(), m, resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestDegradationMonotoneInFaultCount(t *testing.T) {
 			{DeadLinks: 2}, {DeadLinks: 4}, {DeadLinks: 8},
 		},
 	}
-	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	healthy, err := crophe.SimulateWorkload(arch.CROPHE64, resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestMixedFaultsNeverBeatHealthy(t *testing.T) {
 	// removes the placement that detoured a dead link), so pairwise
 	// monotonicity is not a property of the refined simulation — but a
 	// degraded machine must still never beat the healthy one.
-	healthy, err := scheduleAndSimulate(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+	healthy, err := crophe.SimulateWorkload(arch.CROPHE64, resilienceWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +218,7 @@ func TestMixedFaultsNeverBeatHealthy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := SimulateDegraded(context.Background(),
-			m, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload())
+		res, _, err := crophe.SimulateDegraded(context.Background(), m, resilienceWorkload())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -230,10 +231,7 @@ func TestMixedFaultsNeverBeatHealthy(t *testing.T) {
 
 func TestResilienceSweepEndToEnd(t *testing.T) {
 	w := resilienceWorkload()
-	opt := sched.DefaultOptions(sched.DataflowCROPHE)
-	opt.SearchBudget = sched.BudgetForDeadline(200 * time.Millisecond)
-	sweep, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w))
+	sweep, err := crophe.RunResilienceSweepWith(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +251,7 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 		prev = r
 	}
 	// Bit-determinism of the whole sweep.
-	again, err := fault.RunSweep(context.Background(), arch.CROPHE64, 13, 4,
-		DegradedRunner(context.Background(), opt, w))
+	again, err := crophe.RunResilienceSweepWith(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +277,8 @@ func TestFaultTelemetryTrackAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	res, _, err := SimulateDegraded(context.Background(),
-		m, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload(),
-		WithTelemetry(tel))
+	res, _, err := crophe.SimulateDegraded(context.Background(), m, resilienceWorkload(),
+		crophe.WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +363,8 @@ func TestDegradedRunPricesSDCRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	res, _, err := SimulateDegraded(context.Background(),
-		m, sched.DefaultOptions(sched.DataflowCROPHE), resilienceWorkload(),
-		WithTelemetry(tel))
+	res, _, err := crophe.SimulateDegraded(context.Background(), m, resilienceWorkload(),
+		crophe.WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +441,7 @@ func BenchmarkSimulateFaulted(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, r := range replays {
 			for _, m := range r.m {
-				if _, err := New(r.hw, WithFaults(m)).SimulateSchedule(r.w, r.s); err != nil {
+				if _, err := sim.New(r.hw, sim.WithFaults(m)).SimulateSchedule(r.w, r.s); err != nil {
 					b.Fatal(err)
 				}
 			}

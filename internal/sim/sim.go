@@ -125,11 +125,11 @@ func New(hw *arch.HWConfig, opts ...Option) *Engine {
 	return e
 }
 
-// Config returns the bound hardware configuration.
-func (e *Engine) Config() *arch.HWConfig { return e.hw }
-
 // Telemetry returns the attached collector (nil when disabled).
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
+
+// Faults returns the attached fault machine (nil for a healthy chip).
+func (e *Engine) Faults() *fault.Machine { return e.faults }
 
 // SimulateSchedule executes a scheduled workload cycle-by-cycle at chunk
 // granularity and returns refined timing. The schedule's traffic
@@ -178,15 +178,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 		stalls = e.faults.StallSampler()
 	}
 
-	meshW, meshH := hw.MeshW, hw.MeshH
-	if meshW < 1 || meshH < 1 {
-		// Baselines without an explicit mesh: model their clusters as a
-		// single-row array with wide links (dedicated datapaths).
-		meshW, meshH = hw.NumPEs, 1
-		if meshW > 64 {
-			meshW = 64
-		}
-	}
+	meshW, meshH := hw.SimMesh()
 	if e.meshW > 0 && e.meshH > 0 {
 		meshW, meshH = e.meshW, e.meshH
 	}
@@ -297,7 +289,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			dramCycles := hbm.Transfer(g.Traffic.DRAM, mem.Strided)
 			sramCycles := sram.Access(g.Traffic.SRAM, 64)
 
-			groupCycles := maxOf(computeCycles, nocCycles, dramCycles, sramCycles)
+			groupCycles := max(computeCycles, nocCycles, dramCycles, sramCycles)
 			// Synchronous group switch (§IV-A): drain the pipeline.
 			groupCycles += float64(headLatency)
 			// Transient faults: a stall event freezes the whole group (a
@@ -354,33 +346,33 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			groupT.Add(g.Traffic)
 		}
 		extra := sched.Traffic{
-			DRAM: seg.Traffic.DRAM - groupT.DRAM,
-			SRAM: seg.Traffic.SRAM - groupT.SRAM,
-			NoC:  seg.Traffic.NoC - groupT.NoC,
+			DRAM: max(seg.Traffic.DRAM-groupT.DRAM, 0),
+			SRAM: max(seg.Traffic.SRAM-groupT.SRAM, 0),
+			NoC:  max(seg.Traffic.NoC-groupT.NoC, 0),
 		}
-		extraCycles := maxOf(
-			hbm.Transfer(maxF(extra.DRAM, 0), mem.Streaming),
-			sram.Access(maxF(extra.SRAM, 0), 64),
-			maxF(extra.NoC, 0)/(linkBytesPerCycle*float64(hw.NumPEs)/2),
+		extraCycles := max(
+			hbm.Transfer(extra.DRAM, mem.Streaming),
+			sram.Access(extra.SRAM, 64),
+			extra.NoC/(linkBytesPerCycle*float64(hw.NumPEs)/2),
 		)
 		// Aux streaming overlaps compute; it extends the segment only
 		// when it exceeds the compute+transfer span.
 		if extraCycles > segCycles {
 			segCycles = extraCycles
 		}
-		extraDRAM := maxF(extra.DRAM, 0) / hbmBytesPerCycle(hw)
-		extraSRAM := maxF(extra.SRAM, 0) / sramBytesPerCycle(hw)
+		extraDRAM := extra.DRAM / (hw.DRAMBandwidthTBs * 1e12 / freq)
+		extraSRAM := extra.SRAM / (hw.SRAMBandwidthTBs * 1e12 / freq)
 		busyDRAM += extraDRAM
 		busySRAM += extraSRAM
 
 		if tel.Enabled() {
 			if extraDRAM > 0 {
 				tel.EmitSpan("HBM", "channels", seg.Name+"/aux", segStart, extraDRAM,
-					telemetry.Arg{Key: "bytes", Value: maxF(extra.DRAM, 0)})
+					telemetry.Arg{Key: "bytes", Value: extra.DRAM})
 			}
 			if extraSRAM > 0 {
 				tel.EmitSpan("SRAM", "banks", seg.Name+"/aux", segStart, extraSRAM,
-					telemetry.Arg{Key: "bytes", Value: maxF(extra.SRAM, 0)})
+					telemetry.Arg{Key: "bytes", Value: extra.SRAM})
 			}
 			tel.EmitSpan("Schedule", "segments", seg.Name, segStart, segCycles,
 				telemetry.Arg{Key: "count", Value: float64(seg.Count)},
@@ -418,10 +410,10 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 	if res.Cycles > 0 {
 		total := res.Cycles * float64(clusters)
 		res.Util = sched.Utilization{
-			PE:   clamp(busyPE / total),
-			NoC:  clamp(busyNoC / total),
-			SRAM: clamp(busySRAM / total),
-			DRAM: clamp(busyDRAM / total),
+			PE:   min(busyPE/total, 1),
+			NoC:  min(busyNoC/total, 1),
+			SRAM: min(busySRAM/total, 1),
+			DRAM: min(busyDRAM/total, 1),
 		}
 		res.EnergyJ = e.energy(res, busyPE/freq, busyNoC/freq, busySRAM/freq)
 	}
@@ -483,78 +475,9 @@ func (e *Engine) energy(res *Result, peBusy, nocBusy, sramBusy float64) float64 
 	return energy
 }
 
-// SimulateDegraded schedules a workload for a degraded machine — the
-// composition search runs on the pristine configuration and the chosen
-// groups are priced on the machine's effective (derated) view, the
-// split that keeps degradation monotone in the fault load (see
-// sched.Scheduler.WithPricing) — and simulates the schedule on the
-// structurally faulted chip models. The context bounds the schedule
-// search, not the simulation: an expired deadline yields a best-so-far
-// schedule, never an error.
-func SimulateDegraded(ctx context.Context, m *fault.Machine, opt sched.Options, w *workload.Workload, opts ...Option) (*Result, *sched.Schedule, error) {
-	s, err := sched.New(m.Base, opt).WithPricing(m.EffectiveHW()).Schedule(ctx, w)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: degraded schedule (fault seed %d): %w", m.Plan.Seed, err)
-	}
-	opts = append(opts, WithFaults(m))
-	res, err := New(m.Base, opts...).SimulateSchedule(w, s)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: degraded run (fault seed %d): %w", m.Plan.Seed, err)
-	}
-	return res, s, nil
-}
-
-// DegradedRunner adapts SimulateDegraded to the fault.RunSweep contract —
-// the injection point that keeps internal/fault free of any simulator
-// dependency.
-func DegradedRunner(ctx context.Context, opt sched.Options, w *workload.Workload) fault.Runner {
-	return func(m *fault.Machine) (fault.Outcome, error) {
-		res, s, err := SimulateDegraded(ctx, m, opt, w)
-		if err != nil {
-			return fault.Outcome{}, err
-		}
-		return fault.Outcome{TimeSec: res.TimeSec, Cycles: res.Cycles, Partial: s.Partial}, nil
-	}
-}
-
 // groupLabel names group gi of a segment in spans and errors.
 func groupLabel(seg string, gi int) string {
 	return fmt.Sprintf("%s/g%d", seg, gi)
-}
-
-func hbmBytesPerCycle(hw *arch.HWConfig) float64 {
-	return hw.DRAMBandwidthTBs * 1e12 / (hw.FreqGHz * 1e9)
-}
-
-func sramBytesPerCycle(hw *arch.HWConfig) float64 {
-	return hw.SRAMBandwidthTBs * 1e12 / (hw.FreqGHz * 1e9)
-}
-
-func clamp(f float64) float64 {
-	if f > 1 {
-		return 1
-	}
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-func maxOf(vs ...float64) float64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Describe renders a short report.

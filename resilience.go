@@ -63,13 +63,6 @@ func NewFaultMachine(hw *HWConfig, spec FaultSpec, seed int64) (*FaultMachine, e
 // WithFaults degrades the simulated chip per the machine's fault plan.
 func WithFaults(m *FaultMachine) SimOption { return sim.WithFaults(m) }
 
-// SearchBudgetForDeadline converts a scheduling deadline into the
-// deterministic candidate budget of the anytime search (power-of-two
-// buckets, so close deadlines map to identical schedules). Assign it to
-// nothing directly — pass it through SimulateDegraded's ctx instead, or
-// use it when driving internal schedulers by hand.
-func SearchBudgetForDeadline(d time.Duration) int { return sched.BudgetForDeadline(d) }
-
 // recoverFaultPanic converts an invariant violation escaping a degraded
 // run into a returned error carrying the fault seed — the one number
 // needed to replay the failure deterministically.
@@ -79,23 +72,15 @@ func recoverFaultPanic(seed int64, err *error) {
 	}
 }
 
-// degradedDesign is the design point every degraded run and resilience
-// sweep schedules: the CROPHE dataflow on the graph as given, without the
-// NTT rewrite.
-func degradedDesign(hw *HWConfig) Design {
-	return Design{Name: hw.Name, HW: hw, Dataflow: sched.DataflowCROPHE}
-}
-
 // SimulateDegraded schedules and simulates a workload on a degraded
-// machine. The context bounds the anytime schedule search: on deadline
-// or cancellation the best-so-far valid schedule is used (Partial set on
-// the returned Schedule), never an error. A panic escaping the degraded
-// stack — an invariant violation some fault combination exposed — is
-// recovered into an error carrying the fault seed.
-func SimulateDegraded(ctx context.Context, m *FaultMachine, w *Workload, opts ...SimOption) (res *SimResult, s *Schedule, err error) {
-	defer recoverFaultPanic(m.Plan.Seed, &err)
-	d := degradedDesign(m.Base)
-	return sim.SimulateDegraded(ctx, m, d.Options(0), d.Prepare(w), opts...)
+// machine: SimulateWorkloadContext with DegradedDesign(m.Base), no
+// deadline and WithFaults(m). The context bounds the anytime schedule
+// search: on cancellation the best-so-far valid schedule is used
+// (Partial set on the returned Schedule), never an error. A panic
+// escaping the degraded stack is recovered into an error carrying the
+// fault seed.
+func SimulateDegraded(ctx context.Context, m *FaultMachine, w *Workload, opts ...SimOption) (*SimResult, *Schedule, error) {
+	return SimulateWorkloadContext(ctx, DegradedDesign(m.Base), w, 0, append(opts[:len(opts):len(opts)], WithFaults(m))...)
 }
 
 // SweepOption configures RunResilienceSweepWith; build them with the
@@ -123,12 +108,20 @@ func SweepWithResume(done map[int]ResiliencePoint) SweepOption { return fault.Wi
 // starts and before it is committed — so every completed rung is
 // deterministic per (hw, seed, step, steps, deadline bucket): sweeps
 // interrupted and resumed produce reports byte-identical to one
-// uninterrupted run. Panics escaping a rung are recovered into an error
-// tagged with the seed.
+// uninterrupted run. Each rung is one SimulateWorkloadContext call with
+// DegradedDesign(hw) and WithFaults, so a panic escaping a rung becomes
+// that rung's seed-tagged Err; one escaping the sweep itself is
+// recovered into the returned error, tagged with the seed.
 func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
 	opts ...SweepOption) (sw *ResilienceSweep, err error) {
 	defer recoverFaultPanic(seed, &err)
-	d := degradedDesign(hw)
-	runner := sim.DegradedRunner(context.Background(), d.Options(deadline), d.Prepare(w))
-	return fault.RunSweep(ctx, hw, seed, steps, runner, opts...)
+	d := DegradedDesign(hw)
+	run := func(m *FaultMachine) (fault.Outcome, error) {
+		res, s, err := SimulateWorkloadContext(context.Background(), d, w, deadline, WithFaults(m))
+		if err != nil {
+			return fault.Outcome{}, err
+		}
+		return fault.Outcome{TimeSec: res.TimeSec, Cycles: res.Cycles, Partial: s.Partial}, nil
+	}
+	return fault.RunSweep(ctx, hw, seed, steps, run, opts...)
 }

@@ -3,6 +3,7 @@ package crophe
 import (
 	"context"
 	"errors"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -94,5 +95,60 @@ func TestFacadeResilienceSweep(t *testing.T) {
 	}
 	if !strings.Contains(sw.String(), "resilience sweep") {
 		t.Fatalf("report missing header:\n%s", sw.String())
+	}
+}
+
+// TestFacadeFaultedRunIsOnePath checks the one schedule→simulate path
+// under WithFaults: SimulateDegraded is exactly that path with
+// DegradedDesign, a deadline-bounded faulted run is bit-identical across
+// runs (the deadline is the deterministic search budget), and a design
+// for other hardware than the fault machine's is an error naming the
+// seed.
+func TestFacadeFaultedRunIsOnePath(t *testing.T) {
+	ctx := context.Background()
+	spec, err := ParseFaultSpec("rows:1,links:2,hbm:0.8,stalls:2@150")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewFaultMachine(HWCROPHE64, spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := BootstrappingWorkload(ParamsARK)(RotHoisted, 0)
+	digest := func(deadline time.Duration, degraded bool) uint64 {
+		t.Helper()
+		h := fnv.New64a()
+		var res *SimResult
+		var s *Schedule
+		if degraded {
+			res, s, err = SimulateDegraded(ctx, m, w, WithTelemetry(NewTelemetry()))
+		} else {
+			res, s, err = SimulateWorkloadContext(ctx, DegradedDesign(HWCROPHE64), w, deadline,
+				WithFaults(m), WithTelemetry(NewTelemetry()))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline > 0 && !s.Partial {
+			t.Fatalf("a %v deadline did not cut the faulted search", deadline)
+		}
+		hashFacadeSchedule(h, s)
+		hashSimResult(h, res)
+		return h.Sum64()
+	}
+	if got, want := digest(0, false), digest(0, true); got != want {
+		t.Errorf("WithFaults path %#x differs from SimulateDegraded %#x", got, want)
+	}
+	if a, b := digest(time.Millisecond, false), digest(time.Millisecond, false); a != b {
+		t.Errorf("deadline-bounded faulted run not deterministic: %#x vs %#x", a, b)
+	}
+
+	other, err := NewFaultMachine(HWCROPHE36, spec, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = SimulateWorkloadContext(ctx, DegradedDesign(HWCROPHE64), w, 0, WithFaults(other))
+	if err == nil || !strings.Contains(err.Error(), "seed 31") {
+		t.Fatalf("design for other hardware than the fault machine's: err = %v; want one naming seed 31", err)
 	}
 }

@@ -2,8 +2,10 @@
 // kernel/model half of the data-plane integrity story: crophe-sim runs a
 // degraded simulation whose fault plan carries the SDC dimensions (flip
 // rate + scrub period) and must report the priced
-// detect-recompute-escalate outcome; malformed flip/scrub specs must
-// print usage and exit 2.
+// detect-recompute-escalate outcome; malformed flip/scrub specs, unknown
+// -dataflow names, and -dataflow mad or -clusters N>1 combined with
+// -faults or -sweep must print usage and exit 2; and two identical
+// deadline-bounded degraded runs must print identical reports.
 //
 // A plain Go program, so `make sdc-smoke` and CI run the identical
 // drill.
@@ -73,14 +75,26 @@ func main() {
 	}
 	step("crophe-sim degraded run priced the SDC recovery (flip:0.0001,scrub:100000 seed 29)")
 
-	// Malformed SDC specs must print usage and exit 2, never run.
-	for _, bad := range []string{"flip:1.5", "flip:bit", "scrub:-1", "flip:0.1,flip:0.2"} {
-		code, out := runSim(*sim, "-faults", bad)
-		if code != 2 {
-			fatalf("-faults %s exited %d; want 2:\n%s", bad, code, out)
+	// Malformed SDC specs, unknown policies, and policies no degraded run
+	// schedules must print usage and exit 2, never run.
+	for _, args := range [][]string{
+		{"-faults", "flip:1.5"}, {"-faults", "flip:bit"}, {"-faults", "scrub:-1"}, {"-faults", "flip:0.1,flip:0.2"},
+		{"-dataflow", "foo"}, {"-dataflow", "mad", "-faults", "rows:1"}, {"-clusters", "4", "-sweep", "4"},
+	} {
+		if code, out := runSim(*sim, args...); code != 2 {
+			fatalf("%v exited %d; want 2:\n%s", args, code, out)
 		}
 	}
-	step("malformed flip/scrub specs rejected with exit 2")
+	step("malformed flip/scrub specs, -dataflow foo, and -dataflow mad / -clusters 4 in degraded modes rejected with exit 2")
+
+	// A deadline is the deterministic search budget: two identical
+	// degraded runs print identical reports.
+	det := []string{"-faults", "rows:1,links:2,hbm:0.8,flip:0.0001", "-seed", "29", "-deadline", "200ms"}
+	code1, out1 := runSim(*sim, det...)
+	if code2, out2 := runSim(*sim, det...); code1 != 0 || code2 != 0 || out1 != out2 {
+		fatalf("deadline-bounded degraded runs differ (exit %d, %d):\n%s\n---\n%s", code1, code2, out1, out2)
+	}
+	step("deadline-bounded degraded run is deterministic (seed 29, 200ms)")
 
 	fmt.Println("sdcsmoke: PASS")
 }
