@@ -20,8 +20,10 @@ vet:
 # paramcopy, telemetryguard, faultseed, ctxbudget, maporder, locksafe,
 # releasecheck). ./... includes internal/analysis itself, so the analyzer
 # suite is held to its own rules. lint-json additionally writes the
-# machine-readable report CI uploads as an artifact.
+# machine-readable report CI uploads as an artifact. lint also fails on
+# any file gofmt would rewrite.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/crophe-lint ./...
 
 LINT_REPORT ?= crophe-lint-report.json

@@ -61,6 +61,11 @@ func main() {
 	}
 	res := d.Evaluate(factory)
 	fmt.Println(res.String())
+	if res.Rot == workload.RotHybrid {
+		fmt.Printf("rotation: %s r_Hyb=%d\n", res.Rot, res.RHyb)
+	} else {
+		fmt.Printf("rotation: %s\n", res.Rot)
+	}
 	fmt.Printf("utilisation: PE %.1f%%  NoC %.1f%%  SRAM %.1f%%  DRAM %.1f%%\n",
 		res.Util.PE*100, res.Util.NoC*100, res.Util.SRAM*100, res.Util.DRAM*100)
 

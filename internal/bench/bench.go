@@ -167,9 +167,10 @@ func Table4() ([]Table4Row, error) {
 		factory, _ := workload.Lookup("resnet-20", params)
 		s := evaluateMemo(d, params.Name+"/resnet-20", factory)
 		// Validate the schedule on the cycle simulator (its refined time
-		// stays within the analytical envelope) but report the
-		// scheduler's utilisation, which knows the traffic provenance.
-		w := factory(workload.RotHoisted, 0)
+		// stays within the analytical envelope) over the graph it was
+		// searched on, but report the scheduler's utilisation, which
+		// knows the traffic provenance.
+		w := d.Prepare(factory(s.Rot, s.RHyb))
 		if _, err := sim.New(d.HW).SimulateSchedule(w, s); err != nil {
 			errs[i] = err
 			return

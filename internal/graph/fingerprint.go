@@ -15,7 +15,21 @@ import (
 // computation up to renaming — the redundancy the paper's pre-partitioning
 // merges to "search only once" (§V-D). The scheduler memoises segment
 // schedules by (fingerprint, hardware, options).
+//
+// The value is computed once and cached on the graph, which seals it.
 func (g *Graph) Fingerprint() string {
+	if fp := g.fp.Load(); fp != nil {
+		return *fp
+	}
+	g.sealed.Store(true)
+	fp := g.fingerprint()
+	if !g.fp.CompareAndSwap(nil, &fp) {
+		return *g.fp.Load()
+	}
+	return fp
+}
+
+func (g *Graph) fingerprint() string {
 	topo := g.Topological()
 	pos := make([]int, len(g.Nodes)) // by node ID
 	for i, n := range topo {

@@ -8,7 +8,10 @@
 // and shares.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // OpKind enumerates the primitive FHE operator types.
 type OpKind int
@@ -173,17 +176,36 @@ func (n *Node) MoveElems() int64 {
 	return 0
 }
 
-// Graph is a DAG of operator nodes.
+// Graph is a DAG of operator nodes. A graph is built by AddNode, Connect
+// and ConnectAux and is read-only once a value derived from it has been
+// taken: Fingerprint and Decomposed compute theirs on first use and hand
+// the cached value to every later caller, so one graph can be shared by
+// every workload and scheduler that uses it. The builders panic on a
+// graph in that state.
 type Graph struct {
 	Nodes []*Node
 	nexts int
+
+	sealed     atomic.Bool // a derived value has been taken, or g is one
+	fp         atomic.Pointer[string]
+	decomposed atomic.Pointer[Graph]
 }
 
 // New creates an empty graph.
 func New() *Graph { return &Graph{} }
 
+// mustBeOpen panics if g is sealed: its cached fingerprint and
+// decomposition would no longer describe it.
+func (g *Graph) mustBeOpen(op, name string) {
+	if g.sealed.Load() {
+		panic(fmt.Sprintf("graph: %s %q on a sealed graph of %d nodes (its fingerprint or decomposition has been taken)",
+			op, name, len(g.Nodes)))
+	}
+}
+
 // AddNode appends a node, assigning its ID.
 func (g *Graph) AddNode(kind OpKind, name string, out Tensor) *Node {
+	g.mustBeOpen("AddNode", name)
 	n := &Node{ID: g.nexts, Kind: kind, Name: name, Out: out}
 	g.nexts++
 	g.Nodes = append(g.Nodes, n)
@@ -193,6 +215,7 @@ func (g *Graph) AddNode(kind OpKind, name string, out Tensor) *Node {
 // Connect adds an intermediate edge from producer to consumer, shaped by
 // the producer's output.
 func (g *Graph) Connect(from, to *Node) *Edge {
+	g.mustBeOpen("Connect into", to.Name)
 	e := &Edge{From: from, To: to, Shape: from.Out, Class: Intermediate}
 	from.OutEdges = append(from.OutEdges, e)
 	to.InEdges = append(to.InEdges, e)
@@ -202,6 +225,7 @@ func (g *Graph) Connect(from, to *Node) *Edge {
 // ConnectAux adds an auxiliary edge carrying constant data identified by
 // auxID.
 func (g *Graph) ConnectAux(from, to *Node, auxID string) *Edge {
+	g.mustBeOpen("ConnectAux into", to.Name)
 	e := &Edge{From: from, To: to, Shape: from.Out, Class: Auxiliary, AuxID: auxID}
 	from.OutEdges = append(from.OutEdges, e)
 	to.InEdges = append(to.InEdges, e)

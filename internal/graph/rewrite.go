@@ -59,6 +59,21 @@ func DecomposeNTTs(src *Graph, split func(n int) (n1, n2 int)) *Graph {
 	return dst
 }
 
+// Decomposed returns DecomposeNTTs(g, nil). The rewrite runs once and
+// every caller gets the same graph; both g and the result are sealed.
+func (g *Graph) Decomposed() *Graph {
+	if d := g.decomposed.Load(); d != nil {
+		return d
+	}
+	g.sealed.Store(true)
+	d := DecomposeNTTs(g, nil)
+	d.sealed.Store(true)
+	if !g.decomposed.CompareAndSwap(nil, d) {
+		return g.decomposed.Load()
+	}
+	return d
+}
+
 // BalancedSplit returns the near-square power-of-two factorisation of n.
 func BalancedSplit(n int) (int, int) {
 	n1 := 1

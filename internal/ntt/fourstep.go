@@ -431,11 +431,15 @@ func newCyclicTable(m modmath.Modulus, n int, omega uint64) *cyclicTable {
 // loops write tile entries through brv, folding the DIT permutation into
 // a pass that exists anyway). Lazy butterflies: inputs in [0, 4q),
 // outputs in [0, 4q) in natural order, no final correction.
-func (c *cyclicTable) forwardLazyBR(a []uint64) { c.transformLazyBR(a, c.stageTw, c.stageTwShoup, false) }
+func (c *cyclicTable) forwardLazyBR(a []uint64) {
+	c.transformLazyBR(a, c.stageTw, c.stageTwShoup, false)
+}
 
 // inverseLazyBR computes a[j] = (1/n)·Σ X[k]·ω^{-jk} of a bit-reversed
 // input; the lazy 1/n scaling brings the output into [0, 2q).
-func (c *cyclicTable) inverseLazyBR(a []uint64) { c.transformLazyBR(a, c.stageTwi, c.stageTwiShoup, true) }
+func (c *cyclicTable) inverseLazyBR(a []uint64) {
+	c.transformLazyBR(a, c.stageTwi, c.stageTwiShoup, true)
+}
 
 // transformLazyBR is the iterative radix-2 DIT kernel on lazy residues:
 // log n butterfly stages entirely in [0, 4q), no permutation (the input

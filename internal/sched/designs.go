@@ -58,6 +58,8 @@ func (d Design) Prepare(w *workload.Workload) *workload.Workload {
 //     Min-KS wins with large SRAM, Hoisting with small).
 //   - HybridRot additionally sweeps r_Hyb.
 //   - Each candidate graph goes through Prepare before scheduling.
+//
+// The winner records its candidate in Rot and RHyb.
 func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 	sch := New(d.HW, d.Options(0))
 
@@ -84,6 +86,7 @@ func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 		res := sch.Run(d.Prepare(w))
 		if best == nil || res.TimeSec < best.TimeSec {
 			best = res
+			best.Rot, best.RHyb = c.mode, c.r
 		}
 	}
 	best.Workload = name

@@ -189,6 +189,12 @@ type Schedule struct {
 	Workload string
 	HW       string
 	Opt      Options
+	// Rot and RHyb name the rotation structure of the candidate graph
+	// Design.Evaluate picked; d.Prepare(factory(Rot, RHyb)) is the
+	// workload the schedule was searched over. A direct Run leaves them
+	// zero.
+	Rot      workload.RotMode
+	RHyb     int
 	TimeSec  float64
 	Traffic  Traffic
 	Util     Utilization

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"crophe/internal/arch"
 	"crophe/internal/graph"
@@ -58,38 +59,79 @@ func bsgsDims(diags int) (n1, n2 int) {
 	return n1, n2
 }
 
-// matVecSegment builds one BSGS PtMatVecMult segment.
-func matVecSegment(p arch.ParamSet, name string, level, diags int, mode RotMode, rHyb int) Segment {
-	b := NewBuilder(p)
-	in := b.Input(name+"/in", level)
-	n1, n2 := bsgsDims(diags)
-	out := b.BSGSMatVec(in, level, n1, n2, diags, mode, rHyb, name)
-	b.Output(out)
-	return Segment{Name: name, G: b.G}
+// segments builds the segment graphs of one parameter set and keeps
+// every graph it has built, keyed by the arguments of the builder that
+// made it, so each distinct segment graph is built once for the lifetime
+// of a factory. BSGS segments are keyed by their rotation structure;
+// every other segment is rotation-invariant and shared by every
+// candidate. The graphs are read-only once built (see graph.Graph);
+// each Segment value, and so its Count, is the caller's own.
+type segments struct {
+	p arch.ParamSet
+
+	mu     sync.Mutex
+	graphs map[segmentKey]*graph.Graph
 }
 
-// hmultSegment builds one HMult + Rescale segment at a level.
-func hmultSegment(p arch.ParamSet, name string, level int) Segment {
-	b := NewBuilder(p)
-	x := b.Input(name+"/x", level)
-	y := b.Input(name+"/y", level)
-	m := b.HMult(x, y, level, name)
-	out := b.Rescale(m, level, name)
-	b.Output(out)
-	return Segment{Name: name, G: b.G}
+// segmentKey names a segment graph by its builder's arguments. The
+// segment name identifies the builder; diags, mode and rHyb are zero
+// except for BSGS segments.
+type segmentKey struct {
+	name         string
+	level, diags int
+	mode         RotMode
+	rHyb         int
 }
 
-// cmultSegment builds a CMult + Rescale + HAdd segment (the EvalMod
+func newSegments(p arch.ParamSet) *segments {
+	return &segments{p: p, graphs: make(map[segmentKey]*graph.Graph)}
+}
+
+// segment returns the graph under k, running build on a fresh builder
+// the first time k is asked for, with the given count.
+func (c *segments) segment(k segmentKey, count int, build func(b *Builder)) Segment {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g, ok := c.graphs[k]
+	if !ok {
+		b := NewBuilder(c.p)
+		build(b)
+		g = b.G
+		c.graphs[k] = g
+	}
+	return Segment{Name: k.name, G: g, Count: count}
+}
+
+// matVec is one BSGS PtMatVecMult segment.
+func (c *segments) matVec(name string, level, diags int, mode RotMode, rHyb, count int) Segment {
+	k := segmentKey{name: name, level: level, diags: diags, mode: mode, rHyb: rHyb}
+	return c.segment(k, count, func(b *Builder) {
+		in := b.Input(name+"/in", level)
+		n1, n2 := bsgsDims(diags)
+		b.Output(b.BSGSMatVec(in, level, n1, n2, diags, mode, rHyb, name))
+	})
+}
+
+// hmult is one HMult + Rescale segment at a level.
+func (c *segments) hmult(name string, level, count int) Segment {
+	return c.segment(segmentKey{name: name, level: level}, count, func(b *Builder) {
+		x := b.Input(name+"/x", level)
+		y := b.Input(name+"/y", level)
+		m := b.HMult(x, y, level, name)
+		b.Output(b.Rescale(m, level, name))
+	})
+}
+
+// cmult is a CMult + Rescale + HAdd segment (the EvalMod
 // coefficient-combine step).
-func cmultSegment(p arch.ParamSet, name string, level int) Segment {
-	b := NewBuilder(p)
-	x := b.Input(name+"/x", level)
-	m := b.PMult(x, level, "pt:"+name, name)
-	rs := b.Rescale(m, level, name)
-	acc := b.Input(name+"/acc", level-1)
-	out := b.HAdd(rs, acc, level-1, name)
-	b.Output(out)
-	return Segment{Name: name, G: b.G}
+func (c *segments) cmult(name string, level, count int) Segment {
+	return c.segment(segmentKey{name: name, level: level}, count, func(b *Builder) {
+		x := b.Input(name+"/x", level)
+		m := b.PMult(x, level, "pt:"+name, name)
+		rs := b.Rescale(m, level, name)
+		acc := b.Input(name+"/acc", level-1)
+		b.Output(b.HAdd(rs, acc, level-1, name))
+	})
 }
 
 // Bootstrapping builds the paper's bootstrapping workload: CoeffToSlot and
@@ -97,6 +139,11 @@ func cmultSegment(p arch.ParamSet, name string, level int) Segment {
 // the optimised sparse-packed method [14]. The rotation mode selects the
 // Figure 8 structure inside every BSGS stage.
 func Bootstrapping(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
+	return newSegments(p).bootstrapping(mode, rHyb)
+}
+
+func (c *segments) bootstrapping(mode RotMode, rHyb int) *Workload {
+	p := c.p
 	w := &Workload{Name: "bootstrapping", Params: p, DataParallel: 2}
 
 	// The DFT matrices are radix-decomposed into 3 stages with ~N^(1/3)
@@ -111,8 +158,7 @@ func Bootstrapping(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 	// set repeats across stages and steady-state invocations, which is
 	// what lets every design amortise resident-key fills).
 	lC2S := p.L // C2S runs right after ModRaise, near the top level
-	w.Segments = append(w.Segments,
-		withCount(matVecSegment(p, "c2s", lC2S, stageDiags, mode, rHyb), 3))
+	w.Segments = append(w.Segments, c.matVec("c2s", lC2S, stageDiags, mode, rHyb, 3))
 
 	// EvalMod: a degree-63 sine cascade — 62 basis HMults plus 63
 	// coefficient CMult/accumulates. The Chebyshev recursion descends
@@ -136,24 +182,21 @@ func Bootstrapping(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 		if level < 1 {
 			level = 1
 		}
-		w.Segments = append(w.Segments,
-			withCount(hmultSegment(p, fmt.Sprintf("evalmod-hmult-d%d", depth), level), count))
+		w.Segments = append(w.Segments, c.hmult(fmt.Sprintf("evalmod-hmult-d%d", depth), level, count))
 		remaining -= count
 	}
 	lMod := lTop - 5
 	if lMod < 1 {
 		lMod = 1
 	}
-	w.Segments = append(w.Segments,
-		withCount(cmultSegment(p, "evalmod-cmult", lMod), 63))
+	w.Segments = append(w.Segments, c.cmult("evalmod-cmult", lMod, 63))
 
 	// SlotToCoeff at the remaining level.
 	lS2C := p.L - p.LBoot + 4
 	if lS2C < 4 {
 		lS2C = 4
 	}
-	w.Segments = append(w.Segments,
-		withCount(matVecSegment(p, "s2c", lS2C, stageDiags, mode, rHyb), 3))
+	w.Segments = append(w.Segments, c.matVec("s2c", lS2C, stageDiags, mode, rHyb, 3))
 	return w
 }
 
@@ -161,6 +204,11 @@ func Bootstrapping(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 // the X·w matrix-vector product, a degree-7 sigmoid, the gradient inner
 // sum (log-rotations), the weight update, and the per-iteration bootstrap.
 func HELR(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
+	return newSegments(p).helr(mode, rHyb)
+}
+
+func (c *segments) helr(mode RotMode, rHyb int) *Workload {
+	p := c.p
 	w := &Workload{Name: "helr1024", Params: p, DataParallel: 8}
 	lApp := p.L - p.LBoot
 	if lApp < 4 {
@@ -168,31 +216,26 @@ func HELR(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 	}
 
 	// X·w: a 256-padded matvec (196 features).
-	w.Segments = append(w.Segments,
-		withCount(matVecSegment(p, "helr-xw", lApp, 32, mode, rHyb), 1))
+	w.Segments = append(w.Segments, c.matVec("helr-xw", lApp, 32, mode, rHyb, 1))
 
 	// Sigmoid degree 7: 3 HMult levels.
-	w.Segments = append(w.Segments,
-		withCount(hmultSegment(p, "helr-sigmoid", lApp-1), 3))
+	w.Segments = append(w.Segments, c.hmult("helr-sigmoid", lApp-1, 3))
 
 	// Gradient reduction: log2(256) = 8 rotations + accumulate.
-	b := NewBuilder(p)
-	in := b.Input("helr-grad/in", lApp-2)
-	cur := in
-	for i := 0; i < 8; i++ {
-		rot := b.HRot(cur, lApp-2, 1<<i, fmt.Sprintf("helr-grad/r%d", i))
-		cur = b.HAdd(cur, rot, lApp-2, fmt.Sprintf("helr-grad/a%d", i))
-	}
-	b.Output(cur)
-	w.Segments = append(w.Segments, Segment{Name: "helr-grad", G: b.G, Count: 1})
+	w.Segments = append(w.Segments, c.segment(segmentKey{name: "helr-grad", level: lApp - 2}, 1, func(b *Builder) {
+		cur := b.Input("helr-grad/in", lApp-2)
+		for i := 0; i < 8; i++ {
+			rot := b.HRot(cur, lApp-2, 1<<i, fmt.Sprintf("helr-grad/r%d", i))
+			cur = b.HAdd(cur, rot, lApp-2, fmt.Sprintf("helr-grad/a%d", i))
+		}
+		b.Output(cur)
+	}))
 
 	// Weight update: PMult by learning rate + HAdd.
-	w.Segments = append(w.Segments,
-		withCount(cmultSegment(p, "helr-update", lApp-3), 2))
+	w.Segments = append(w.Segments, c.cmult("helr-update", lApp-3, 2))
 
 	// One bootstrap per iteration.
-	boot := Bootstrapping(p, mode, rHyb)
-	w.Segments = append(w.Segments, boot.Segments...)
+	w.Segments = append(w.Segments, c.bootstrapping(mode, rHyb).Segments...)
 	return w
 }
 
@@ -200,6 +243,11 @@ func HELR(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
 // multiplexed-convolution matvec plus a polynomial ReLU, with a bootstrap
 // every other layer. layers = 20 or 110.
 func ResNet(p arch.ParamSet, layers int, mode RotMode, rHyb int) *Workload {
+	return newSegments(p).resNet(layers, mode, rHyb)
+}
+
+func (c *segments) resNet(layers int, mode RotMode, rHyb int) *Workload {
+	p := c.p
 	w := &Workload{
 		Name:         fmt.Sprintf("resnet-%d", layers),
 		Params:       p,
@@ -212,33 +260,24 @@ func ResNet(p arch.ParamSet, layers int, mode RotMode, rHyb int) *Workload {
 
 	// Convolution as BSGS matvec: multiplexed parallel convolution packs
 	// a 3×3 kernel over packed channels into ~64 diagonals.
-	w.Segments = append(w.Segments,
-		withCount(matVecSegment(p, "conv", lApp, 64, mode, rHyb), layers))
+	w.Segments = append(w.Segments, c.matVec("conv", lApp, 64, mode, rHyb, layers))
 
 	// ReLU: degree-27 minimax composite ≈ 10 multiplicative steps.
-	w.Segments = append(w.Segments,
-		withCount(hmultSegment(p, "relu", lApp-1), layers*10))
+	w.Segments = append(w.Segments, c.hmult("relu", lApp-1, layers*10))
 
 	// Downsample/shortcut adds: a rotation + add per residual block.
-	b := NewBuilder(p)
-	in := b.Input("shortcut/in", lApp-2)
-	rot := b.HRot(in, lApp-2, 4, "shortcut/rot")
-	out := b.HAdd(in, rot, lApp-2, "shortcut/add")
-	b.Output(out)
-	w.Segments = append(w.Segments, Segment{Name: "shortcut", G: b.G, Count: layers / 2})
+	w.Segments = append(w.Segments, c.segment(segmentKey{name: "shortcut", level: lApp - 2}, layers/2, func(b *Builder) {
+		in := b.Input("shortcut/in", lApp-2)
+		rot := b.HRot(in, lApp-2, 4, "shortcut/rot")
+		b.Output(b.HAdd(in, rot, lApp-2, "shortcut/add"))
+	}))
 
 	// Bootstrap every other layer.
-	boot := Bootstrapping(p, mode, rHyb)
-	for _, s := range boot.Segments {
+	for _, s := range c.bootstrapping(mode, rHyb).Segments {
 		s.Count *= layers / 2
 		w.Segments = append(w.Segments, s)
 	}
 	return w
-}
-
-func withCount(s Segment, count int) Segment {
-	s.Count = count
-	return s
 }
 
 // Factory builds a workload for a given rotation structure — the
@@ -250,16 +289,16 @@ type Factory func(mode RotMode, rHyb int) *Workload
 // builders is the one table of benchmark names: each workload's own Name
 // plus the short aliases the command-line tools and the serving layer
 // accept.
-var builders = map[string]func(arch.ParamSet, RotMode, int) *Workload{
-	"bootstrapping": Bootstrapping, "boot": Bootstrapping,
-	"helr1024": HELR, "helr": HELR,
+var builders = map[string]func(*segments, RotMode, int) *Workload{
+	"bootstrapping": (*segments).bootstrapping, "boot": (*segments).bootstrapping,
+	"helr1024": (*segments).helr, "helr": (*segments).helr,
 	"resnet-20": resNet(20), "resnet20": resNet(20),
 	"resnet-110": resNet(110), "resnet110": resNet(110),
 }
 
-func resNet(layers int) func(arch.ParamSet, RotMode, int) *Workload {
-	return func(p arch.ParamSet, mode RotMode, rHyb int) *Workload {
-		return ResNet(p, layers, mode, rHyb)
+func resNet(layers int) func(*segments, RotMode, int) *Workload {
+	return func(c *segments, mode RotMode, rHyb int) *Workload {
+		return c.resNet(layers, mode, rHyb)
 	}
 }
 
@@ -270,24 +309,26 @@ func Names() []string {
 }
 
 // Lookup returns the factory of the named benchmark under parameter set
-// p. It builds nothing: each call of the factory builds one graph.
+// p. It builds nothing itself. The factory keeps the segment graphs it
+// builds, so each distinct segment graph is built once however many
+// rotation candidates ask for it; every call returns a new Workload
+// with its own Segments. A factory is safe for concurrent use.
 func Lookup(name string, p arch.ParamSet) (Factory, bool) {
 	build, ok := builders[name]
 	if !ok {
 		return nil, false
 	}
-	return func(mode RotMode, rHyb int) *Workload { return build(p, mode, rHyb) }, true
+	c := newSegments(p)
+	return func(mode RotMode, rHyb int) *Workload { return build(c, mode, rHyb) }, true
 }
 
-// DecomposeNTTs applies the four-step rewrite to every segment.
+// DecomposeNTTs applies the four-step rewrite to every segment. Each
+// segment graph is rewritten once (graph.Graph.Decomposed), so
+// workloads that share a segment graph share its rewrite too.
 func (w *Workload) DecomposeNTTs() *Workload {
 	out := &Workload{Name: w.Name, Params: w.Params, DataParallel: w.DataParallel}
 	for _, s := range w.Segments {
-		out.Segments = append(out.Segments, Segment{
-			Name:  s.Name,
-			G:     graph.DecomposeNTTs(s.G, nil),
-			Count: s.Count,
-		})
+		out.Segments = append(out.Segments, Segment{Name: s.Name, G: s.G.Decomposed(), Count: s.Count})
 	}
 	return out
 }
