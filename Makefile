@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz bench bench-json bench-diff bench-kernels bench-sched bench-sim trace-smoke chaos-smoke serve-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz examples bench bench-json bench-diff bench-kernels bench-sched bench-sim trace-smoke chaos-smoke serve-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -42,6 +42,15 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMarshalRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckks/
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run=^$$ -fuzz=FuzzRouteAvoiding -fuzztime=$(FUZZTIME) ./internal/noc/
+
+# Build and run every program under examples/: the end-to-end callers of
+# the functional CKKS and bootstrapping APIs (BSGS with all three Figure 8
+# rotation plans, a full bootstrap). Each exits non-zero on failure.
+EXAMPLES_BIN ?= /tmp/crophe-examples
+
+examples:
+	$(GO) build -o $(EXAMPLES_BIN)/ ./examples/...
+	for ex in $(EXAMPLES_BIN)/*; do echo "== $$ex"; $$ex || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -156,21 +156,23 @@ func DegradedDesign(hw *HWConfig) Design {
 	return Design{Name: hw.Name, HW: hw, Dataflow: sched.DataflowCROPHE}
 }
 
-// BootstrappingWorkload returns the bootstrapping benchmark factory.
+// BootstrappingWorkload returns the bootstrapping benchmark factory. Like
+// every workload.Lookup factory it builds each distinct segment graph once.
 func BootstrappingWorkload(p ParamSet) WorkloadFactory {
-	return func(m workload.RotMode, r int) *Workload {
-		return workload.Bootstrapping(p, m, r)
-	}
+	f, _ := workload.Lookup("bootstrapping", p)
+	return f
 }
 
-// HELRWorkload returns the HELR1024 benchmark factory.
+// HELRWorkload returns the HELR1024 benchmark factory, sharing segment
+// graphs across calls as BootstrappingWorkload does.
 func HELRWorkload(p ParamSet) WorkloadFactory {
-	return func(m workload.RotMode, r int) *Workload {
-		return workload.HELR(p, m, r)
-	}
+	f, _ := workload.Lookup("helr1024", p)
+	return f
 }
 
-// ResNetWorkload returns the encrypted ResNet benchmark factory.
+// ResNetWorkload returns the encrypted ResNet benchmark factory. It takes
+// any layer count, so unlike the other two it builds every graph afresh
+// on each call.
 func ResNetWorkload(p ParamSet, layers int) WorkloadFactory {
 	return func(m workload.RotMode, r int) *Workload {
 		return workload.ResNet(p, layers, m, r)

@@ -11,6 +11,7 @@ import (
 
 	"crophe/internal/boot"
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 	pk := kg.GenPublicKey(sk)
 	enc := ckks.NewEncoder(params)
 
-	cfg := boot.BootstrapConfig{K: 4, SineDeg: 63, Strategy: boot.Hybrid{RHyb: 2}}
+	cfg := boot.BootstrapConfig{K: 4, SineDeg: 63, Rot: workload.RotHybrid, RHyb: 2}
 	// First pass collects the rotation amounts the pipeline needs.
 	probe := boot.NewBootstrapper(params, enc, ckks.NewEvaluator(params, nil), cfg)
 	keys := kg.GenEvaluationKeySet(sk, probe.Rotations())

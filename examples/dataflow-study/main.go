@@ -19,15 +19,14 @@ import (
 func main() {
 	params := arch.ParamsSHARP
 	hw := arch.CROPHE36.WithSRAM(45) // the small-SRAM setting of Fig. 11
-	factory := func(m workload.RotMode, r int) *workload.Workload {
-		return workload.Bootstrapping(params, m, r)
-	}
+	factory, _ := workload.Lookup("bootstrapping", params)
 
 	fmt.Printf("workload: bootstrapping (%s parameters), hardware: %s @ %.0f MB SRAM\n\n",
 		params.Name, hw.Name, hw.SRAMCapacityMB)
 	fmt.Printf("%-8s %10s %10s %10s %12s\n", "design", "time (ms)", "DRAM (GB)", "SRAM (GB)", "vs MAD")
 
 	var madTime float64
+	var full sched.Design
 	var best *sched.Schedule
 	for _, d := range sched.AblationDesigns(hw) {
 		res := d.Evaluate(factory)
@@ -37,12 +36,13 @@ func main() {
 		speedup := madTime / res.TimeSec
 		fmt.Printf("%-8s %10.3f %10.2f %10.1f %11.2fx\n",
 			d.Name, res.TimeSec*1e3, res.Traffic.DRAM/1e9, res.Traffic.SRAM/1e9, speedup)
-		best = res
+		full, best = d, res
 	}
 
 	// Validate the full design on the cycle-level simulator, with the
-	// observability layer attached (sim.New's functional options).
-	w := factory(workload.RotHybrid, 4).DecomposeNTTs()
+	// observability layer attached (sim.New's functional options), on
+	// the graph its winning rotation candidate was scheduled on.
+	w := full.Prepare(factory(best.Rot, best.RHyb))
 	tel := telemetry.New()
 	r, err := sim.New(hw, sim.WithTelemetry(tel)).SimulateSchedule(w, best)
 	if err != nil {

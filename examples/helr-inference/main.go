@@ -15,6 +15,7 @@ import (
 
 	"crophe/internal/boot"
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -58,7 +59,7 @@ func main() {
 	for _, r := range lt.Rotations() {
 		rotSet[r] = true
 	}
-	for _, r := range (boot.Hoisting{}).Keys(lt.N1) {
+	for _, r := range boot.BabyKeys(lt.N1, workload.RotHoisted, 0) {
 		rotSet[r] = true
 	}
 	var rotations []int
@@ -85,7 +86,7 @@ func main() {
 	}
 
 	// Encrypted inference: logits = X·w, scores = sigmoid(logits).
-	ctLogits, err := lt.Evaluate(eval, enc, ctW, boot.Hoisting{})
+	ctLogits, err := lt.Evaluate(eval, enc, ctW, workload.RotHoisted, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

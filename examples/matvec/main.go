@@ -13,6 +13,7 @@ import (
 
 	"crophe/internal/boot"
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
 func main() {
@@ -43,11 +44,17 @@ func main() {
 	for _, r := range lt.Rotations() {
 		rotSet[r] = true
 	}
-	strategies := []boot.RotationStrategy{
-		boot.MinKS{}, boot.Hoisting{}, boot.Hybrid{RHyb: 4},
+	strategies := []struct {
+		name string
+		mode workload.RotMode
+		rHyb int
+	}{
+		{"min-ks", workload.RotMinKS, 0},
+		{"hoisting", workload.RotHoisted, 0},
+		{"hybrid(r=4)", workload.RotHybrid, 4},
 	}
 	for _, s := range strategies {
-		for _, r := range s.Keys(lt.N1) {
+		for _, r := range boot.BabyKeys(lt.N1, s.mode, s.rHyb) {
 			rotSet[r] = true
 		}
 	}
@@ -81,7 +88,7 @@ func main() {
 	}
 
 	for _, s := range strategies {
-		out, err := lt.Evaluate(eval, enc, ct, s)
+		out, err := lt.Evaluate(eval, enc, ct, s.mode, s.rHyb)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,9 +99,12 @@ func main() {
 				worst = e
 			}
 		}
-		ops := boot.CountOps(s, lt.N1)
+		keySwitches := 0
+		for _, step := range workload.BabyPlan(lt.N1, s.mode, s.rHyb) {
+			keySwitches += len(step.Amounts)
+		}
 		fmt.Printf("%-12s max error %.2e, %2d key-switches, %2d distinct evks\n",
-			s.Name(), worst, ops.KeySwitches, ops.DistinctEvk)
+			s.name, worst, keySwitches, len(boot.BabyKeys(lt.N1, s.mode, s.rHyb)))
 	}
 	fmt.Println("All three strategies compute the same M×v — they differ " +
 		"only in dataflow, which is what CROPHE's hybrid rotation exploits.")

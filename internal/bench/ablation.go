@@ -28,17 +28,20 @@ func ablationDesign() sched.Design {
 	return sched.Design{HW: arch.CROPHE36.WithSRAM(90), Dataflow: sched.DataflowCROPHE, NTTDec: true}
 }
 
-func ablationWorkload(mode workload.RotMode, rHyb int) *workload.Workload {
-	return workload.Bootstrapping(arch.ParamsSHARP, mode, rHyb)
+// ablationFactory returns the bootstrapping factory (SHARP parameters)
+// the studies share, so each segment graph is built once for all four.
+func ablationFactory() workload.Factory {
+	f, _ := workload.Lookup("bootstrapping", arch.ParamsSHARP)
+	return f
 }
 
 // AblateGroupSize sweeps the spatial-group size bound (the search breadth
 // of §V-D): 1 disables spatial pipelining entirely, the paper's setting
 // is 7–10.
-func AblateGroupSize() []AblationRow {
+func AblateGroupSize(f workload.Factory) []AblationRow {
 	var rows []AblationRow
 	d := ablationDesign()
-	w := d.Prepare(ablationWorkload(workload.RotHoisted, 0))
+	w := d.Prepare(f(workload.RotHoisted, 0))
 	for _, size := range []int{1, 2, 4, 8, 12} {
 		opt := d.Options(0)
 		opt.MaxGroupSize = size
@@ -55,7 +58,7 @@ func AblateGroupSize() []AblationRow {
 
 // AblateNTTSplit compares four-step split choices N = N1×N2: the balanced
 // split against skewed ones (§V-D: "N1 and N2 should not be too small").
-func AblateNTTSplit() []AblationRow {
+func AblateNTTSplit(f workload.Factory) []AblationRow {
 	splits := []struct {
 		name  string
 		split func(n int) (int, int)
@@ -77,7 +80,7 @@ func AblateNTTSplit() []AblationRow {
 	var rows []AblationRow
 	d := ablationDesign()
 	for _, sp := range splits {
-		base := ablationWorkload(workload.RotHoisted, 0)
+		base := f(workload.RotHoisted, 0)
 		w := &workload.Workload{Name: base.Name, Params: base.Params, DataParallel: base.DataParallel}
 		for _, seg := range base.Segments {
 			w.Segments = append(w.Segments, workload.Segment{
@@ -100,7 +103,7 @@ func AblateNTTSplit() []AblationRow {
 // AblateRHyb sweeps the hybrid-rotation stride between the two endpoints
 // of Figure 8: r_Hyb=1 degenerates to Min-KS-only structure, large r to
 // Hoisting.
-func AblateRHyb() []AblationRow {
+func AblateRHyb(f workload.Factory) []AblationRow {
 	var rows []AblationRow
 	d := ablationDesign()
 	cases := []struct {
@@ -115,7 +118,7 @@ func AblateRHyb() []AblationRow {
 		{"hoisting (endpoint)", workload.RotHoisted, 0},
 	}
 	for _, c := range cases {
-		res := sched.New(d.HW, d.Options(0)).Run(d.Prepare(ablationWorkload(c.mode, c.r)))
+		res := sched.New(d.HW, d.Options(0)).Run(d.Prepare(f(c.mode, c.r)))
 		rows = append(rows, AblationRow{
 			Study:   "r-hyb",
 			Setting: c.name,
@@ -128,10 +131,10 @@ func AblateRHyb() []AblationRow {
 
 // AblatePEAllocation compares §IV-B's load-proportional PE allocation
 // against a uniform split.
-func AblatePEAllocation() []AblationRow {
+func AblatePEAllocation(f workload.Factory) []AblationRow {
 	var rows []AblationRow
 	d := ablationDesign()
-	w := d.Prepare(ablationWorkload(workload.RotHoisted, 0))
+	w := d.Prepare(f(workload.RotHoisted, 0))
 	for _, uniform := range []bool{false, true} {
 		opt := d.Options(0)
 		opt.UniformAlloc = uniform
@@ -150,13 +153,14 @@ func AblatePEAllocation() []AblationRow {
 	return rows
 }
 
-// Ablations runs every ablation study.
+// Ablations runs every ablation study over one shared workload factory.
 func Ablations() []AblationRow {
+	f := ablationFactory()
 	var rows []AblationRow
-	rows = append(rows, AblateGroupSize()...)
-	rows = append(rows, AblateNTTSplit()...)
-	rows = append(rows, AblateRHyb()...)
-	rows = append(rows, AblatePEAllocation()...)
+	rows = append(rows, AblateGroupSize(f)...)
+	rows = append(rows, AblateNTTSplit(f)...)
+	rows = append(rows, AblateRHyb(f)...)
+	rows = append(rows, AblatePEAllocation(f)...)
 	return rows
 }
 

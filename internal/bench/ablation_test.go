@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblateGroupSize(t *testing.T) {
-	rows := AblateGroupSize()
+	rows := AblateGroupSize(ablationFactory())
 	if len(rows) != 5 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -19,7 +19,7 @@ func TestAblateGroupSize(t *testing.T) {
 }
 
 func TestAblateRHybEndpoints(t *testing.T) {
-	rows := AblateRHyb()
+	rows := AblateRHyb(ablationFactory())
 	times := map[string]float64{}
 	for _, r := range rows {
 		times[r.Setting] = r.TimeSec
@@ -44,7 +44,7 @@ func TestAblateRHybEndpoints(t *testing.T) {
 }
 
 func TestAblatePEAllocation(t *testing.T) {
-	rows := AblatePEAllocation()
+	rows := AblatePEAllocation(ablationFactory())
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -56,7 +56,7 @@ func TestAblatePEAllocation(t *testing.T) {
 }
 
 func TestAblateNTTSplit(t *testing.T) {
-	rows := AblateNTTSplit()
+	rows := AblateNTTSplit(ablationFactory())
 	if len(rows) != 3 {
 		t.Fatalf("rows: %d", len(rows))
 	}

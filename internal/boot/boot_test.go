@@ -9,6 +9,7 @@ import (
 
 	"crophe/internal/ckks"
 	"crophe/internal/modmath"
+	"crophe/internal/workload"
 )
 
 type testContext struct {
@@ -149,7 +150,7 @@ func TestBSGSMatVecHomomorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := lt.Evaluate(tc.eval, tc.enc, ct, Hoisting{})
+	out, err := lt.Evaluate(tc.eval, tc.enc, ct, workload.RotHoisted, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBSGSIdentityMatrix(t *testing.T) {
 	tc = newTestContext(t, 5, 2, 1, lt.Rotations(), 0)
 	v := randomReals(tc.rng, slots, 1)
 	ct, _ := ckks.EncryptAtLevel(tc.enc, tc.encr, v, tc.params.MaxLevel())
-	out, err := lt.Evaluate(tc.eval, tc.enc, ct, MinKS{})
+	out, err := lt.Evaluate(tc.eval, tc.enc, ct, workload.RotMinKS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +178,20 @@ func TestBSGSIdentityMatrix(t *testing.T) {
 	}
 }
 
+// rotationModes are the three Figure 8 structures the boot tests run.
+var rotationModes = []struct {
+	mode workload.RotMode
+	rHyb int
+}{{workload.RotMinKS, 0}, {workload.RotHoisted, 0}, {workload.RotHybrid, 2}}
+
 func TestRotationStrategiesAgree(t *testing.T) {
 	n1 := 4
-	keys := map[int]bool{}
-	for _, s := range []RotationStrategy{MinKS{}, Hoisting{}, Hybrid{RHyb: 2}} {
-		for _, k := range s.Keys(n1) {
+	keys := map[int]bool{2: true}
+	for _, m := range rotationModes {
+		for _, k := range BabyKeys(n1, m.mode, m.rHyb) {
 			keys[k] = true
 		}
 	}
-	keys[2] = true
 	var rots []int
 	for k := range keys {
 		rots = append(rots, k)
@@ -195,13 +201,13 @@ func TestRotationStrategiesAgree(t *testing.T) {
 	ct, _ := ckks.EncryptAtLevel(tc.enc, tc.encr, v, tc.params.MaxLevel())
 
 	var baseline []*ckks.Ciphertext
-	for _, s := range []RotationStrategy{MinKS{}, Hoisting{}, Hybrid{RHyb: 2}} {
-		babies, err := s.BabyRotations(tc.eval, ct, n1)
+	for _, m := range rotationModes {
+		babies, err := babyRotations(tc.eval, ct, n1, m.mode, m.rHyb)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", m.mode, err)
 		}
 		if len(babies) != n1 {
-			t.Fatalf("%s: %d rotations", s.Name(), len(babies))
+			t.Fatalf("%s: %d rotations", m.mode, len(babies))
 		}
 		if baseline == nil {
 			baseline = babies
@@ -211,31 +217,52 @@ func TestRotationStrategiesAgree(t *testing.T) {
 			got := tc.enc.Decode(tc.decr.Decrypt(babies[i]))
 			want := tc.enc.Decode(tc.decr.Decrypt(baseline[i]))
 			if e := maxErr(got, want); e > 1e-2 {
-				t.Fatalf("%s: baby rotation %d disagrees (err %g)", s.Name(), i, e)
+				t.Fatalf("%s: baby rotation %d disagrees (err %g)", m.mode, i, e)
 			}
+		}
+	}
+	for _, r := range []int{0, -1} {
+		if _, err := babyRotations(tc.eval, ct, n1, workload.RotHybrid, r); err == nil {
+			t.Errorf("hybrid stride %d accepted", r)
 		}
 	}
 }
 
 func TestCountOpsFormulas(t *testing.T) {
 	// §V-C: hybrid vs Min-KS saves ModUp/ModDown; vs Hoisting saves evks.
+	// Key switches are the plan's rotations, evks its distinct amounts.
 	n1 := 16
-	minks := CountOps(MinKS{}, n1)
-	hoist := CountOps(Hoisting{}, n1)
-	hyb := CountOps(Hybrid{RHyb: 4}, n1)
+	type counts struct{ keySwitches, evks int }
+	count := func(mode workload.RotMode, rHyb int) counts {
+		c := counts{evks: len(BabyKeys(n1, mode, rHyb))}
+		for _, s := range workload.BabyPlan(n1, mode, rHyb) {
+			c.keySwitches += len(s.Amounts)
+		}
+		return c
+	}
+	minks := count(workload.RotMinKS, 0)
+	hoist := count(workload.RotHoisted, 0)
+	hyb := count(workload.RotHybrid, 4)
 
-	if minks.DistinctEvk != 1 || minks.KeySwitches != n1-1 {
+	if minks.evks != 1 || minks.keySwitches != n1-1 {
 		t.Fatalf("min-ks counts %+v", minks)
 	}
-	if hoist.DistinctEvk != n1-1 || hoist.KeySwitches != n1-1 {
+	if hoist.evks != n1-1 || hoist.keySwitches != n1-1 {
 		t.Fatalf("hoisting counts %+v", hoist)
 	}
-	if hyb.DistinctEvk <= minks.DistinctEvk || hyb.DistinctEvk >= hoist.DistinctEvk {
-		t.Fatalf("hybrid evk count %d not between %d and %d", hyb.DistinctEvk, minks.DistinctEvk, hoist.DistinctEvk)
+	if hyb.keySwitches != n1-1 {
+		t.Fatalf("hybrid counts %+v", hyb)
+	}
+	if hyb.evks <= minks.evks || hyb.evks >= hoist.evks {
+		t.Fatalf("hybrid evk count %d not between %d and %d", hyb.evks, minks.evks, hoist.evks)
 	}
 	// Hybrid evk count formula: r_Hyb keys (stride + fine steps).
-	if hyb.DistinctEvk != 4 {
-		t.Fatalf("hybrid evks = %d, want 4", hyb.DistinctEvk)
+	if hyb.evks != 4 {
+		t.Fatalf("hybrid evks = %d, want 4", hyb.evks)
+	}
+	// With n1 ≤ r_Hyb the stride is never taken, so its key is not needed.
+	if got := BabyKeys(4, workload.RotHybrid, 4); len(got) != 3 {
+		t.Fatalf("hybrid keys for n1 = r_Hyb = 4: %v, want 1..3", got)
 	}
 }
 
@@ -338,7 +365,7 @@ func TestModRaisePreservesMessage(t *testing.T) {
 	// ciphertext and reading coefficients must give the original
 	// coefficients plus integer multiples of q0 (plus encryption noise).
 	tc := newTestContext(t, 5, 6, 2, nil, 8)
-	b := NewBootstrapper(tc.params, tc.enc, tc.eval, BootstrapConfig{K: 8, SineDeg: 31})
+	b := NewBootstrapper(tc.params, tc.enc, tc.eval, BootstrapConfig{K: 8, SineDeg: 31, Rot: workload.RotHoisted})
 	v := randomReals(tc.rng, tc.params.Slots(), 0.5)
 	pt, err := tc.enc.Encode(v, 0)
 	if err != nil {
@@ -387,7 +414,7 @@ func TestModRaisePreservesMessage(t *testing.T) {
 
 func TestModRaiseErrors(t *testing.T) {
 	tc := newTestContext(t, 5, 3, 1, nil, 8)
-	b := NewBootstrapper(tc.params, tc.enc, tc.eval, BootstrapConfig{})
+	b := NewBootstrapper(tc.params, tc.enc, tc.eval, BootstrapConfig{Rot: workload.RotHoisted})
 	v := randomReals(tc.rng, 4, 0.1)
 	ct, _ := ckks.EncryptAtLevel(tc.enc, tc.encr, v, 1)
 	if _, err := b.ModRaise(ct, 2); err == nil {
@@ -415,7 +442,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	pk := kg.GenPublicKey(sk)
 	enc := ckks.NewEncoder(params)
 
-	cfg := BootstrapConfig{K: 4, SineDeg: 63}
+	cfg := BootstrapConfig{K: 4, SineDeg: 63, Rot: workload.RotHoisted}
 	// Gather rotations before generating keys.
 	tmpEval := ckks.NewEvaluator(params, nil)
 	b0 := NewBootstrapper(params, enc, tmpEval, cfg)

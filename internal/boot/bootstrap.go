@@ -6,6 +6,7 @@ import (
 	"crophe/internal/ckks"
 	"crophe/internal/modmath"
 	"crophe/internal/poly"
+	"crophe/internal/workload"
 )
 
 // Bootstrapper refreshes an exhausted (level-0) ciphertext back to a high
@@ -23,15 +24,21 @@ type Bootstrapper struct {
 	// K bounds the ModRaise overflow polynomial |I| ≤ K; it must match
 	// the secret's sparsity.
 	K int
-	// Strategy computes the BSGS baby-step rotations inside C2S/S2C.
-	Strategy RotationStrategy
+	// Rot and RHyb select the Figure 8 baby-step rotation structure of
+	// the BSGS transforms inside C2S/S2C (workload.BabyPlan).
+	Rot  workload.RotMode
+	RHyb int
 }
 
 // BootstrapConfig tunes the bootstrapper.
 type BootstrapConfig struct {
-	K        int // overflow bound (default 8)
-	SineDeg  int // Chebyshev degree for EvalMod (default 63)
-	Strategy RotationStrategy
+	K       int // overflow bound (default 8)
+	SineDeg int // Chebyshev degree for EvalMod (default 63)
+	// Rot and RHyb select the baby-step rotation structure; the zero
+	// value is Min-KS (workload.RotMinKS). RHyb is read in hybrid mode
+	// only and must then be ≥ 1.
+	Rot  workload.RotMode
+	RHyb int
 }
 
 // NewBootstrapper precomputes the DFT matrices and the EvalMod polynomial.
@@ -42,21 +49,19 @@ func NewBootstrapper(params *ckks.Parameters, enc *ckks.Encoder, eval *ckks.Eval
 	if cfg.SineDeg == 0 {
 		cfg.SineDeg = 63
 	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = Hoisting{}
-	}
 	// EvalMod operates on t = m + c·I with c = q_0/Δ; approximate
 	// f(t) = (c/2π)·sin(2π·t/c) on [−(K+1)·c, (K+1)·c].
 	c := float64(params.Q[0]) / params.Scale
 	return &Bootstrapper{
-		params:   params,
-		enc:      enc,
-		eval:     eval,
-		c2s:      CoeffToSlotMatrices(params),
-		s2c:      SlotToCoeffMatrices(params),
-		evalMod:  EvalModPoly(c, cfg.K+1, cfg.SineDeg),
-		K:        cfg.K,
-		Strategy: cfg.Strategy,
+		params:  params,
+		enc:     enc,
+		eval:    eval,
+		c2s:     CoeffToSlotMatrices(params),
+		s2c:     SlotToCoeffMatrices(params),
+		evalMod: EvalModPoly(c, cfg.K+1, cfg.SineDeg),
+		K:       cfg.K,
+		Rot:     cfg.Rot,
+		RHyb:    cfg.RHyb,
 	}
 }
 
@@ -75,8 +80,8 @@ func (b *Bootstrapper) Rotations() []int {
 	}
 	add(b.c2s.Rotations())
 	add(b.s2c.Rotations())
-	add(b.Strategy.Keys(b.c2s.Lo.M1.N1))
-	add(b.Strategy.Keys(b.s2c.F1.N1))
+	add(BabyKeys(b.c2s.Lo.M1.N1, b.Rot, b.RHyb))
+	add(BabyKeys(b.s2c.F1.N1, b.Rot, b.RHyb))
 	return out
 }
 
@@ -128,7 +133,7 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) 
 	}
 	// CoeffToSlot: the two real coefficient halves (values t = m_coeff +
 	// c·I) land in the slots of two ciphertexts.
-	lo, hi, err := b.c2s.Evaluate(b.eval, b.enc, raised, b.Strategy)
+	lo, hi, err := b.c2s.Evaluate(b.eval, b.enc, raised, b.Rot, b.RHyb)
 	if err != nil {
 		return nil, fmt.Errorf("boot: CoeffToSlot: %w", err)
 	}
@@ -141,7 +146,7 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) 
 		return nil, fmt.Errorf("boot: EvalMod(hi): %w", err)
 	}
 	// SlotToCoeff: back to the slot encoding of the message.
-	out, err := b.s2c.Evaluate(b.eval, b.enc, lo, hi, b.Strategy)
+	out, err := b.s2c.Evaluate(b.eval, b.enc, lo, hi, b.Rot, b.RHyb)
 	if err != nil {
 		return nil, fmt.Errorf("boot: SlotToCoeff: %w", err)
 	}

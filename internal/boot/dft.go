@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
 // The homomorphic DFTs of bootstrapping move data between the coefficient
@@ -132,17 +133,17 @@ func (s *SlotToCoeff) Rotations() []int {
 // transforms.
 func EvaluateConjPair(
 	eval *ckks.Evaluator, enc *ckks.Encoder, d *DFTMatrices,
-	ct *ckks.Ciphertext, strategy RotationStrategy,
+	ct *ckks.Ciphertext, mode workload.RotMode, rHyb int,
 ) (*ckks.Ciphertext, error) {
 	conj, err := eval.Conjugate(ct)
 	if err != nil {
 		return nil, err
 	}
-	t1, err := d.M1.Evaluate(eval, enc, ct, strategy)
+	t1, err := d.M1.Evaluate(eval, enc, ct, mode, rHyb)
 	if err != nil {
 		return nil, err
 	}
-	t2, err := d.M2.Evaluate(eval, enc, conj, strategy)
+	t2, err := d.M2.Evaluate(eval, enc, conj, mode, rHyb)
 	if err != nil {
 		return nil, err
 	}
@@ -153,12 +154,12 @@ func EvaluateConjPair(
 // (a_lo, a_hi).
 func (c *CoeffToSlot) Evaluate(
 	eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext,
-	strategy RotationStrategy,
+	mode workload.RotMode, rHyb int,
 ) (lo, hi *ckks.Ciphertext, err error) {
-	if lo, err = EvaluateConjPair(eval, enc, c.Lo, ct, strategy); err != nil {
+	if lo, err = EvaluateConjPair(eval, enc, c.Lo, ct, mode, rHyb); err != nil {
 		return nil, nil, err
 	}
-	if hi, err = EvaluateConjPair(eval, enc, c.Hi, ct, strategy); err != nil {
+	if hi, err = EvaluateConjPair(eval, enc, c.Hi, ct, mode, rHyb); err != nil {
 		return nil, nil, err
 	}
 	return lo, hi, nil
@@ -167,13 +168,13 @@ func (c *CoeffToSlot) Evaluate(
 // Evaluate runs SlotToCoeff on the two halves.
 func (s *SlotToCoeff) Evaluate(
 	eval *ckks.Evaluator, enc *ckks.Encoder, lo, hi *ckks.Ciphertext,
-	strategy RotationStrategy,
+	mode workload.RotMode, rHyb int,
 ) (*ckks.Ciphertext, error) {
-	t1, err := s.F1.Evaluate(eval, enc, lo, strategy)
+	t1, err := s.F1.Evaluate(eval, enc, lo, mode, rHyb)
 	if err != nil {
 		return nil, err
 	}
-	t2, err := s.F2.Evaluate(eval, enc, hi, strategy)
+	t2, err := s.F2.Evaluate(eval, enc, hi, mode, rHyb)
 	if err != nil {
 		return nil, err
 	}

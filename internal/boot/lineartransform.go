@@ -1,9 +1,9 @@
 // Package boot implements the CKKS bootstrapping kernels the paper's
 // workloads are built from: BSGS plaintext matrix–vector multiplication
 // (Algorithm 1), the CoeffToSlot/SlotToCoeff homomorphic DFTs, Chebyshev
-// polynomial evaluation for EvalMod, and the three baby-step rotation
-// strategies of Figure 8 (Min-KS, Hoisting, Hybrid) whose dataflow
-// trade-off motivates the hybrid-rotation optimisation.
+// polynomial evaluation for EvalMod. The BSGS baby steps execute the
+// Figure 8 rotation plan (Min-KS, Hoisting, Hybrid) of workload.BabyPlan,
+// the same plan the scheduler prices.
 package boot
 
 import (
@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
 // LinearTransform is an n×n plaintext matrix stored as its generalised
@@ -122,17 +123,17 @@ func (lt *LinearTransform) Apply(v []complex128) []complex128 {
 }
 
 // Evaluate computes M × ct homomorphically with the BSGS method of
-// Algorithm 1. The rotation strategy computes the baby-step rotations
-// (Min-KS, Hoisting or Hybrid — all functionally equivalent).
+// Algorithm 1. The baby-step rotations follow the Figure 8 structure
+// (mode, rHyb) of workload.BabyPlan; every mode computes the same result.
 func (lt *LinearTransform) Evaluate(
 	eval *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext,
-	strategy RotationStrategy,
+	mode workload.RotMode, rHyb int,
 ) (*ckks.Ciphertext, error) {
 	if lt.n != 1<<uint(slotsLog(lt.n)) {
 		return nil, fmt.Errorf("boot: bad slot count %d", lt.n)
 	}
 	// Baby-step rotations ct_i for i = 0..N1-1 (Algorithm 1 lines 1–2).
-	babies, err := strategy.BabyRotations(eval, ct, lt.N1)
+	babies, err := babyRotations(eval, ct, lt.N1, mode, rHyb)
 	if err != nil {
 		return nil, err
 	}

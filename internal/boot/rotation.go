@@ -4,174 +4,54 @@ import (
 	"fmt"
 
 	"crophe/internal/ckks"
+	"crophe/internal/workload"
 )
 
-// RotationStrategy produces the baby-step rotations ct_0..ct_{n1-1} needed
-// by BSGS (Algorithm 1 line 2). The three implementations mirror Figure 8
-// of the paper. They are functionally identical — the difference is the
-// operator/key structure, which is what the scheduler exploits:
-//
-//   - MinKS (ARK):     n1−1 dependent unit rotations, a single evk.
-//   - Hoisting (MAD):  n1−1 independent rotations, n1−1 distinct evks,
-//     shared Decomp/ModUp in hardware.
-//   - Hybrid (CROPHE): coarse Min-KS steps of stride r_Hyb, fine hoisted
-//     steps 1..r_Hyb−1 from each coarse result; r_Hyb evks total.
-type RotationStrategy interface {
-	// BabyRotations returns [ct, Rot_1(ct), ..., Rot_{n1-1}(ct)].
-	BabyRotations(eval *ckks.Evaluator, ct *ckks.Ciphertext, n1 int) ([]*ckks.Ciphertext, error)
-	// Keys returns the rotation amounts whose evks must exist.
-	Keys(n1 int) []int
-	// Name identifies the strategy in logs and experiment rows.
-	Name() string
-}
-
-// MinKS rotates by one unit repeatedly: ct_i = Rot_1(ct_{i-1}).
-type MinKS struct{}
-
-// Name implements RotationStrategy.
-func (MinKS) Name() string { return "min-ks" }
-
-// Keys implements RotationStrategy.
-func (MinKS) Keys(n1 int) []int {
-	if n1 <= 1 {
-		return nil
-	}
-	return []int{1}
-}
-
-// BabyRotations implements RotationStrategy.
-func (MinKS) BabyRotations(eval *ckks.Evaluator, ct *ckks.Ciphertext, n1 int) ([]*ckks.Ciphertext, error) {
-	out := make([]*ckks.Ciphertext, n1)
-	out[0] = ct
-	for i := 1; i < n1; i++ {
-		r, err := eval.Rotate(out[i-1], 1)
-		if err != nil {
-			return nil, fmt.Errorf("boot: min-ks step %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// Hoisting rotates the original ciphertext by each amount independently.
-type Hoisting struct{}
-
-// Name implements RotationStrategy.
-func (Hoisting) Name() string { return "hoisting" }
-
-// Keys implements RotationStrategy.
-func (Hoisting) Keys(n1 int) []int {
-	ks := make([]int, 0, n1-1)
-	for i := 1; i < n1; i++ {
-		ks = append(ks, i)
-	}
-	return ks
-}
-
-// BabyRotations implements RotationStrategy using the evaluator's real
-// hoisted key-switching (Decomp/ModUp computed once, §V-C / Figure 8b).
-func (Hoisting) BabyRotations(eval *ckks.Evaluator, ct *ckks.Ciphertext, n1 int) ([]*ckks.Ciphertext, error) {
-	amounts := make([]int, 0, n1-1)
-	for i := 1; i < n1; i++ {
-		amounts = append(amounts, i)
-	}
-	rotated, err := eval.RotateHoisted(ct, amounts)
-	if err != nil {
-		return nil, fmt.Errorf("boot: hoisted rotations: %w", err)
+// babyRotations returns [ct, Rot_1(ct), ..., Rot_{n1−1}(ct)] by walking
+// the Figure 8 plan of workload.BabyPlan, the graph the scheduler prices:
+// Rotate for each rotation of an unhoisted step, one RotateHoisted
+// (Decomp/ModUp computed once, §V-C) per hoisted step. All modes compute
+// the same ciphertexts.
+func babyRotations(eval *ckks.Evaluator, ct *ckks.Ciphertext, n1 int, mode workload.RotMode, rHyb int) ([]*ckks.Ciphertext, error) {
+	if mode == workload.RotHybrid && rHyb < 1 {
+		return nil, fmt.Errorf("boot: hybrid stride %d must be ≥ 1", rHyb)
 	}
 	out := make([]*ckks.Ciphertext, n1)
 	out[0] = ct
-	for i := 1; i < n1; i++ {
-		out[i] = rotated[i]
-	}
-	return out, nil
-}
-
-// Hybrid combines the two: coarse Min-KS strides of RHyb, then fine
-// hoisted rotations within each stride (Figure 8c).
-type Hybrid struct {
-	RHyb int
-}
-
-// Name implements RotationStrategy.
-func (h Hybrid) Name() string { return fmt.Sprintf("hybrid(r=%d)", h.RHyb) }
-
-// Keys implements RotationStrategy.
-func (h Hybrid) Keys(n1 int) []int {
-	ks := []int{h.RHyb}
-	for i := 1; i < h.RHyb && i < n1; i++ {
-		ks = append(ks, i)
-	}
-	return ks
-}
-
-// BabyRotations implements RotationStrategy.
-func (h Hybrid) BabyRotations(eval *ckks.Evaluator, ct *ckks.Ciphertext, n1 int) ([]*ckks.Ciphertext, error) {
-	if h.RHyb < 1 {
-		return nil, fmt.Errorf("boot: hybrid stride %d must be ≥ 1", h.RHyb)
-	}
-	out := make([]*ckks.Ciphertext, n1)
-	coarse := ct
-	for base := 0; base < n1; base += h.RHyb {
-		if base > 0 {
-			// Coarse Min-KS step by r_Hyb from the previous coarse result.
-			c, err := eval.Rotate(coarse, h.RHyb)
+	for _, s := range workload.BabyPlan(n1, mode, rHyb) {
+		if s.Hoisted {
+			rotated, err := eval.RotateHoisted(out[s.From], s.Amounts)
 			if err != nil {
-				return nil, fmt.Errorf("boot: hybrid coarse step %d: %w", base, err)
+				return nil, fmt.Errorf("boot: %s hoisted rotations of baby %d: %w", mode, s.From, err)
 			}
-			coarse = c
+			for _, a := range s.Amounts {
+				out[s.From+a] = rotated[a]
+			}
+			continue
 		}
-		out[base] = coarse
-		// Fine hoisted steps from this coarse anchor (shared ModUp).
-		var fine []int
-		for f := 1; f < h.RHyb && base+f < n1; f++ {
-			fine = append(fine, f)
-		}
-		if len(fine) > 0 {
-			rotated, err := eval.RotateHoisted(coarse, fine)
+		for _, a := range s.Amounts {
+			r, err := eval.Rotate(out[s.From], a)
 			if err != nil {
-				return nil, fmt.Errorf("boot: hybrid fine steps at %d: %w", base, err)
+				return nil, fmt.Errorf("boot: %s rotation of baby %d by %d: %w", mode, s.From, a, err)
 			}
-			for _, f := range fine {
-				out[base+f] = rotated[f]
-			}
+			out[s.From+a] = r
 		}
 	}
 	return out, nil
 }
 
-// OpCount summarises the operator budget of a strategy for n1 baby steps —
-// the quantities §V-C trades off: key-switches performed and distinct evks
-// loaded.
-type OpCount struct {
-	KeySwitches int
-	DistinctEvk int
-}
-
-// CountOps returns the static operator counts for each strategy, matching
-// the formulas in §V-C of the paper.
-func CountOps(s RotationStrategy, n1 int) OpCount {
-	switch st := s.(type) {
-	case MinKS:
-		return OpCount{KeySwitches: n1 - 1, DistinctEvk: min(1, n1-1)}
-	case Hoisting:
-		return OpCount{KeySwitches: n1 - 1, DistinctEvk: n1 - 1}
-	case Hybrid:
-		coarse := (n1+st.RHyb-1)/st.RHyb - 1
-		fine := n1 - 1 - coarse
-		evk := 1 // the r_Hyb stride key
-		if st.RHyb > 1 {
-			evk += min(st.RHyb-1, n1-1)
+// BabyKeys returns the distinct rotation amounts of the baby-step plan
+// for (n1, mode, rHyb), in plan order: the evks babyRotations needs.
+func BabyKeys(n1 int, mode workload.RotMode, rHyb int) []int {
+	seen := map[int]bool{}
+	var keys []int
+	for _, s := range workload.BabyPlan(n1, mode, rHyb) {
+		for _, a := range s.Amounts {
+			if !seen[a] {
+				seen[a] = true
+				keys = append(keys, a)
+			}
 		}
-		return OpCount{KeySwitches: coarse + fine, DistinctEvk: evk}
-	default:
-		return OpCount{}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return keys
 }

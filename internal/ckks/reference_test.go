@@ -182,45 +182,74 @@ func graphTransformLimbs(g *graph.Graph) (fwd, inv int64) {
 	return fwd, inv
 }
 
-// TestRotateHoistedNTTCountMatchesCostModel counts the per-limb transforms
-// one RotateHoisted runs and requires them to equal the NTT/INTT limb
-// totals of the hoisted-rotation graph the scheduler prices for the same
-// (level, α, rotations): (ℓ+1) INTT + β(ℓ+1+α) NTT shared, then
-// 2α INTT + 2(ℓ+1) NTT per rotation.
+// TestRotateHoistedNTTCountMatchesCostModel walks the baby-step plan of
+// every Figure 8 mode (Rotate per unhoisted rotation, one RotateHoisted
+// per hoisted step), counts the per-limb transforms it runs, and requires
+// them to equal the NTT/INTT limb totals of the graph the scheduler
+// prices for the same (level, α, n1, mode, r_Hyb). For Hoisting that is
+// the Figure 8(b) count: (ℓ+1) INTT + β(ℓ+1+α) NTT shared, then 2α INTT
+// + 2(ℓ+1) NTT per rotation.
 func TestRotateHoistedNTTCountMatchesCostModel(t *testing.T) {
-	const logN, levels, alpha = 9, 5, 2
-	rotations := []int{1, 2, 3, 4, 5, 6, 7}
-	tc := newTestContext(t, logN, levels, alpha, rotations)
-	for _, level := range []int{levels, 3} {
-		v := randomValues(tc.rng, tc.params.Slots())
-		ct, err := EncryptAtLevel(tc.enc, tc.encr, v, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &nttTally{}
-		tally.Store(c)
-		_, err = tc.eval.RotateHoisted(ct, rotations)
-		tally.Store(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	const logN, levels, alpha, n1 = 9, 5, 2, 8
+	tc := newTestContext(t, logN, levels, alpha, []int{1, 2, 3, 4, 5, 6, 7})
+	modes := []struct {
+		mode workload.RotMode
+		rHyb int
+	}{{workload.RotHoisted, 0}, {workload.RotMinKS, 0},
+		{workload.RotHybrid, 2}, {workload.RotHybrid, 3}, {workload.RotHybrid, 4}}
+	for _, m := range modes {
+		for _, level := range []int{levels, 3} {
+			v := randomValues(tc.rng, tc.params.Slots())
+			ct, err := EncryptAtLevel(tc.enc, tc.encr, v, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &nttTally{}
+			tally.Store(c)
+			babies := map[int]*Ciphertext{0: ct}
+			for _, s := range workload.BabyPlan(n1, m.mode, m.rHyb) {
+				if s.Hoisted {
+					rotated, err := tc.eval.RotateHoisted(babies[s.From], s.Amounts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, a := range s.Amounts {
+						babies[s.From+a] = rotated[a]
+					}
+					continue
+				}
+				for _, a := range s.Amounts {
+					if babies[s.From+a], err = tc.eval.Rotate(babies[s.From], a); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tally.Store(nil)
+			if len(babies) != n1 {
+				t.Fatalf("%s r=%d: plan produced %d babies, want %d", m.mode, m.rHyb, len(babies), n1)
+			}
 
-		b := workload.NewBuilder(arch.ParamSet{LogN: logN, L: levels, Alpha: alpha})
-		x := b.Input("x", level)
-		b.BabyRotations(x, level, len(rotations)+1, workload.RotHoisted, 0, "hoist")
-		wantFwd, wantInv := graphTransformLimbs(b.G)
+			b := workload.NewBuilder(arch.ParamSet{LogN: logN, L: levels, Alpha: alpha})
+			x := b.Input("x", level)
+			b.BabyRotations(x, level, n1, m.mode, m.rHyb, "baby")
+			wantFwd, wantInv := graphTransformLimbs(b.G)
 
-		beta := int64(len(rns.DigitBounds(level, alpha)))
-		l, a, r := int64(level+1), int64(alpha), int64(len(rotations))
-		if wantFwd != beta*(l+a)+2*l*r || wantInv != l+2*a*r {
-			t.Fatalf("level %d: builder graph has %d NTT / %d INTT limbs; the Figure 8(b) count is %d / %d",
-				level, wantFwd, wantInv, beta*(l+a)+2*l*r, l+2*a*r)
-		}
-		if got := c.forward.Load(); got != wantFwd {
-			t.Errorf("level %d: RotateHoisted ran %d forward transforms; the priced graph has %d", level, got, wantFwd)
-		}
-		if got := c.inverse.Load(); got != wantInv {
-			t.Errorf("level %d: RotateHoisted ran %d inverse transforms; the priced graph has %d", level, got, wantInv)
+			if m.mode == workload.RotHoisted {
+				beta := int64(len(rns.DigitBounds(level, alpha)))
+				l, a, r := int64(level+1), int64(alpha), int64(n1-1)
+				if wantFwd != beta*(l+a)+2*l*r || wantInv != l+2*a*r {
+					t.Fatalf("level %d: builder graph has %d NTT / %d INTT limbs; the Figure 8(b) count is %d / %d",
+						level, wantFwd, wantInv, beta*(l+a)+2*l*r, l+2*a*r)
+				}
+			}
+			if got := c.forward.Load(); got != wantFwd {
+				t.Errorf("%s r=%d level %d: the rotations ran %d forward transforms; the priced graph has %d",
+					m.mode, m.rHyb, level, got, wantFwd)
+			}
+			if got := c.inverse.Load(); got != wantInv {
+				t.Errorf("%s r=%d level %d: the rotations ran %d inverse transforms; the priced graph has %d",
+					m.mode, m.rHyb, level, got, wantInv)
+			}
 		}
 	}
 }

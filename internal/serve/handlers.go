@@ -105,9 +105,7 @@ func (resp *ScheduleResponse) fillSchedule(sc *crophe.Schedule) {
 	resp.NoCBytes = sc.Traffic.NoC
 }
 
-// handleSimulate schedules and then runs the cycle-level simulator,
-// accumulating the run's model counters into the server's telemetry
-// collector (surfaced at /debug/vars).
+// handleSimulate schedules and then runs the cycle-level simulator.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -126,7 +124,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, deadline := s.requestBudget(r, req.DeadlineMS)
 	defer cancel()
 
-	res, sc, err := crophe.SimulateWorkloadContext(ctx, d, wl, deadline, crophe.WithTelemetry(s.tel))
+	res, sc, err := crophe.SimulateWorkloadContext(ctx, d, wl, deadline)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "simulate: %v", err)
 		return
@@ -182,7 +180,7 @@ func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) 
 	defer cancel()
 	wl := factory(crophe.RotHoisted, 0)
 	res, sc, err := crophe.SimulateWorkloadContext(ctx, crophe.DegradedDesign(hw), wl, deadline,
-		crophe.WithFaults(m), crophe.WithTelemetry(s.tel))
+		crophe.WithFaults(m))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "degraded simulate: %v", err)
 		return

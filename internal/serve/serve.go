@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"crophe/internal/parallel"
-	"crophe/internal/telemetry"
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
@@ -107,7 +106,6 @@ type Server struct {
 	cfg     Config
 	queue   *parallel.Queue
 	metrics metrics
-	tel     *telemetry.Collector
 	jobs    *jobManager
 
 	// jitterRand drives the deterministic Retry-After jitter; guarded by
@@ -134,7 +132,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		queue:      parallel.NewSharedQueue(cfg.Workers),
-		tel:        telemetry.New(),
 		jitterRand: rand.New(rand.NewSource(retryJitterSeed)),
 	}
 	s.jobs = newJobManager(cfg.CheckpointDir)

@@ -322,6 +322,48 @@ func TestSimulateDegradedReportsIntegrity(t *testing.T) {
 	}
 }
 
+// TestSimulateRetainsNoPerRequestState: the server keeps nothing per
+// simulation, so the live heap after 60 simulate requests (half of them
+// degraded) is the heap after 10 plus noise. A collector kept across
+// requests holds about 1,700 spans (~0.2 MB) per simulation, ~10 MB
+// over the 50 extra requests.
+func TestSimulateRetainsNoPerRequestState(t *testing.T) {
+	s := startServer(t, Config{})
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	base := "http://" + s.Addr()
+	simulate := func(i int) {
+		url, body := base+"/v1/simulate", map[string]any{"hw": "crophe64", "workload": "helr"}
+		if i%2 == 1 {
+			url = base + "/v1/simulate-degraded"
+			body["faults"], body["seed"] = "rows:1", i
+		}
+		if code, resp, _ := doJSON(t, client, "POST", url, body, nil); code != 200 {
+			t.Fatalf("%s = %d %v", url, code, resp)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 10; i++ {
+		simulate(i)
+	}
+	at10 := liveHeap()
+	for i := 10; i < 60; i++ {
+		simulate(i)
+	}
+	at60 := liveHeap()
+	t.Logf("live heap %d B after 10 simulate requests, %d B after 60", at10, at60)
+	const bound = 2 << 20
+	if at60 > at10+bound {
+		t.Fatalf("live heap grew %.1f MB over 50 simulate requests (%.1f → %.1f MB); bound %.0f MB",
+			float64(at60-at10)/(1<<20), float64(at10)/(1<<20), float64(at60)/(1<<20), float64(bound)/(1<<20))
+	}
+}
+
 func TestVarsEndpoint(t *testing.T) {
 	s := startServer(t, Config{})
 	client := &http.Client{}

@@ -8,8 +8,7 @@ import (
 )
 
 // metrics is the serving layer's own counter set — plain atomics on the
-// request path (the telemetry collector is reserved for model-level
-// counters accumulated by simulations the server runs).
+// request path.
 type metrics struct {
 	requests  atomic.Uint64 // admitted and executed
 	shed      atomic.Uint64 // rejected with 429
@@ -21,8 +20,7 @@ type metrics struct {
 }
 
 // handleVars is the /debug/vars-style observability endpoint: admission
-// state, request counters, schedule-memo hit rates and the accumulated
-// model-level telemetry counters of every simulation this process ran.
+// state, request counters, schedule-memo hit rates and sweep counts.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	memo := crophe.ScheduleMemoStats()
 	running, done := s.jobs.counts()
@@ -55,6 +53,5 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"running": running,
 			"done":    done,
 		},
-		"telemetry": s.tel.CounterMap(),
 	})
 }

@@ -16,29 +16,6 @@ import (
 	"crophe/internal/graph"
 )
 
-// RotMode selects the baby-step rotation structure of Figure 8.
-type RotMode int
-
-// Rotation structure variants.
-const (
-	RotMinKS RotMode = iota
-	RotHoisted
-	RotHybrid
-)
-
-// String implements fmt.Stringer.
-func (m RotMode) String() string {
-	switch m {
-	case RotMinKS:
-		return "min-ks"
-	case RotHoisted:
-		return "hoisting"
-	case RotHybrid:
-		return "hybrid"
-	}
-	return "?"
-}
-
 // Builder accumulates nodes into a graph under a parameter set.
 type Builder struct {
 	G *graph.Graph
@@ -331,51 +308,31 @@ func (b *Builder) hoistedRotations(x *graph.Node, level int, amounts []int, tag 
 	return outs
 }
 
-// BabyRotations builds the n1 baby-step ciphertexts with the selected
-// rotation structure (Figure 8). rHyb is only used in hybrid mode.
+// BabyRotations builds the n1 baby-step ciphertexts by walking BabyPlan
+// (Figure 8). rHyb is only used in hybrid mode.
 func (b *Builder) BabyRotations(x *graph.Node, level, n1 int, mode RotMode, rHyb int, tag string) []*graph.Node {
-	switch mode {
-	case RotMinKS:
-		outs := make([]*graph.Node, n1)
-		outs[0] = x
-		cur := x
-		for i := 1; i < n1; i++ {
-			cur = b.HRot(cur, level, 1, fmt.Sprintf("%s/minks%d", tag, i))
-			outs[i] = cur
-		}
-		return outs
-	case RotHoisted:
-		amounts := make([]int, 0, n1-1)
-		for i := 1; i < n1; i++ {
-			amounts = append(amounts, i)
-		}
-		outs := make([]*graph.Node, n1)
-		outs[0] = x
-		copy(outs[1:], b.hoistedRotations(x, level, amounts, tag))
-		return outs
-	case RotHybrid:
-		if rHyb < 1 {
-			rHyb = 1
-		}
-		outs := make([]*graph.Node, n1)
-		coarse := x
-		for base := 0; base < n1; base += rHyb {
-			if base > 0 {
-				coarse = b.HRot(coarse, level, rHyb, fmt.Sprintf("%s/coarse%d", tag, base))
+	outs := make([]*graph.Node, n1)
+	outs[0] = x
+	for _, s := range BabyPlan(n1, mode, rHyb) {
+		if s.Hoisted {
+			htag := tag
+			if mode == RotHybrid {
+				htag = fmt.Sprintf("%s/fine%d", tag, s.From)
 			}
-			outs[base] = coarse
-			var fine []int
-			for f := 1; f < rHyb && base+f < n1; f++ {
-				fine = append(fine, f)
+			for i, h := range b.hoistedRotations(outs[s.From], level, s.Amounts, htag) {
+				outs[s.From+s.Amounts[i]] = h
 			}
-			if len(fine) > 0 {
-				hs := b.hoistedRotations(coarse, level, fine, fmt.Sprintf("%s/fine%d", tag, base))
-				copy(outs[base+1:], hs)
-			}
+			continue
 		}
-		return outs
+		kind := "minks"
+		if mode == RotHybrid {
+			kind = "coarse"
+		}
+		for _, a := range s.Amounts {
+			outs[s.From+a] = b.HRot(outs[s.From], level, a, fmt.Sprintf("%s/%s%d", tag, kind, s.From+a))
+		}
 	}
-	panic("workload: unknown rotation mode")
+	return outs
 }
 
 // BSGSMatVec builds Algorithm 1: baby rotations, diagonal PMults with
