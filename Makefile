@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint lint-json vet race fuzz examples bench bench-json bench-diff bench-kernels bench-sched bench-sim trace-smoke chaos-smoke serve-smoke sdc-smoke clean
+.PHONY: all build test lint lint-json vet race fuzz examples bench bench-json bench-diff bench-kernels bench-sched bench-sim trace-smoke cli-smoke chaos-smoke serve-smoke sdc-smoke clean
 
 all: build lint test
 
@@ -91,6 +91,19 @@ bench-diff: bench-json
 trace-smoke:
 	$(GO) run ./cmd/crophe-sim -hw crophe36 -workload boot -trace /tmp/crophe-trace.json
 	$(GO) run ./cmd/crophe-sim -tracecheck /tmp/crophe-trace.json
+
+# CLI smoke: run crophe-graph (summary, NTT-decomposed summary, DOT of
+# one segment) and crophe-sched once each. Each must exit 0, and the DOT
+# output must be a Graphviz digraph.
+CLI_SMOKE_DIR ?= /tmp/crophe-cli-smoke
+
+cli-smoke:
+	mkdir -p $(CLI_SMOKE_DIR)
+	$(GO) run ./cmd/crophe-graph
+	$(GO) run ./cmd/crophe-graph -nttdec
+	$(GO) run ./cmd/crophe-graph -dot c2s > $(CLI_SMOKE_DIR)/c2s.dot
+	grep -q '^digraph "c2s"' $(CLI_SMOKE_DIR)/c2s.dot
+	$(GO) run ./cmd/crophe-sched
 
 # Chaos smoke: the fault-injection tests under the race detector, a
 # seeded degraded run with a trace (validated incl. the Fault track), and

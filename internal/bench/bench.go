@@ -166,10 +166,11 @@ func Table4() ([]Table4Row, error) {
 		params := arch.ParamsFor(d.HW)
 		factory, _ := workload.Lookup("resnet-20", params)
 		s := evaluateMemo(d, params.Name+"/resnet-20", factory)
-		// Validate the schedule on the cycle simulator (its refined time
-		// stays within the analytical envelope) over the graph it was
-		// searched on, but report the scheduler's utilisation, which
-		// knows the traffic provenance.
+		// Check only that the schedule simulates without error over the
+		// graph it was searched on; the simulated result is discarded,
+		// and nothing bounds its time against the analytical one. Report
+		// the scheduler's utilisation, which knows the traffic
+		// provenance.
 		w := d.Prepare(factory(s.Rot, s.RHyb))
 		if _, err := sim.New(d.HW).SimulateSchedule(w, s); err != nil {
 			errs[i] = err

@@ -8,7 +8,6 @@ package boot
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"crophe/internal/ckks"
@@ -229,6 +228,3 @@ func (lt *LinearTransform) ScaleDiag(c complex128) {
 
 // NumDiagonals reports how many non-zero diagonals are stored.
 func (lt *LinearTransform) NumDiagonals() int { return len(lt.diags) }
-
-// math import is used by companion files in this package.
-var _ = math.Pi

@@ -365,13 +365,6 @@ func inverseNTT(t *ntt.Table, row []uint64) {
 	t.Inverse(row)
 }
 
-// KeySwitch applies the raw key-switching primitive (Equation 1 of the
-// paper) to an NTT-form polynomial at the given level, returning the
-// (b, a) contribution pair.
-func (ev *Evaluator) KeySwitch(x *poly.Poly, level int, key *SwitchingKey) (*poly.Poly, *poly.Poly, error) {
-	return ev.keySwitch(x, level, key)
-}
-
 // keySwitch implements Decomp → ModUp → KSKInP → ModDown.
 func (ev *Evaluator) keySwitch(x *poly.Poly, level int, key *SwitchingKey) (*poly.Poly, *poly.Poly, error) {
 	if x.Limbs() != level+1 {

@@ -125,9 +125,6 @@ type Node struct {
 	SubNTTLen int
 	// BConvWidth is the source-limb count α of a BConv.
 	BConvWidth int
-	// Tag groups nodes belonging to the same composite (e.g. one
-	// KeySwitch instance); used for redundancy merging and reporting.
-	Tag string
 }
 
 // ModMuls estimates the modular-multiplication load of the node — the

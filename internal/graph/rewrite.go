@@ -22,17 +22,12 @@ func DecomposeNTTs(src *Graph, split func(n int) (n1, n2 int)) *Graph {
 		switch n.Kind {
 		case OpNTT, OpINTT:
 			n1, n2 := split(n.Out.N)
-			colKind, rowKind := OpNTTCol, OpNTTRow
-			col := dst.AddNode(colKind, n.Name+"/col", n.Out)
+			col := dst.AddNode(OpNTTCol, n.Name+"/col", n.Out)
 			col.SubNTTLen = n2
-			col.Tag = n.Tag
 			tw := dst.AddNode(OpTwiddle, n.Name+"/twiddle", n.Out)
-			tw.Tag = n.Tag
 			tr := dst.AddNode(OpTranspose, n.Name+"/transpose", n.Out)
-			tr.Tag = n.Tag
-			row := dst.AddNode(rowKind, n.Name+"/row", n.Out)
+			row := dst.AddNode(OpNTTRow, n.Name+"/row", n.Out)
 			row.SubNTTLen = n1
-			row.Tag = n.Tag
 			dst.Connect(col, tw)
 			dst.Connect(tw, tr)
 			dst.Connect(tr, row)
@@ -41,7 +36,6 @@ func DecomposeNTTs(src *Graph, split func(n int) (n1, n2 int)) *Graph {
 			c := dst.AddNode(n.Kind, n.Name, n.Out)
 			c.SubNTTLen = n.SubNTTLen
 			c.BConvWidth = n.BConvWidth
-			c.Tag = n.Tag
 			head[n.ID], tail[n.ID] = c, c
 		}
 		for _, e := range n.InEdges {

@@ -241,7 +241,6 @@ type TraceGroup struct {
 type Transfer struct {
 	FromID, ToID int
 	Bytes        float64
-	Multicast    bool
 }
 
 // BuildTraceAvoiding maps every group of a segment schedule, with failed

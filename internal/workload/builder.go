@@ -16,7 +16,10 @@ import (
 	"crophe/internal/graph"
 )
 
-// Builder accumulates nodes into a graph under a parameter set.
+// Builder accumulates nodes into a graph under a parameter set. Every
+// CKKS operator it builds is a short composition of the stages below;
+// the key switch of Figure 1 is written once, as modUp then inpModDown,
+// and hoisting (Figure 8(b)) shares one modUp among its rotations.
 type Builder struct {
 	G *graph.Graph
 	P arch.ParamSet
@@ -35,38 +38,9 @@ func (b *Builder) beta(level int) int {
 	return (level + b.P.Alpha) / b.P.Alpha // ceil((level+1)/alpha)
 }
 
-// ctShape is the (1, ℓ+1, N) tensor of one ciphertext polynomial.
-func (b *Builder) ctShape(level int) graph.Tensor {
-	return graph.Tensor{Digits: 1, Limbs: b.limbs(level), N: b.P.N()}
-}
-
-// extShape is the (1, α+ℓ+1, N) tensor after ModUp.
-func (b *Builder) extShape(level int) graph.Tensor {
-	return graph.Tensor{Digits: 1, Limbs: b.limbs(level) + b.P.Alpha, N: b.P.N()}
-}
-
-// Input declares an external ciphertext input (both polynomials folded
-// into one node with 2(ℓ+1) limbs for traffic accounting).
-func (b *Builder) Input(name string, level int) *graph.Node {
-	return b.G.AddNode(graph.OpInput, name,
-		graph.Tensor{Digits: 1, Limbs: 2 * b.limbs(level), N: b.P.N()})
-}
-
-// Output marks a node as an external result.
-func (b *Builder) Output(n *graph.Node) {
-	o := b.G.AddNode(graph.OpOutput, "out:"+n.Name, n.Out)
-	b.G.Connect(n, o)
-}
-
-// constNode returns (creating once) the auxiliary constant source with the
-// given id and shape.
-func (b *Builder) constNode(id string, shape graph.Tensor) *graph.Node {
-	if n, ok := b.consts[id]; ok {
-		return n
-	}
-	n := b.G.AddNode(graph.OpConst, id, shape)
-	b.consts[id] = n
-	return n
+// tensor is the (1, limbs, N) shape of undecomposed polynomial data.
+func (b *Builder) tensor(limbs int) graph.Tensor {
+	return graph.Tensor{Digits: 1, Limbs: limbs, N: b.P.N()}
 }
 
 // evkShape is the 2 × β_max × (α+ℓ+1) × N switching-key tensor at a level.
@@ -78,133 +52,121 @@ func (b *Builder) evkShape(level int) graph.Tensor {
 	}
 }
 
+// rotEvkID names the rotation key for amount at a level.
+func rotEvkID(amount, level int) string { return fmt.Sprintf("evk:rot%d:l%d", amount, level) }
+
+// node adds an operator and connects its inputs in order. Whole (i)NTTs
+// transform length N and BConvs read α source limbs.
+func (b *Builder) node(kind graph.OpKind, name string, out graph.Tensor, ins ...*graph.Node) *graph.Node {
+	n := b.G.AddNode(kind, name, out)
+	switch kind {
+	case graph.OpNTT, graph.OpINTT:
+		n.SubNTTLen = b.P.N()
+	case graph.OpBConv:
+		n.BConvWidth = b.P.Alpha
+	}
+	for _, in := range ins {
+		b.G.Connect(in, n)
+	}
+	return n
+}
+
+// Input declares an external ciphertext input (both polynomials folded
+// into one node with 2(ℓ+1) limbs for traffic accounting).
+func (b *Builder) Input(name string, level int) *graph.Node {
+	return b.node(graph.OpInput, name, b.tensor(2*b.limbs(level)))
+}
+
+// Output marks a node as an external result.
+func (b *Builder) Output(n *graph.Node) {
+	b.node(graph.OpOutput, "out:"+n.Name, n.Out, n)
+}
+
+// constNode returns (creating once) the auxiliary constant source with the
+// given id and shape.
+func (b *Builder) constNode(id string, shape graph.Tensor) *graph.Node {
+	if n, ok := b.consts[id]; ok {
+		return n
+	}
+	n := b.node(graph.OpConst, id, shape)
+	b.consts[id] = n
+	return n
+}
+
+// modUp builds Decomp → ModUp of x (one polynomial at the given level):
+// one iNTT named inttName, then per digit a BConv to the complement
+// basis and an NTT, named stage+"-bconv[d]" and stage+"-ntt[d]". It
+// returns the β extended digits and the level's BConv matrix, which
+// ModDown reads too.
+func (b *Builder) modUp(x *graph.Node, level int, inttName, stage string) (digits []*graph.Node, bconvM *graph.Node) {
+	l, alpha := b.limbs(level), b.P.Alpha
+	intt := b.node(graph.OpINTT, inttName, b.tensor(l), x)
+	bconvM = b.constNode(fmt.Sprintf("bconvM:l%d", level), graph.Tensor{Digits: 1, Limbs: 1, N: alpha * (l + alpha)})
+	digits = make([]*graph.Node, b.beta(level))
+	for d := range digits {
+		bc := b.node(graph.OpBConv, fmt.Sprintf("%s-bconv[%d]", stage, d), b.tensor(l+alpha), intt)
+		b.G.ConnectAux(bconvM, bc, bconvM.Name)
+		digits[d] = b.node(graph.OpNTT, fmt.Sprintf("%s-ntt[%d]", stage, d), b.tensor(l+alpha), bc)
+	}
+	return digits, bconvM
+}
+
+// inpModDown builds KSKInP of the extended digits in with the evk evkID,
+// then ModDown's iNTT → BConv → NTT of the P part. It returns the inner
+// product and the ModDown NTT; the caller subtracts and scales them.
+func (b *Builder) inpModDown(level int, evkID, tag string, bconvM *graph.Node, in ...*graph.Node) (inp, md *graph.Node) {
+	l, alpha := b.limbs(level), b.P.Alpha
+	evk := b.constNode(evkID, b.evkShape(level))
+	inp = b.node(graph.OpInP, tag+"/kskinp", b.tensor(2*(l+alpha)), in...)
+	// Record the digit dimension on the input edge shape for load calc.
+	inp.InEdges[0].Shape.Digits = b.beta(level)
+	b.G.ConnectAux(evk, inp, evkID)
+
+	mdIntt := b.node(graph.OpINTT, tag+"/moddown-intt", b.tensor(2*alpha), inp)
+	mdBc := b.node(graph.OpBConv, tag+"/moddown-bconv", b.tensor(2*l), mdIntt)
+	b.G.ConnectAux(bconvM, mdBc, bconvM.Name)
+	return inp, b.node(graph.OpNTT, tag+"/moddown-ntt", b.tensor(2*l), mdBc)
+}
+
 // KeySwitch builds the Decomp → ModUp → KSKInP → ModDown subgraph of
 // Figure 1 on input x (one polynomial at the given level), consuming the
 // evk identified by evkID. Returns the (b', a') contribution folded into a
 // single node of 2(ℓ+1) limbs.
 func (b *Builder) KeySwitch(x *graph.Node, level int, evkID, tag string) *graph.Node {
-	g := b.G
-	l := b.limbs(level)
-	beta := b.beta(level)
-	n := b.P.N()
+	digits, bconvM := b.modUp(x, level, tag+"/decomp-intt", tag+"/modup")
+	inp, md := b.inpModDown(level, evkID, tag, bconvM, digits...)
+	return b.node(graph.OpEWMul, tag+"/moddown-fix", b.tensor(2*b.limbs(level)), inp, md)
+}
 
-	// Decomp: iNTT the operand once (ℓ+1 limbs).
-	intt := g.AddNode(graph.OpINTT, tag+"/decomp-intt", b.ctShape(level))
-	intt.SubNTTLen = n
-	intt.Tag = tag
-	g.Connect(x, intt)
-
-	// ModUp: per digit, BConv to the complement basis then NTT.
-	bconvM := b.constNode(fmt.Sprintf("bconvM:l%d", level),
-		graph.Tensor{Digits: 1, Limbs: 1, N: b.P.Alpha * (l + b.P.Alpha)})
-	digits := make([]*graph.Node, beta)
-	for d := 0; d < beta; d++ {
-		bc := g.AddNode(graph.OpBConv, fmt.Sprintf("%s/modup-bconv[%d]", tag, d), b.extShape(level))
-		bc.BConvWidth = b.P.Alpha
-		bc.Tag = tag
-		g.Connect(intt, bc)
-		g.ConnectAux(bconvM, bc, bconvM.Name)
-
-		ntt := g.AddNode(graph.OpNTT, fmt.Sprintf("%s/modup-ntt[%d]", tag, d), b.extShape(level))
-		ntt.SubNTTLen = n
-		ntt.Tag = tag
-		g.Connect(bc, ntt)
-		digits[d] = ntt
-	}
-
-	// KSKInP: inner product with the evk along the digit dimension,
-	// producing the two polynomials.
-	evk := b.constNode(evkID, b.evkShape(level))
-	inp := g.AddNode(graph.OpInP, tag+"/kskinp",
-		graph.Tensor{Digits: 1, Limbs: 2 * (l + b.P.Alpha), N: n})
-	inp.Tag = tag
-	for _, d := range digits {
-		g.Connect(d, inp)
-	}
-	// Record the digit dimension on the input edge shape for load calc.
-	if len(inp.InEdges) > 0 {
-		inp.InEdges[0].Shape.Digits = beta
-	}
-	g.ConnectAux(evk, inp, evkID)
-
-	// ModDown: iNTT the P-part, BConv back to Q, NTT, subtract & scale.
-	mdIntt := g.AddNode(graph.OpINTT, tag+"/moddown-intt",
-		graph.Tensor{Digits: 1, Limbs: 2 * b.P.Alpha, N: n})
-	mdIntt.SubNTTLen = n
-	mdIntt.Tag = tag
-	g.Connect(inp, mdIntt)
-
-	mdBc := g.AddNode(graph.OpBConv, tag+"/moddown-bconv",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	mdBc.BConvWidth = b.P.Alpha
-	mdBc.Tag = tag
-	g.Connect(mdIntt, mdBc)
-	g.ConnectAux(bconvM, mdBc, bconvM.Name)
-
-	mdNtt := g.AddNode(graph.OpNTT, tag+"/moddown-ntt",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	mdNtt.SubNTTLen = n
-	mdNtt.Tag = tag
-	g.Connect(mdBc, mdNtt)
-
-	fix := g.AddNode(graph.OpEWMul, tag+"/moddown-fix",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	fix.Tag = tag
-	g.Connect(inp, fix)
-	g.Connect(mdNtt, fix)
-	return fix
+// switchFold key-switches x with the evk evkID and folds the result
+// into x: the tail HMult and HRot share.
+func (b *Builder) switchFold(x *graph.Node, level int, evkID, tag string) *graph.Node {
+	ks := b.KeySwitch(x, level, evkID, tag+"/ks")
+	return b.node(graph.OpEWAdd, tag+"/fold", b.tensor(2*b.limbs(level)), x, ks)
 }
 
 // HMult builds homomorphic multiplication: tensor product, key-switch of
 // d2, and fold-in. The result stays un-rescaled; call Rescale.
 func (b *Builder) HMult(x, y *graph.Node, level int, tag string) *graph.Node {
-	g := b.G
-	n := b.P.N()
-	l := b.limbs(level)
-
-	tensor := g.AddNode(graph.OpEWMul, tag+"/tensor",
-		graph.Tensor{Digits: 1, Limbs: 3 * l, N: n}) // d0, d1, d2
-	tensor.Tag = tag
-	g.Connect(x, tensor)
-	g.Connect(y, tensor)
-
-	ks := b.KeySwitch(tensor, level, fmt.Sprintf("evk:mult:l%d", level), tag+"/ks")
-
-	fold := g.AddNode(graph.OpEWAdd, tag+"/fold",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	fold.Tag = tag
-	g.Connect(tensor, fold)
-	g.Connect(ks, fold)
-	return fold
+	prod := b.node(graph.OpEWMul, tag+"/tensor", b.tensor(3*b.limbs(level)), x, y) // d0, d1, d2
+	return b.switchFold(prod, level, fmt.Sprintf("evk:mult:l%d", level), tag)
 }
 
 // Rescale drops the ciphertext one level.
 func (b *Builder) Rescale(x *graph.Node, level int, tag string) *graph.Node {
-	rs := b.G.AddNode(graph.OpRescale, tag+"/rescale",
-		graph.Tensor{Digits: 1, Limbs: 2 * b.limbs(level-1), N: b.P.N()})
-	rs.Tag = tag
-	b.G.Connect(x, rs)
-	return rs
+	return b.node(graph.OpRescale, tag+"/rescale", b.tensor(2*b.limbs(level-1)), x)
 }
 
 // HAdd adds two ciphertexts.
 func (b *Builder) HAdd(x, y *graph.Node, level int, tag string) *graph.Node {
-	add := b.G.AddNode(graph.OpEWAdd, tag+"/hadd",
-		graph.Tensor{Digits: 1, Limbs: 2 * b.limbs(level), N: b.P.N()})
-	add.Tag = tag
-	b.G.Connect(x, add)
-	b.G.Connect(y, add)
-	return add
+	return b.node(graph.OpEWAdd, tag+"/hadd", b.tensor(2*b.limbs(level)), x, y)
 }
 
 // PMult multiplies by a plaintext identified by ptID (auxiliary data of
 // one polynomial).
 func (b *Builder) PMult(x *graph.Node, level int, ptID, tag string) *graph.Node {
-	pt := b.constNode(ptID, b.ctShape(level))
-	mul := b.G.AddNode(graph.OpEWMul, tag+"/pmult",
-		graph.Tensor{Digits: 1, Limbs: 2 * b.limbs(level), N: b.P.N()})
-	mul.Tag = tag
-	b.G.Connect(x, mul)
+	pt := b.constNode(ptID, b.tensor(b.limbs(level)))
+	mul := b.node(graph.OpEWMul, tag+"/pmult", b.tensor(2*b.limbs(level)), x)
 	b.G.ConnectAux(pt, mul, ptID)
 	return mul
 }
@@ -212,98 +174,24 @@ func (b *Builder) PMult(x *graph.Node, level int, ptID, tag string) *graph.Node 
 // HRot builds a full homomorphic rotation: automorphism of both
 // polynomials followed by a key-switch with the rotation evk.
 func (b *Builder) HRot(x *graph.Node, level, amount int, tag string) *graph.Node {
-	g := b.G
-	l := b.limbs(level)
-	n := b.P.N()
-
-	auto := g.AddNode(graph.OpAutomorph, tag+"/auto",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	auto.Tag = tag
-	g.Connect(x, auto)
-
-	ks := b.KeySwitch(auto, level, fmt.Sprintf("evk:rot%d:l%d", amount, level), tag+"/ks")
-
-	add := g.AddNode(graph.OpEWAdd, tag+"/fold",
-		graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-	add.Tag = tag
-	g.Connect(auto, add)
-	g.Connect(ks, add)
-	return add
+	auto := b.node(graph.OpAutomorph, tag+"/auto", b.tensor(2*b.limbs(level)), x)
+	return b.switchFold(auto, level, rotEvkID(amount, level), tag)
 }
 
 // hoistedRotations builds the Hoisting structure of Figure 8(b): the
 // Decomp/ModUp of x is shared, and each rotation applies its automorphism
 // to the extended digits, inner-products with its own evk and mod-downs.
 func (b *Builder) hoistedRotations(x *graph.Node, level int, amounts []int, tag string) []*graph.Node {
-	g := b.G
 	l := b.limbs(level)
-	beta := b.beta(level)
-	n := b.P.N()
-
-	// Shared Decomp + ModUp.
-	intt := g.AddNode(graph.OpINTT, tag+"/hoist-intt", b.ctShape(level))
-	intt.SubNTTLen = n
-	intt.Tag = tag
-	g.Connect(x, intt)
-	bconvM := b.constNode(fmt.Sprintf("bconvM:l%d", level),
-		graph.Tensor{Digits: 1, Limbs: 1, N: b.P.Alpha * (l + b.P.Alpha)})
-	digits := make([]*graph.Node, beta)
-	for d := 0; d < beta; d++ {
-		bc := g.AddNode(graph.OpBConv, fmt.Sprintf("%s/hoist-bconv[%d]", tag, d), b.extShape(level))
-		bc.BConvWidth = b.P.Alpha
-		bc.Tag = tag
-		g.Connect(intt, bc)
-		g.ConnectAux(bconvM, bc, bconvM.Name)
-		ntt := g.AddNode(graph.OpNTT, fmt.Sprintf("%s/hoist-ntt[%d]", tag, d), b.extShape(level))
-		ntt.SubNTTLen = n
-		ntt.Tag = tag
-		g.Connect(bc, ntt)
-		digits[d] = ntt
-	}
-
+	digits, bconvM := b.modUp(x, level, tag+"/hoist-intt", tag+"/hoist")
 	outs := make([]*graph.Node, len(amounts))
 	for i, r := range amounts {
 		rtag := fmt.Sprintf("%s/r%d", tag, r)
-		// Automorphism applied to the extended digits and to the input.
-		auto := g.AddNode(graph.OpAutomorph, rtag+"/auto",
-			graph.Tensor{Digits: beta, Limbs: l + b.P.Alpha, N: n})
-		auto.Tag = tag
-		for _, d := range digits {
-			g.Connect(d, auto)
-		}
-		evkID := fmt.Sprintf("evk:rot%d:l%d", r, level)
-		evk := b.constNode(evkID, b.evkShape(level))
-		inp := g.AddNode(graph.OpInP, rtag+"/kskinp",
-			graph.Tensor{Digits: 1, Limbs: 2 * (l + b.P.Alpha), N: n})
-		inp.Tag = tag
-		g.Connect(auto, inp)
-		inp.InEdges[0].Shape.Digits = beta
-		g.ConnectAux(evk, inp, evkID)
-
-		mdIntt := g.AddNode(graph.OpINTT, rtag+"/moddown-intt",
-			graph.Tensor{Digits: 1, Limbs: 2 * b.P.Alpha, N: n})
-		mdIntt.SubNTTLen = n
-		mdIntt.Tag = tag
-		g.Connect(inp, mdIntt)
-		mdBc := g.AddNode(graph.OpBConv, rtag+"/moddown-bconv",
-			graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-		mdBc.BConvWidth = b.P.Alpha
-		mdBc.Tag = tag
-		g.Connect(mdIntt, mdBc)
-		g.ConnectAux(bconvM, mdBc, bconvM.Name)
-		mdNtt := g.AddNode(graph.OpNTT, rtag+"/moddown-ntt",
-			graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-		mdNtt.SubNTTLen = n
-		mdNtt.Tag = tag
-		g.Connect(mdBc, mdNtt)
-
-		fold := g.AddNode(graph.OpEWAdd, rtag+"/fold",
-			graph.Tensor{Digits: 1, Limbs: 2 * l, N: n})
-		fold.Tag = tag
-		g.Connect(inp, fold)
-		g.Connect(mdNtt, fold)
-		g.Connect(x, fold) // the rotated b-part contribution
-		outs[i] = fold
+		auto := b.node(graph.OpAutomorph, rtag+"/auto",
+			graph.Tensor{Digits: len(digits), Limbs: l + b.P.Alpha, N: b.P.N()}, digits...)
+		inp, md := b.inpModDown(level, rotEvkID(r, level), rtag, bconvM, auto)
+		// x stands for the rotated b part; σ(b) itself is not priced.
+		outs[i] = b.node(graph.OpEWAdd, rtag+"/fold", b.tensor(2*l), inp, md, x)
 	}
 	return outs
 }
