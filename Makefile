@@ -70,7 +70,8 @@ bench-sched:
 
 # One iteration of the healthy and the faulted simulator benchmarks under
 # the race detector: keeps the mesh's cached detour trees and dense link
-# accounting race-checked and both benchmarks compiling.
+# accounting, and the placer's scratch reused from group to group,
+# race-checked and both benchmarks compiling.
 bench-sim:
 	$(GO) test -race -run='^$$' -bench 'BenchmarkSimulate$$|BenchmarkSimulateFaulted' -benchtime=1x ./internal/sim/
 

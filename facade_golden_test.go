@@ -126,15 +126,17 @@ func hashFacadeSchedule(h hash.Hash64, s *Schedule) {
 			g.i(grp.Pipelined)
 			g.fs(grp.TimeSec, grp.Compute, grp.ResidentBytes)
 			g.fs(grp.Traffic.DRAM, grp.Traffic.SRAM, grp.Traffic.NoC, grp.Traffic.Transpose)
-			ids := make([]int, 0, len(grp.PEAlloc))
-			for id := range grp.PEAlloc {
-				ids = append(ids, id)
+			// (node ID, PEs) pairs sorted by node ID, the order the
+			// hash has always fed them in.
+			pairs := make([][2]int, len(grp.PEAlloc))
+			for k, a := range grp.PEAlloc {
+				pairs[k] = [2]int{grp.Nodes[k].ID, a}
 			}
-			sort.Ints(ids)
-			g.i(len(ids))
-			for _, id := range ids {
-				g.i(id)
-				g.i(grp.PEAlloc[id])
+			sort.Slice(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
+			g.i(len(pairs))
+			for _, p := range pairs {
+				g.i(p[0])
+				g.i(p[1])
 			}
 		}
 	}

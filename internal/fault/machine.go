@@ -104,8 +104,7 @@ func (m *Machine) EffectiveHW() *arch.HWConfig {
 	return m.eff
 }
 
-// FailedRows returns the failed mesh rows as a set, for the mapper to
-// place groups around.
+// FailedRows returns the failed mesh rows as a set.
 func (m *Machine) FailedRows() map[int]bool {
 	out := make(map[int]bool, len(m.Plan.FailedRows))
 	for _, r := range m.Plan.FailedRows {

@@ -105,18 +105,25 @@ func hashSchedule(h hash.Hash64, s *sched.Schedule) {
 			hashTraffic(f, g.Traffic)
 			f(g.Compute)
 			f(g.ResidentBytes)
-			ids := make([]int, 0, len(g.PEAlloc))
-			for id := range g.PEAlloc {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			i(len(ids))
-			for _, id := range ids {
-				i(id)
-				i(g.PEAlloc[id])
+			pairs := peAllocByID(g)
+			i(len(pairs))
+			for _, p := range pairs {
+				i(p[0])
+				i(p[1])
 			}
 		}
 	}
+}
+
+// peAllocByID returns a group's (node ID, PEs) allocation pairs sorted by
+// node ID, the order the golden hash has always fed them in.
+func peAllocByID(g sched.GroupSchedule) [][2]int {
+	pairs := make([][2]int, len(g.PEAlloc))
+	for k, a := range g.PEAlloc {
+		pairs[k] = [2]int{g.Nodes[k].ID, a}
+	}
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
+	return pairs
 }
 
 func hashTraffic(f func(float64), t sched.Traffic) {

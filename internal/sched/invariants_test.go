@@ -84,6 +84,9 @@ func TestInvariantPEAllocations(t *testing.T) {
 		res := New(tc.hw, tc.opt).Run(tc.w)
 		for _, seg := range res.Segments {
 			for _, g := range seg.Groups {
+				if g.PEAlloc != nil && len(g.PEAlloc) != len(g.Nodes) {
+					t.Fatalf("%s: %d PE allocations for %d operators", tc.name, len(g.PEAlloc), len(g.Nodes))
+				}
 				var sum int
 				for _, a := range g.PEAlloc {
 					if a < 1 {

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -79,7 +79,7 @@ func TestPriceGroupMatchesCostGroup(t *testing.T) {
 						w, p := windows[i], prices[i]
 						gs := builder.costGroup(hw, w)
 						ref := refCostGroup(hw, opt, w)
-						if !sameCost(p, gs) || !sameCost(gs, ref) || !maps.Equal(gs.PEAlloc, ref.PEAlloc) {
+						if !sameCost(p, gs) || !sameCost(gs, ref) || !sameAlloc(gs, ref) {
 							t.Fatalf("%s %s uniform=%v %s window %d+%d:\nprice        %+v\nmaterialised %+v\nreference    %+v",
 								hw.Name, df, uniform, name, w[0].ID, len(w), p, gs, ref)
 						}
@@ -111,6 +111,12 @@ func sameCost(a, b GroupSchedule) bool {
 	return bits(a) == bits(b)
 }
 
+// sameAlloc reports whether two groups have the same PE allocation, nil
+// (no fine-grained allocation) included.
+func sameAlloc(a, b GroupSchedule) bool {
+	return (a.PEAlloc == nil) == (b.PEAlloc == nil) && slices.Equal(a.PEAlloc, b.PEAlloc)
+}
+
 // refCostGroup is the map-based group cost model that the DP's
 // allocation-free pricer replaced, kept as the reference it must match.
 func refCostGroup(hw *arch.HWConfig, opt Options, nodes []*graph.Node) GroupSchedule {
@@ -119,7 +125,7 @@ func refCostGroup(hw *arch.HWConfig, opt Options, nodes []*graph.Node) GroupSche
 		inGroup[n] = true
 	}
 	fine := opt.Dataflow == DataflowCROPHE
-	gs := GroupSchedule{Nodes: nodes, PEAlloc: map[int]int{}}
+	gs := GroupSchedule{Nodes: nodes}
 	var totalLoad float64
 	classLoad := map[arch.OpClass]float64{}
 	for _, n := range nodes {
@@ -151,8 +157,8 @@ func refCostGroup(hw *arch.HWConfig, opt Options, nodes []*graph.Node) GroupSche
 		} else {
 			allocs = allocateFor(nodes, usable)
 		}
+		gs.PEAlloc = allocs
 		for i, n := range nodes {
-			gs.PEAlloc[n.ID] = allocs[i]
 			load := effLoad(n)
 			if load == 0 {
 				continue

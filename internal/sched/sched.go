@@ -164,7 +164,9 @@ type GroupSchedule struct {
 	// at the segment level (collectAuxUses), not per group (see ROADMAP,
 	// "Explainable, honest search").
 	AuxShared int
-	PEAlloc   map[int]int
+	// PEAlloc is the fine-grained pipeline's PE allocation of each
+	// operator, in Nodes order; nil when the group has none.
+	PEAlloc []int
 	// ResidentBytes is the SRAM working set the group occupies while it
 	// runs: materialised intermediates (whole tensors) for coarse
 	// dataflow, granule buffers for fine-grained pipelines. This crowds
@@ -189,6 +191,10 @@ type Schedule struct {
 	Workload string
 	HW       string
 	Opt      Options
+	// Clusters is the effective CROPHE-p cluster count: Opt.Clusters
+	// clamped to the workload's data parallelism and the PE count, and
+	// at least 1. Per-task time divides by it.
+	Clusters int
 	// Rot and RHyb name the rotation structure of the candidate graph
 	// Design.Evaluate picked; d.Prepare(factory(Rot, RHyb)) is the
 	// workload the schedule was searched over. A direct Run leaves them
@@ -446,7 +452,7 @@ func (s *Scheduler) Schedule(ctx context.Context, w *workload.Workload) (*Schedu
 		clusterPrice = clusterView(price, clusters)
 	}
 
-	out := &Schedule{Workload: w.Name, HW: hw.Name, Opt: s.Opt}
+	out := &Schedule{Workload: w.Name, HW: hw.Name, Opt: s.Opt, Clusters: clusters}
 	var busyPE, busyNoC, busySRAM, busyDRAM float64
 	for _, seg := range w.Segments {
 		ss, err := s.scheduleSegment(clusterHW, clusterPrice, seg, clusters, st)
@@ -1160,11 +1166,8 @@ func (s *Scheduler) costGroup(hw *arch.HWConfig, nodes []*graph.Node) GroupSched
 	}
 	g := p.cost()
 	g.Nodes = nodes
-	g.PEAlloc = make(map[int]int, len(nodes))
 	if p.allocated {
-		for i, n := range nodes {
-			g.PEAlloc[n.ID] = p.alloc[i]
-		}
+		g.PEAlloc = slices.Clone(p.alloc)
 	}
 	return g
 }

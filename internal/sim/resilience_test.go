@@ -437,6 +437,7 @@ func BenchmarkSimulateFaulted(b *testing.B) {
 			r.m = append(r.m, m)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range replays {

@@ -1,10 +1,10 @@
 // Package sim is the cycle-level performance simulator of the CROPHE
-// evaluation (§VI): it executes the traces produced by the mapper on a
-// modeled chip — PEs with pre-characterised operator latencies, the mesh
-// NoC with X-Y routing and multicast, the banked global buffer, and the
-// HBM — and reports cycles and per-resource utilisation. It refines the
-// scheduler's analytical estimates the same way the paper's simulator
-// validates its scheduler.
+// evaluation (§VI): it executes each scheduled group, as placed by the
+// mapper, on a modeled chip — PEs with pre-characterised operator
+// latencies, the mesh NoC with X-Y routing and multicast, the banked
+// global buffer, and the HBM — and reports cycles and per-resource
+// utilisation. It refines the scheduler's analytical estimates the same
+// way the paper's simulator validates its scheduler.
 //
 // Construction uses functional options:
 //
@@ -165,7 +165,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 	if err != nil {
 		return nil, err
 	}
-	var failedRows map[int]bool
+	var failedRows []int
 	var stalls *fault.StallSampler
 	if e.faults != nil {
 		if err := e.faults.ApplyToHBM(hbm); err != nil {
@@ -174,7 +174,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 		if err := e.faults.ApplyToSRAM(sram); err != nil {
 			return nil, err
 		}
-		failedRows = e.faults.FailedRows()
+		failedRows = e.faults.Plan.FailedRows
 		stalls = e.faults.StallSampler()
 	}
 
@@ -199,13 +199,15 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 	// trace timeline (one execution per unique segment).
 	var cursor float64
 	var nGroups, nTransfers int
-	// One mesh serves the whole run: its fault state is fixed, its
-	// cached detours stay valid, and every group starts from Reset. It is
-	// built at the first segment with groups, so a schedule without any
-	// never checks the fault plan's geometry.
+	// One mesh and one placer serve the whole run: the mesh's fault
+	// state is fixed, its cached detours stay valid, and every group
+	// starts from Reset; the placer reuses its buffers from group to
+	// group. Both are built at the first segment with groups, so a
+	// schedule without any never checks the fault plan's geometry.
 	var mesh *noc.Mesh
+	var placer *mapper.Placer
 
-	for si, seg := range s.Segments {
+	for _, seg := range s.Segments {
 		if len(seg.Groups) == 0 {
 			continue
 		}
@@ -218,18 +220,20 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 					return nil, err
 				}
 			}
-		}
-		trace, err := mapper.BuildTraceAvoiding(&s.Segments[si], hw.WordBytes(), meshW, meshH, failedRows)
-		if err != nil {
-			return nil, err
+			if placer, err = mapper.NewPlacer(meshW, meshH, failedRows, hw.WordBytes()); err != nil {
+				return nil, err
+			}
 		}
 		endRegion := telemetry.HostRegion(ctx, "segment:"+seg.Name)
 
 		segStart := cursor
 		var segCycles float64
-		for gi := range trace.Groups {
-			tg := &trace.Groups[gi]
-			g := tg.Group
+		for gi := range seg.Groups {
+			g := &seg.Groups[gi]
+			pl, err := placer.Place(g)
+			if err != nil {
+				return nil, fmt.Errorf("sim: %s: %w", groupLabel(seg.Name, gi), err)
+			}
 			groupStart := segStart + segCycles
 			// The name labels spans and errors only: build it just then.
 			var groupName string
@@ -246,9 +250,8 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 			// head latency adds once, serialisation bounds throughput.
 			mesh.Reset()
 			headLatency := 0
-			for _, tr := range tg.Transfers {
-				srcs := tg.Placement.PEsOf[tr.FromID]
-				dsts := tg.Placement.PEsOf[tr.ToID]
+			for _, tr := range pl.Transfers {
+				srcs, dsts := pl.PEs[tr.From], pl.PEs[tr.To]
 				if len(srcs) == 0 || len(dsts) == 0 {
 					continue
 				}
@@ -269,7 +272,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 					lat, err := mesh.Send(src, dst, share)
 					if err != nil {
 						return nil, fmt.Errorf("sim: %s transfer %d→%d: %w",
-							groupLabel(seg.Name, gi), tr.FromID, tr.ToID, err)
+							groupLabel(seg.Name, gi), g.Nodes[tr.From].ID, g.Nodes[tr.To].ID, err)
 					}
 					if lat > headLatency {
 						headLatency = lat
@@ -277,7 +280,7 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 				}
 				if tel.Enabled() {
 					tel.EmitSpan("NoC", "transfers",
-						fmt.Sprintf("%d→%d", tr.FromID, tr.ToID),
+						fmt.Sprintf("%d→%d", g.Nodes[tr.From].ID, g.Nodes[tr.To].ID),
 						groupStart, share/linkBytesPerCycle,
 						telemetry.Arg{Key: "bytes", Value: tr.Bytes},
 						telemetry.Arg{Key: "src_pes", Value: float64(len(srcs))})
@@ -312,9 +315,9 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 				// reconciles with Result.Util (see sim tests).
 				tel.EmitSpan("PE", "array", groupName, groupStart, computeCycles,
 					telemetry.Arg{Key: "ops", Value: float64(len(g.Nodes))})
-				for _, b := range tg.Placement.Bands {
+				for _, b := range pl.Bands {
 					for row := b.Row0; row < b.Row0+b.Rows; row++ {
-						tel.EmitSpan("PE", fmt.Sprintf("row %d", tg.Placement.PhysRow(row)),
+						tel.EmitSpan("PE", fmt.Sprintf("row %d", pl.PhysRow(row)),
 							groupName, groupStart, computeCycles)
 					}
 				}
@@ -398,13 +401,9 @@ func (e *Engine) simulate(ctx context.Context, w *workload.Workload, s *sched.Sc
 		res.Integrity = &sdc
 	}
 
-	clusters := s.Opt.Clusters
-	if clusters < 1 {
-		clusters = 1
-	}
-	if clusters > w.DataParallel {
-		clusters = w.DataParallel
-	}
+	// The scheduler owns the cluster clamp; a hand-built schedule that
+	// leaves the count zero runs on one cluster.
+	clusters := max(s.Clusters, 1)
 	res.Cycles /= float64(clusters)
 	res.TimeSec = res.Cycles / freq
 	if res.Cycles > 0 {

@@ -128,6 +128,33 @@ func TestClustersDividePerTaskCycles(t *testing.T) {
 	}
 }
 
+// TestClustersComeFromSchedule checks that the simulator divides by the
+// cluster count the scheduler settled on, not by a clamp of its own
+// against the workload it is handed: one schedule simulated with two
+// workloads that differ only in data parallelism runs the same cycles.
+func TestClustersComeFromSchedule(t *testing.T) {
+	w := workload.HELR(arch.ParamsARK, workload.RotHoisted, 0)
+	opt := sched.DefaultOptions(sched.DataflowCROPHE)
+	opt.Clusters = 4
+	s := sched.New(arch.CROPHE64, opt).Run(w)
+	if s.Clusters != 4 {
+		t.Fatalf("schedule records %d clusters, want 4", s.Clusters)
+	}
+	narrow := *w
+	narrow.DataParallel = 1
+	a, err := New(arch.CROPHE64).SimulateSchedule(w, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(arch.CROPHE64).SimulateSchedule(&narrow, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Cycles != b.Cycles {
+		t.Fatalf("same schedule, DataParallel %d vs 1: %v vs %v cycles", w.DataParallel, a.Cycles, b.Cycles)
+	}
+}
+
 func TestEnergyEstimate(t *testing.T) {
 	w := workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
 	s := sched.New(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE)).Run(w)

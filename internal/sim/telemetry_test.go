@@ -215,6 +215,7 @@ func BenchmarkSimulate(b *testing.B) {
 	w := workload.Bootstrapping(arch.ParamsARK, workload.RotHoisted, 0)
 	s := sched.New(arch.CROPHE64, sched.DefaultOptions(sched.DataflowCROPHE)).Run(w)
 	e := New(arch.CROPHE64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.SimulateSchedule(w, s); err != nil {
