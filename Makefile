@@ -63,10 +63,12 @@ bench-kernels:
 	$(GO) test -race -run='^$$' -bench BenchmarkBatchNTT -benchtime=1x ./internal/ntt/
 
 # One iteration of the cold scheduler benchmark (one Figure 9 cell, four
-# designs) under the race detector: keeps the allocation-free pricing
-# path and its scratch reuse race-checked and the benchmark compiling.
+# designs) under the race detector, on one CPU and on two: keeps the
+# allocation-free pricing path, the per-worker scratch, the shared
+# segment memo and the concurrent candidate and segment searches
+# race-checked and the benchmark compiling.
 bench-sched:
-	$(GO) test -race -run='^$$' -bench BenchmarkDesignEvaluateCold -benchtime=1x ./internal/sched/
+	$(GO) test -race -run='^$$' -bench BenchmarkDesignEvaluateCold -benchtime=1x -cpu 1,2 ./internal/sched/
 
 # One iteration of the healthy and the faulted simulator benchmarks under
 # the race detector: keeps the mesh's cached detour trees and dense link

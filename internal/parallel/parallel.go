@@ -16,13 +16,18 @@
 //   - One process-global token pool sized by GOMAXPROCS (override with the
 //     CROPHE_WORKERS environment variable, or SetWorkers). Size 1 is the
 //     serial fallback: every body runs inline on the caller's goroutine and
-//     no goroutines are spawned.
+//     no goroutines are used.
 //   - The caller always participates in the work, so a For call never
-//     blocks waiting for tokens; extra goroutines are used only when free
-//     tokens exist. Nested For calls therefore degrade gracefully to
-//     inline execution instead of oversubscribing — total concurrency is
-//     bounded by the pool size no matter how deeply kernels nest
+//     blocks waiting for tokens; helpers are used only when free tokens
+//     exist. Nested For calls therefore degrade gracefully to inline
+//     execution instead of oversubscribing — total concurrency is bounded
+//     by the pool size no matter how deeply kernels nest
 //     (evaluator → poly → ntt).
+//   - Helpers are long-lived goroutines, workers-1 per pool, started with
+//     the pool and parked between calls. A call hands its chunk loop to a
+//     parked helper instead of starting a goroutine, so a fan-out costs
+//     one allocation and leaves no goroutine descriptors behind.
+//     SetWorkers retires the replaced pool's helpers.
 //   - Panics inside bodies are captured and re-raised on the caller's
 //     goroutine, preserving the serial panic contract of the kernels.
 package parallel
@@ -35,14 +40,22 @@ import (
 	"sync/atomic"
 )
 
-// tokens is the global pool: acquiring a token licenses one extra worker
-// goroutine. Capacity is workers-1 (the caller is the implicit worker).
-// Swapped atomically by SetWorkers.
+// tokens is the global pool: acquiring a token licenses one helper to
+// work on a call. Capacity is workers-1 (the caller is the implicit
+// worker). Swapped atomically by SetWorkers.
 var tokens atomic.Pointer[tokenPool]
 
 type tokenPool struct {
 	workers int
 	sem     chan struct{}
+
+	// work hands a call's chunk loop to a parked helper. A helper only
+	// runs a job whose caller holds a token for it, and there are as many
+	// helpers as tokens, so a hand-off waits at most for a helper that is
+	// returning to park. quit retires the helpers once SetWorkers has
+	// replaced the pool.
+	work chan *job
+	quit chan struct{}
 }
 
 func init() {
@@ -57,8 +70,9 @@ func init() {
 
 // SetWorkers resizes the pool to n workers (n < 1 is clamped to 1).
 // Calls already in flight keep the pool they started with; new calls see
-// the new size. Intended for startup configuration and for the
-// parallel-vs-serial equivalence tests.
+// the new size. The old pool's helpers exit once they are idle. Intended
+// for startup configuration and for the parallel-vs-serial equivalence
+// tests.
 func SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -66,16 +80,92 @@ func SetWorkers(n int) {
 	p := &tokenPool{workers: n}
 	if n > 1 {
 		p.sem = make(chan struct{}, n-1)
+		p.work = make(chan *job)
+		p.quit = make(chan struct{})
+		for i := 1; i < n; i++ {
+			go p.helper()
+		}
 	}
-	tokens.Store(p)
+	if old := tokens.Swap(p); old != nil && old.quit != nil {
+		close(old.quit)
+	}
 }
 
 // Workers returns the configured pool size.
 func Workers() int { return tokens.Load().workers }
 
+// helper is one parked worker of p: it runs the jobs handed to it until
+// p is retired.
+func (p *tokenPool) helper() {
+	for {
+		select {
+		case j := <-p.work:
+			j.help()
+		case <-p.quit:
+			return
+		}
+	}
+}
+
+// tryHand takes a free token and hands j to a parked helper with it. It
+// reports false, and holds no token, when none is free or the pool has
+// been retired; the caller then works on alone.
+func (p *tokenPool) tryHand(j *job) bool {
+	select {
+	case p.sem <- struct{}{}:
+	default:
+		return false
+	}
+	j.wg.Add(1)
+	select {
+	case p.work <- j:
+		return true
+	case <-p.quit:
+		j.wg.Done()
+		<-p.sem
+		return false
+	}
+}
+
+// job is one ForChunk call's shared state: its chunks are claimed from
+// next by the caller and by every helper it was handed to.
+type job struct {
+	p        *tokenPool
+	n        int
+	chunks   int
+	body     func(lo, hi int)
+	next     atomic.Int64
+	panicked atomic.Pointer[panicValue]
+	wg       sync.WaitGroup
+}
+
+// run claims and runs chunks until none is left.
+func (j *job) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicked.CompareAndSwap(nil, &panicValue{r})
+		}
+	}()
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		j.body(c*j.n/j.chunks, (c+1)*j.n/j.chunks)
+	}
+}
+
+// help is run on a helper: it works on the job, then returns the token
+// its caller took for it.
+func (j *job) help() {
+	j.run()
+	<-j.p.sem
+	j.wg.Done()
+}
+
 // For runs body(i) for every i in [0, n), partitioning the index space
 // into at most Workers() contiguous chunks. The caller's goroutine
-// participates; extra goroutines run only while pool tokens are free.
+// participates; helpers join only while pool tokens are free.
 // Equivalent to a plain loop when the pool size is 1 or n <= 1.
 func For(n int, body func(i int)) {
 	ForChunk(n, func(lo, hi int) {
@@ -97,50 +187,19 @@ func ForChunk(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	chunks := p.workers
-	if chunks > n {
-		chunks = n
-	}
+	j := &job{p: p, n: n, chunks: min(p.workers, n), body: body}
 
-	var (
-		next     atomic.Int64
-		panicked atomic.Pointer[panicValue]
-		wg       sync.WaitGroup
-	)
-	run := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &panicValue{r})
-			}
-		}()
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			body(c*n/chunks, (c+1)*n/chunks)
+	// Hand the job to helpers while tokens are free; never block on the
+	// pool.
+	for i := 1; i < j.chunks; i++ {
+		if !p.tryHand(j) {
+			break
 		}
 	}
+	j.run()
+	j.wg.Wait()
 
-	// Spawn helpers while tokens are free; never block on the pool.
-spawn:
-	for i := 0; i < chunks-1; i++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				run()
-			}()
-		default:
-			break spawn
-		}
-	}
-	run()
-	wg.Wait()
-
-	if pv := panicked.Load(); pv != nil {
+	if pv := j.panicked.Load(); pv != nil {
 		// Re-raise the original value so callers' recover logic sees the
 		// same panic a serial loop would have produced.
 		panic(pv.v)

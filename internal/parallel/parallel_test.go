@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withWorkers runs fn under a temporary pool size, restoring the previous
@@ -119,4 +122,107 @@ func TestSetWorkersClamps(t *testing.T) {
 	if Workers() != 1 {
 		t.Fatalf("Workers() = %d after SetWorkers(-3)", Workers())
 	}
+}
+
+// helpers counts the goroutines parked in or running a pool helper, of
+// any pool.
+func helpers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "parallel.(*tokenPool).helper(")
+}
+
+// settle waits until exactly want helpers are running, reporting whether
+// that happened within a few seconds: retired helpers exit
+// asynchronously.
+func settle(want int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for helpers() != want {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// TestHelpersPersistAndRetire checks that a pool of n workers keeps
+// n-1 helpers however many calls it serves, and that SetWorkers retires
+// the helpers of the pool it replaces.
+func TestHelpersPersistAndRetire(t *testing.T) {
+	defer SetWorkers(Workers())
+	SetWorkers(4)
+	if !settle(3) {
+		t.Fatalf("%d helpers after SetWorkers(4), want 3", helpers())
+	}
+	before := runtime.NumGoroutine()
+	var sum atomic.Int64
+	for call := 0; call < 10000; call++ {
+		For(8, func(i int) { sum.Add(int64(i)) })
+	}
+	if got, want := sum.Load(), int64(10000*28); got != want {
+		t.Fatalf("sum %d, want %d", got, want)
+	}
+	if got := runtime.NumGoroutine(); got > before || helpers() != 3 {
+		t.Fatalf("%d goroutines and %d helpers after 10000 calls, want at most %d and 3", got, helpers(), before)
+	}
+
+	for swap := 0; swap < 100; swap++ {
+		SetWorkers(1 + swap%5)
+		For(16, func(int) {})
+	}
+	SetWorkers(4)
+	if !settle(3) {
+		t.Fatalf("%d helpers after 100 pool swaps, want 3: replaced pools' helpers not retired", helpers())
+	}
+	SetWorkers(1)
+	if !settle(0) {
+		t.Fatalf("%d helpers at pool size 1, want 0", helpers())
+	}
+}
+
+// TestPanicLeavesHelpersServing checks that a panicking body reaches the
+// caller without costing the pool a helper: later calls still fan out
+// and cover every index.
+func TestPanicLeavesHelpersServing(t *testing.T) {
+	withWorkers(t, 4, func() {
+		if !settle(3) {
+			t.Fatalf("%d helpers after SetWorkers(4), want 3", helpers())
+		}
+		for round := 0; round < 20; round++ {
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("round %d: recovered %v, want the body's panic", round, r)
+					}
+				}()
+				For(64, func(i int) {
+					if i%16 == 5 {
+						panic("boom")
+					}
+				})
+			}()
+		}
+		if got := helpers(); got != 3 {
+			t.Fatalf("%d helpers after panics, want 3", got)
+		}
+		var seen [64]atomic.Int32
+		var inFlight, peak atomic.Int64
+		For(64, func(i int) {
+			seen[i].Add(1)
+			cur := inFlight.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			time.Sleep(100 * time.Microsecond)
+			inFlight.Add(-1)
+		})
+		for i := range seen {
+			if seen[i].Load() != 1 {
+				t.Fatalf("index %d run %d times after panics", i, seen[i].Load())
+			}
+		}
+		if peak.Load() < 2 {
+			t.Fatal("no helper joined a call after panics")
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"crophe/internal/arch"
+	"crophe/internal/parallel"
 	"crophe/internal/workload"
 )
 
@@ -59,7 +60,11 @@ func (d Design) Prepare(w *workload.Workload) *workload.Workload {
 //   - HybridRot additionally sweeps r_Hyb.
 //   - Each candidate graph goes through Prepare before scheduling.
 //
-// The winner records its candidate in Rot and RHyb.
+// The winner records its candidate in Rot and RHyb. The candidates'
+// graphs are built concurrently and their segments searched together on
+// one Scheduler, so a segment graph they share is searched once, for the
+// first candidate that has it. The winner is still picked in candidate
+// order, the first of equally fast candidates winning.
 func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 	sch := New(d.HW, d.Options(0))
 
@@ -76,20 +81,19 @@ func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 
 	// The winner is reported under the name of the first (Min-KS)
 	// candidate's workload.
+	ws := make([]*workload.Workload, len(cands))
+	claimEach(parallel.Workers(), len(cands), func(i int) bool {
+		ws[i] = d.Prepare(factory(cands[i].mode, cands[i].r))
+		return true
+	})
 	var best *Schedule
-	var name string
-	for i, c := range cands {
-		w := factory(c.mode, c.r)
-		if i == 0 {
-			name = w.Name
-		}
-		res := sch.Run(d.Prepare(w))
+	for i, res := range sch.runAll(ws) {
 		if best == nil || res.TimeSec < best.TimeSec {
 			best = res
-			best.Rot, best.RHyb = c.mode, c.r
+			best.Rot, best.RHyb = cands[i].mode, cands[i].r
 		}
 	}
-	best.Workload = name
+	best.Workload = ws[0].Name
 	return best
 }
 

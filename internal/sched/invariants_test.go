@@ -148,7 +148,7 @@ func TestInvariantMemoizationConsistent(t *testing.T) {
 func TestInvariantAffinityOrderIsTopological(t *testing.T) {
 	w := workload.Bootstrapping(testParams, workload.RotHybrid, 4)
 	for _, seg := range w.Segments {
-		order, err := auxAffinityOrder(seg.G)
+		order, err := new(orderScratch).auxAffinityOrder(seg.G)
 		if err != nil {
 			t.Fatalf("%s: %v", seg.Name, err)
 		}

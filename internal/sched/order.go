@@ -13,14 +13,15 @@ import (
 // spatial-sharing opportunities the group-formation DP can exploit: when
 // several ready operators consume the same evk, they are emitted
 // back-to-back and land in one group, so the evk is streamed once.
-// A graph with a dependency cycle yields a *CycleError.
-func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
+// A graph with a dependency cycle yields a *CycleError. The returned
+// slice is the caller's; o's buffers are reused by the next call.
+func (o *orderScratch) auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 	// Node IDs are dense (graph.AddNode), so in-degrees live in a slice
 	// indexed by ID, and the ready set is kept sorted by ID: the score
 	// scan below breaks ties towards the smallest ID.
-	indeg := make([]int, len(g.Nodes))
-	primary := make([]string, len(g.Nodes))
-	var ready []*graph.Node
+	indeg := resized(o.indeg, len(g.Nodes))
+	primary := resized(o.primary, len(g.Nodes))
+	ready := o.ready[:0]
 	for _, n := range g.Nodes {
 		primary[n.ID] = primaryAux(n)
 		indeg[n.ID] = len(n.InEdges)
@@ -36,7 +37,8 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 	// keeps intermediate live ranges short (the loop-interleaving freedom
 	// of the paper's scheduler: a baby-step ciphertext's PMults run
 	// back-to-back instead of once per giant step).
-	var recent []*graph.Node
+	var recentBuf [recentLen]*graph.Node
+	recent := recentBuf[:0]
 	for len(ready) > 0 {
 		idx, bestScore := 0, -1
 		for i, n := range ready {
@@ -64,10 +66,11 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 		if n.Kind.IsCompute() {
 			out = append(out, n)
 			lastAux = primary[n.ID]
-			recent = append(recent, n)
-			if len(recent) > 6 {
-				recent = recent[1:]
+			if len(recent) == recentLen {
+				copy(recent, recent[1:])
+				recent = recent[:recentLen-1]
 			}
+			recent = append(recent, n)
 		}
 		for _, e := range n.OutEdges {
 			indeg[e.To.ID]--
@@ -76,6 +79,7 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 			}
 		}
 	}
+	o.indeg, o.primary, o.ready = indeg, primary, ready
 	// A well-formed operator graph is a DAG; leftovers mean a dependency
 	// cycle, and silently scheduling only part of the workload would
 	// corrupt every downstream cost model.
@@ -83,6 +87,17 @@ func auxAffinityOrder(g *graph.Graph) ([]*graph.Node, error) {
 		return nil, &CycleError{Ordered: visited, Total: len(g.Nodes)}
 	}
 	return out, nil
+}
+
+// recentLen is how many of the last emitted nodes auxAffinityOrder
+// favours the consumers of.
+const recentLen = 6
+
+// orderScratch is auxAffinityOrder's working memory.
+type orderScratch struct {
+	indeg   []int
+	primary []string
+	ready   []*graph.Node
 }
 
 // primaryAux returns the dominant auxiliary input of a node (the largest

@@ -14,7 +14,7 @@ import (
 
 func mustOrder(t *testing.T, g *graph.Graph) []*graph.Node {
 	t.Helper()
-	out, err := auxAffinityOrder(g)
+	out, err := new(orderScratch).auxAffinityOrder(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAffinityOrderCyclicInputIsError(t *testing.T) {
 	b := g.AddNode(graph.OpEWMul, "b", graph.Tensor{Limbs: 1, N: 4})
 	g.Connect(a, b)
 	g.Connect(b, a)
-	_, err := auxAffinityOrder(g)
+	_, err := new(orderScratch).auxAffinityOrder(g)
 	if err == nil {
 		t.Fatal("cyclic graph did not error")
 	}
@@ -81,7 +81,7 @@ func TestAffinityOrderPartialCycleIsError(t *testing.T) {
 	g.Connect(head, a)
 	g.Connect(a, b)
 	g.Connect(b, a)
-	out, err := auxAffinityOrder(g)
+	out, err := new(orderScratch).auxAffinityOrder(g)
 	if err == nil {
 		t.Fatalf("partial cycle did not error (got %d nodes)", len(out))
 	}

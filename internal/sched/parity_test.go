@@ -36,7 +36,7 @@ func parityGraphs() map[string]*graph.Graph {
 // TestPriceGroupMatchesCostGroup checks, for every contiguous window of
 // up to MaxGroupSize nodes in the scheduler's order, that the DP's
 // incremental price-only cost is bit-identical to the GroupSchedule
-// materialised from scratch. The two schedulers price the windows in
+// materialised from scratch. The two pricers price the windows in
 // opposite orders, so pricer state left by one candidate cannot leak
 // into the next unnoticed. The same test
 // pins the ID-indexed graph orders to map-based references.
@@ -53,13 +53,13 @@ func TestPriceGroupMatchesCostGroup(t *testing.T) {
 			for _, uniform := range []bool{false, true} {
 				opt := DefaultOptions(df)
 				opt.UniformAlloc = uniform
-				pricer, builder := New(hw, opt), New(hw, opt)
+				var pricer, builder groupPricer
 				for _, name := range names {
 					g := graphs[name]
 					nodes := g.ComputeNodes()
 					if df == DataflowCROPHE {
 						var err error
-						if nodes, err = auxAffinityOrder(g); err != nil {
+						if nodes, err = new(orderScratch).auxAffinityOrder(g); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -68,7 +68,7 @@ func TestPriceGroupMatchesCostGroup(t *testing.T) {
 					var windows [][]*graph.Node
 					var prices []GroupSchedule
 					for i := range nodes {
-						p := pricer.newGroup(hw)
+						p := pricer.newGroup(hw, opt)
 						for k := 1; k <= opt.MaxGroupSize && i+k <= len(nodes); k++ {
 							p.add(nodes[i+k-1])
 							windows = append(windows, nodes[i:i+k])
@@ -77,7 +77,7 @@ func TestPriceGroupMatchesCostGroup(t *testing.T) {
 					}
 					for i := len(windows) - 1; i >= 0; i-- {
 						w, p := windows[i], prices[i]
-						gs := builder.costGroup(hw, w)
+						gs := builder.costGroup(hw, opt, w)
 						ref := refCostGroup(hw, opt, w)
 						if !sameCost(p, gs) || !sameCost(gs, ref) || !sameAlloc(gs, ref) {
 							t.Fatalf("%s %s uniform=%v %s window %d+%d:\nprice        %+v\nmaterialised %+v\nreference    %+v",
@@ -225,7 +225,7 @@ func checkOrders(t *testing.T, name string, g *graph.Graph) {
 	if got, want := ids(g.Topological()), ids(refTopological(g)); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: Topological %v, reference %v", name, got, want)
 	}
-	got, err := auxAffinityOrder(g)
+	got, err := new(orderScratch).auxAffinityOrder(g)
 	if err != nil {
 		t.Fatal(err)
 	}

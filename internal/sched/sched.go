@@ -20,11 +20,13 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"crophe/internal/arch"
 	"crophe/internal/graph"
+	"crophe/internal/parallel"
 	"crophe/internal/telemetry"
 	"crophe/internal/workload"
 )
@@ -288,6 +290,14 @@ func (st *searchState) markCut() {
 	st.cacheable = false
 }
 
+// unbounded reports that the search can never be cut: no budget and a
+// context that cannot expire. Only then is the state read-only for the
+// whole search, so segments may be searched concurrently with their
+// schedules still independent of which ran first.
+func (st *searchState) unbounded() bool {
+	return st.budget < 0 && st.done == nil
+}
+
 // Search telemetry: cumulative, process-global counters of the dataflow
 // search (§V-D). They are always-on atomics updated once per scheduled
 // segment (not per candidate), so the cost is unmeasurable; crophe-bench
@@ -320,7 +330,13 @@ func Stats() SearchStats {
 	}
 }
 
-// Scheduler binds a hardware configuration and options.
+// Scheduler binds a hardware configuration and options. It is safe for
+// concurrent use: concurrent runs share its segment memo, and each
+// segment search works in scratch of its own. A memo hit hands back the
+// groups of the graph the key was first searched on, so when concurrent
+// runs hold different graphs of one structure, the node names in their
+// groups depend on which run searched it first; runs searched together
+// (Design.Evaluate's candidates) resolve this in their order.
 type Scheduler struct {
 	HW  *arch.HWConfig
 	Opt Options
@@ -337,16 +353,21 @@ type Scheduler struct {
 	// the paper's redundancy merge ("searches only once", §V-D). Keyed
 	// per (fingerprint, hardware identity, cluster count); the Scheduler
 	// is bound to one hardware configuration and option set, so the
-	// fingerprint alone suffices within one instance.
-	segCache map[segKey]*SegmentSchedule
+	// fingerprint alone suffices within one instance. It is single-flight:
+	// the first caller of a key searches it while later callers wait on
+	// its entry. mu guards the map, not the entries.
+	mu       sync.Mutex
+	segCache map[segKey]*segEntry
+}
 
-	// pricer is the candidate-pricing working memory of the DP. Like
-	// segCache it makes a Scheduler unsafe for concurrent use.
-	pricer groupPricer
-	// auxIndex and auxPairs are collectAuxUses' working memory, reused
-	// across segments.
-	auxIndex map[string]int
-	auxPairs []auxGroup
+// segEntry is one key of the segment memo. done is closed once the
+// search that created the entry has finished; ok then says whether ss
+// holds its result. A failed, panicked or cut search leaves ok false and
+// removes the entry, so its waiters search the key again.
+type segEntry struct {
+	done chan struct{}
+	ss   SegmentSchedule
+	ok   bool
 }
 
 type segKey struct {
@@ -364,7 +385,7 @@ func New(hw *arch.HWConfig, opt Options) *Scheduler {
 	if opt.Clusters < 1 {
 		opt.Clusters = 1
 	}
-	return &Scheduler{HW: hw, Opt: opt, segCache: make(map[segKey]*SegmentSchedule)}
+	return &Scheduler{HW: hw, Opt: opt, segCache: make(map[segKey]*segEntry)}
 }
 
 // WithTelemetry attaches a collector that receives the run's search
@@ -397,15 +418,30 @@ func (s *Scheduler) WithPricing(hw *arch.HWConfig) *Scheduler {
 	return s
 }
 
+// pricing is the configuration the schedule is priced on: the one set
+// with WithPricing, else the scheduler's own.
+func (s *Scheduler) pricing() *arch.HWConfig {
+	if s.priceHW != nil {
+		return s.priceHW
+	}
+	return s.HW
+}
+
 // Run schedules a workload and returns the full result, panicking on the
 // error paths of Schedule — a dead resource class or a cyclic workload
 // graph, both invariant violations for the healthy configurations and
 // well-formed workloads of the evaluation. Degraded-mode callers (fault
 // sweeps, anytime search) use Schedule directly.
 func (s *Scheduler) Run(w *workload.Workload) *Schedule {
-	out, err := s.Schedule(context.Background(), w)
+	return s.runAll([]*workload.Workload{w})[0]
+}
+
+// runAll is Run over several workloads searched together (see
+// scheduleAll).
+func (s *Scheduler) runAll(ws []*workload.Workload) []*Schedule {
+	out, err := s.scheduleAll(context.Background(), ws)
 	if err != nil {
-		panic(fmt.Sprintf("sched: Run(%s on %s): %v", w.Name, s.HW.Name, err))
+		panic(fmt.Sprintf("sched: Run(%s on %s): %v", ws[0].Name, s.HW.Name, err))
 	}
 	return out
 }
@@ -425,41 +461,139 @@ func (s *Scheduler) Run(w *workload.Workload) *Schedule {
 // configuration with a dead resource class (errors.Is ErrInfeasible) or
 // a cyclic segment graph (*CycleError).
 func (s *Scheduler) Schedule(ctx context.Context, w *workload.Workload) (*Schedule, error) {
-	price := s.priceHW
-	if price == nil {
-		price = s.HW
+	out, err := s.scheduleAll(ctx, []*workload.Workload{w})
+	if err != nil {
+		return nil, err
 	}
+	return out[0], nil
+}
+
+// segItem is one segment search of scheduleAll: segment seg of the
+// workload of run r, under memo key key (set by entryLocked).
+type segItem struct {
+	r   *searchRun
+	seg int
+	key segKey
+}
+
+// searchRun is scheduleAll's state for one workload: its search state,
+// cluster views and the schedule being filled in.
+type searchRun struct {
+	w         *workload.Workload
+	st        *searchState
+	clusters  int
+	hw, price *arch.HWConfig // per-cluster views of s.HW and s.pricing()
+	out       *Schedule
+	errs      []error // by segment
+}
+
+// scheduleAll schedules each of ws as Schedule does, searching all their
+// segments in one loop: workload by workload, each in segment order.
+// When no search can be cut, the loop runs on up to Workers() pool
+// workers; otherwise one segment at a time, because a budget is spent in
+// segment order. Either way the items take their memo entries in loop
+// order, under s.mu, so a key shared by several items is searched for
+// the first of them, on its graph, as a serial loop does, and the
+// schedules are the serial loop's bit for bit. Each schedule is summed
+// serially in segment order.
+func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([]*Schedule, error) {
+	price := s.pricing()
 	// Feasibility is a property of the machine the schedule will run on
 	// — the pricing (effective) view when one is set.
 	if err := validateHW(price); err != nil {
 		return nil, err
 	}
-	st := newSearchState(ctx, s.Opt.SearchBudget)
 	hw := s.HW
-	clusters := s.Opt.Clusters
-	if clusters > w.DataParallel {
-		clusters = w.DataParallel
-	}
-	if clusters > hw.NumPEs {
-		clusters = hw.NumPEs
-	}
-	if clusters < 1 {
-		clusters = 1
-	}
-	clusterHW := clusterView(hw, clusters)
-	clusterPrice := clusterHW
-	if price != hw {
-		clusterPrice = clusterView(price, clusters)
+	runs := make([]searchRun, len(ws))
+	var items []segItem
+	workers := parallel.Workers()
+	for k, w := range ws {
+		r := &runs[k]
+		r.w = w
+		r.st = newSearchState(ctx, s.Opt.SearchBudget)
+		if !r.st.unbounded() {
+			workers = 1
+		}
+		clusters := s.Opt.Clusters
+		if clusters > w.DataParallel {
+			clusters = w.DataParallel
+		}
+		if clusters > hw.NumPEs {
+			clusters = hw.NumPEs
+		}
+		if clusters < 1 {
+			clusters = 1
+		}
+		r.clusters = clusters
+		r.hw = clusterView(hw, clusters)
+		r.price = r.hw
+		if price != hw {
+			r.price = clusterView(price, clusters)
+		}
+		r.out = &Schedule{Workload: w.Name, HW: hw.Name, Opt: s.Opt, Clusters: clusters,
+			Segments: make([]SegmentSchedule, len(w.Segments))}
+		r.errs = make([]error, len(w.Segments))
+		for i := range w.Segments {
+			items = append(items, segItem{r: r, seg: i})
+		}
 	}
 
-	out := &Schedule{Workload: w.Name, HW: hw.Name, Opt: s.Opt, Clusters: clusters}
-	var busyPE, busyNoC, busySRAM, busyDRAM float64
-	for _, seg := range w.Segments {
-		ss, err := s.scheduleSegment(clusterHW, clusterPrice, seg, clusters, st)
-		if err != nil {
+	if workers > 1 {
+		// A graph keeps its fingerprint once taken, so taking them all
+		// here, spread over the workers, keeps the memo lookups, which
+		// run under s.mu, short.
+		claimEach(workers, len(items), func(j int) bool {
+			items[j].r.w.Segments[items[j].seg].G.Fingerprint()
+			return true
+		})
+	}
+	var next int // guarded by s.mu
+	var stop atomic.Bool
+	parallel.ForChunk(min(workers, len(items)), func(int, int) {
+		for !stop.Load() {
+			s.mu.Lock()
+			j := next
+			next++
+			var e *segEntry
+			var owner bool
+			if j < len(items) {
+				e, owner = s.entryLocked(&items[j])
+			}
+			s.mu.Unlock()
+			if j >= len(items) {
+				return
+			}
+			it := &items[j]
+			var err error
+			it.r.out.Segments[it.seg], err = s.searchSegment(it, e, owner)
+			if err != nil {
+				it.r.errs[it.seg] = err
+				stop.Store(true)
+			}
+		}
+	})
+
+	out := make([]*Schedule, len(runs))
+	for k := range runs {
+		var err error
+		if out[k], err = s.finish(&runs[k]); err != nil {
 			return nil, err
 		}
-		out.Segments = append(out.Segments, ss)
+	}
+	return out, nil
+}
+
+// finish sums a run's segment schedules into its schedule, or returns
+// the error of its first failed segment. Items are claimed in order, so
+// every segment before a failed one was searched and this is the error
+// a serial loop returns.
+func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
+	out, clusterPrice, clusters := r.out, r.price, r.clusters
+	var busyPE, busyNoC, busySRAM, busyDRAM float64
+	for i, ss := range out.Segments {
+		if r.errs[i] != nil {
+			return nil, r.errs[i]
+		}
 		out.TimeSec += ss.TimeSec * float64(ss.Count)
 		out.Traffic.Add(ss.Traffic.Scale(float64(ss.Count)))
 		c := float64(ss.Count)
@@ -480,17 +614,38 @@ func (s *Scheduler) Schedule(ctx context.Context, w *workload.Workload) (*Schedu
 			// PE utilisation is useful work over chip peak — the metric
 			// under which Table IV's specialised baselines score low
 			// (their idle unit classes count as waste).
-			PE:   clampFrac(float64(w.TotalModMuls()) / (price.PeakModMulsPerSec() * out.TimeSec)),
+			PE:   clampFrac(float64(r.w.TotalModMuls()) / (s.pricing().PeakModMulsPerSec() * out.TimeSec)),
 			NoC:  clampFrac(busyNoC / wall),
 			SRAM: clampFrac(busySRAM / wall),
 			DRAM: clampFrac(busyDRAM / wall / float64(clusters)),
 		}
 	}
-	out.Partial = st.cut
-	if st.cut && s.tel.Enabled() {
+	out.Partial = r.st.cut
+	if r.st.cut && s.tel.Enabled() {
 		s.tel.EmitCounter("sched/search_cut", 1)
 	}
 	return out, nil
+}
+
+// claimEach runs body(i) for every i in [0, n) on up to workers pool
+// workers, each claiming the next index from a shared counter, so items of
+// very different cost still spread evenly. Indices are claimed in
+// increasing order, and no new index is claimed once a body has returned
+// false. With workers 1 it is a plain loop on the caller's goroutine.
+func claimEach(workers, n int, body func(i int) bool) {
+	var next atomic.Int64
+	var stop atomic.Bool
+	parallel.ForChunk(min(workers, n), func(int, int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !body(i) {
+				stop.Store(true)
+			}
+		}
+	})
 }
 
 // clusterView is the per-cluster slice of a configuration under static
@@ -520,47 +675,137 @@ func clampFrac(f float64) float64 {
 	return f
 }
 
-// scheduleSegment runs the DP group composition over one segment graph,
-// memoised by structural fingerprint. Once the anytime search is cut,
-// the memo is bypassed in both directions: degraded (solo-group)
+// entryLocked sets the memo key of item it and returns the key's entry,
+// creating it when there is none yet; owner reports that it did, and
+// that it must search the segment and fill the entry. Once the anytime search is cut, the memo is
+// bypassed in both directions (nil entry): degraded (solo-group)
 // schedules must not poison the cache, and cached full-search results
 // must not leak into a cut run — the cut point, not wall-clock luck,
-// decides what a budgeted run returns.
-func (s *Scheduler) scheduleSegment(hw, price *arch.HWConfig, seg workload.Segment, clusters int, st *searchState) (SegmentSchedule, error) {
-	key := segKey{fp: seg.G.Fingerprint(), sramMB: hw.SRAMCapacityMB, clusters: clusters, count: seg.Count}
-	if cached, ok := s.segCache[key]; ok && !st.cut {
-		statCacheHits.Add(1)
-		if s.tel.Enabled() {
-			s.tel.EmitCounter("sched/seg_cache_hits", 1)
-		}
-		out := *cached
-		out.Name = seg.Name
-		out.Count = seg.Count
-		return out, nil
+// decides what a budgeted run returns. s.mu must be held.
+func (s *Scheduler) entryLocked(it *segItem) (e *segEntry, owner bool) {
+	r := it.r
+	if r.st.cut {
+		return nil, false
 	}
+	seg := r.w.Segments[it.seg]
+	it.key = segKey{fp: seg.G.Fingerprint(), sramMB: r.hw.SRAMCapacityMB, clusters: r.clusters, count: seg.Count}
+	if e, found := s.segCache[it.key]; found {
+		return e, false
+	}
+	e = &segEntry{done: make(chan struct{})}
+	s.segCache[it.key] = e
+	return e, true
+}
+
+// searchSegment returns the schedule of item it's segment: the DP group
+// composition over its graph, memoised by structural fingerprint in
+// entry e (see entryLocked).
+func (s *Scheduler) searchSegment(it *segItem, e *segEntry, owner bool) (SegmentSchedule, error) {
+	r := it.r
+	seg := r.w.Segments[it.seg]
+	for {
+		switch {
+		case e == nil:
+			s.countMiss()
+			return s.scheduleSegmentUncached(r.hw, r.price, seg, r.clusters, r.st)
+		case owner:
+			return s.fill(e, it)
+		}
+		<-e.done
+		if e.ok {
+			statCacheHits.Add(1)
+			if s.tel.Enabled() {
+				s.tel.EmitCounter("sched/seg_cache_hits", 1)
+			}
+			out := e.ss
+			out.Name = seg.Name
+			out.Count = seg.Count
+			return out, nil
+		}
+		// The owner's search failed or was cut, and the entry is gone.
+		s.mu.Lock()
+		e, owner = s.entryLocked(it)
+		s.mu.Unlock()
+	}
+}
+
+// fill searches the segment of item it for memo entry e, which it owns,
+// and publishes the result to e's waiters. The entry is closed on every exit
+// path; one that does not end with a memoisable schedule is first
+// removed from the memo.
+func (s *Scheduler) fill(e *segEntry, it *segItem) (out SegmentSchedule, err error) {
+	defer func() {
+		if !e.ok {
+			s.mu.Lock()
+			delete(s.segCache, it.key)
+			s.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	r := it.r
+	s.countMiss()
+	out, err = s.scheduleSegmentUncached(r.hw, r.price, r.w.Segments[it.seg], r.clusters, r.st)
+	if err == nil && r.st.cacheable {
+		e.ss, e.ok = out, true
+	}
+	return out, err
+}
+
+func (s *Scheduler) countMiss() {
 	statCacheMiss.Add(1)
 	if s.tel.Enabled() {
 		s.tel.EmitCounter("sched/seg_cache_misses", 1)
 	}
-	out, err := s.scheduleSegmentUncached(hw, price, seg, clusters, st)
-	if err != nil {
-		return SegmentSchedule{}, err
+}
+
+// dpScratch is the working memory of one segment search: the candidate
+// pricer, the DP table and the buffers of the segment-level passes. A
+// search takes one from scratchPool and puts it back when done, so
+// concurrent searches each work in their own and a worker reuses one
+// from segment to segment.
+type dpScratch struct {
+	pricer   groupPricer
+	best     []dpCell
+	groupOf  []int
+	order    orderScratch
+	tensors  []matTensor
+	cross    []*graph.Edge
+	aux      []auxUse
+	auxOrder []int
+	auxIndex map[string]int
+	auxPairs []auxGroup
+}
+
+// dpCell is one DP state: the minimal time to schedule nodes[0..i),
+// reached from the group nodes[prev..i).
+type dpCell struct {
+	time float64
+	prev int // -1 while no composition reaches the cell
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
+
+// resized returns buf with length n and every element zero, reusing its
+// storage when it is large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	if st.cacheable {
-		cached := out
-		s.segCache[key] = &cached
-	}
-	return out, nil
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg workload.Segment, clusters int, st *searchState) (SegmentSchedule, error) {
+	sc := scratchPool.Get().(*dpScratch)
+	defer scratchPool.Put(sc)
 	var nodes []*graph.Node
 	if s.Opt.Dataflow == DataflowCROPHE {
 		// Aux-affinity order: place consumers of the same auxiliary data
 		// adjacently (when dependencies allow) so spatial sharing groups
 		// can stream one evk to all of them — the sharing opportunity
 		// hybrid rotation creates across coarse steps (§V-C).
-		ordered, err := auxAffinityOrder(seg.G)
+		ordered, err := sc.order.auxAffinityOrder(seg.G)
 		if err != nil {
 			if ce, ok := err.(*CycleError); ok {
 				ce.Segment = seg.Name
@@ -585,11 +830,8 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// nodes[0..i), reached from the group nodes[prev..i). Candidates are
 	// only priced, each by extending the previous one of its row by one
 	// operator; the chosen groups are materialised afterwards.
-	type cell struct {
-		time float64
-		prev int // -1 while no composition reaches the cell
-	}
-	best := make([]cell, n+1)
+	best := resized(sc.best, n+1)
+	sc.best = best
 	for i := range best {
 		best[i].prev = -1
 	}
@@ -599,7 +841,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	var candidates uint64
 	for i := 0; i < n; i++ {
 		st.poll()
-		p := s.newGroup(hw)
+		p := sc.pricer.newGroup(hw, s.Opt)
 		for k := 1; k <= maxK && i+k <= n; k++ {
 			// Solo groups are the always-feasible fallback and run even
 			// after the anytime cut, so every cell is reached; multi-
@@ -610,9 +852,10 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 			}
 			candidates++
 			p.add(nodes[i+k-1])
-			t := best[i].time + p.cost().TimeSec
+			gt, _ := p.price()
+			t := best[i].time + gt
 			if best[i+k].prev < 0 || t < best[i+k].time {
-				best[i+k] = cell{time: t, prev: i}
+				best[i+k] = dpCell{time: t, prev: i}
 			}
 		}
 	}
@@ -643,10 +886,10 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// mapper remaps failed rows onto survivors); the lost compute is
 	// charged through the re-priced stage times.
 	for gi := range groups {
-		g := s.costGroup(hw, groups[gi].Nodes)
+		g := sc.pricer.costGroup(hw, s.Opt, groups[gi].Nodes)
 		if price != hw {
 			alloc := g.PEAlloc
-			g = s.costGroup(price, g.Nodes)
+			g = sc.pricer.costGroup(price, s.Opt, g.Nodes)
 			g.PEAlloc = alloc
 		}
 		groups[gi] = g
@@ -672,15 +915,16 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// overflow round-trips through DRAM. This capacity pressure dominates
 	// the Figure 10 sweep.
 	fine := s.Opt.Dataflow == DataflowCROPHE
-	groupOf := make([]int, len(seg.G.Nodes)) // by node ID; 0 for non-compute nodes
+	groupOf := resized(sc.groupOf, len(seg.G.Nodes)) // by node ID; 0 for non-compute nodes
+	sc.groupOf = groupOf
 	for gi, g := range groups {
 		for _, n := range g.Nodes {
 			groupOf[n.ID] = gi
 		}
 	}
 	wb := hw.WordBytes()
-	var tensors []matTensor
-	var crossConsumers []*graph.Edge
+	tensors := sc.tensors[:0]
+	crossConsumers := sc.cross
 	for _, n := range nodes {
 		crossConsumers = crossConsumers[:0]
 		for _, e := range n.OutEdges {
@@ -739,6 +983,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 			weighted: bytes * rangeFrac,
 		})
 	}
+	sc.tensors, sc.cross = tensors, crossConsumers
 	// Greedy residency: keep the hottest tensors (traffic per occupied
 	// byte) in the buffer share reserved for intermediates; the rest
 	// round-trip through DRAM.
@@ -764,7 +1009,7 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	// The policies differ in how many times an aux must be *delivered*:
 	// MAD delivers once per consuming operator; CROPHE's fine-grained
 	// spatial/temporal sharing delivers once per co-running group.
-	aux := s.collectAuxUses(hw, seg, groupOf)
+	aux := s.collectAuxUses(sc, hw, seg, groupOf)
 	// The aux residency budget is the capacity left after the resident
 	// intermediates and the largest granule working set any group pins —
 	// the §VII-C effect: fine-grained pipelining buffers only granules,
@@ -781,7 +1026,8 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 	}
 	auxT := Traffic{}
 	// Greedy residency by saved bytes (uses−1)·size, a knapsack heuristic.
-	order := make([]int, len(aux))
+	order := resized(sc.auxOrder, len(aux))
+	sc.auxOrder = order
 	for i := range order {
 		order[i] = i
 	}
@@ -836,19 +1082,20 @@ type auxUse struct {
 type auxGroup struct{ aux, group int }
 
 // collectAuxUses gathers per-aux delivery counts under the active policy;
-// groupOf maps a node ID to the index of its group.
-func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, groupOf []int) []auxUse {
+// groupOf maps a node ID to the index of its group. The result lives in
+// sc until its next search.
+func (s *Scheduler) collectAuxUses(sc *dpScratch, hw *arch.HWConfig, seg workload.Segment, groupOf []int) []auxUse {
 	fine := s.Opt.Dataflow == DataflowCROPHE
 	// One index per segment numbers the auxiliaries in first-use order;
 	// the (aux, group) pair of every use, sorted, yields each aux's
 	// distinct consuming groups without a set per aux.
-	if s.auxIndex == nil {
-		s.auxIndex = map[string]int{}
+	if sc.auxIndex == nil {
+		sc.auxIndex = map[string]int{}
 	}
-	index := s.auxIndex
+	index := sc.auxIndex
 	clear(index)
-	var out []auxUse
-	pairs := s.auxPairs[:0]
+	out := sc.aux[:0]
+	pairs := sc.auxPairs[:0]
 	for _, n := range seg.G.Nodes {
 		for _, e := range n.OutEdges {
 			if e.Class != graph.Auxiliary {
@@ -889,7 +1136,7 @@ func (s *Scheduler) collectAuxUses(hw *arch.HWConfig, seg workload.Segment, grou
 			}
 		}
 	}
-	s.auxPairs = pairs
+	sc.aux, sc.auxPairs = out, pairs
 	// The residency greedy sorts by savings with a stable tie order, so
 	// ties resolve by this order: by aux ID, not by graph encounter order.
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -971,13 +1218,12 @@ type groupPricer struct {
 	resident  float64
 }
 
-// newGroup empties the scheduler's pricer and returns it, ready to price
-// a group on hw.
-func (s *Scheduler) newGroup(hw *arch.HWConfig) *groupPricer {
-	p := &s.pricer
+// newGroup empties p and returns it, ready to price a group on hw under
+// opt.
+func (p *groupPricer) newGroup(hw *arch.HWConfig, opt Options) *groupPricer {
 	p.hw = hw
-	p.fine = s.Opt.Dataflow == DataflowCROPHE
-	p.uniform = s.Opt.UniformAlloc
+	p.fine = opt.Dataflow == DataflowCROPHE
+	p.uniform = opt.UniformAlloc
 	p.gen++
 	if p.gen == 0 { // wrapped: stale stamps could alias the new generation
 		clear(p.stamp)
@@ -1078,12 +1324,25 @@ func (p *groupPricer) add(n *graph.Node) {
 // composition (Nodes, PEAlloc) to the caller. Every group is feasible:
 // there is no capacity rule that rejects one.
 func (p *groupPricer) cost() GroupSchedule {
+	timeSec, computeSec := p.price()
+	return GroupSchedule{
+		TimeSec:       timeSec,
+		Compute:       computeSec,
+		Traffic:       p.tr,
+		Pipelined:     p.pipelined,
+		ResidentBytes: p.resident,
+	}
+}
+
+// price returns the current group's time and the part of it bound by
+// compute: the two numbers of cost the DP's hot loop needs, without
+// building a GroupSchedule for every candidate.
+func (p *groupPricer) price() (timeSec, computeSec float64) {
 	hw := p.hw
 	k := len(p.loads)
 	freq := hw.FreqGHz * 1e9
 	lanesTotal := float64(hw.TotalLanes())
 	p.allocated = false
-	var computeSec float64
 	switch {
 	case !hw.Homogeneous:
 		// Specialised baseline: each class limited to its FU share; MAD
@@ -1139,28 +1398,22 @@ func (p *groupPricer) cost() GroupSchedule {
 		// at reduced efficiency.
 		computeSec = p.totalLoad / (lanesTotal * effSoloHomogeneous * freq)
 	}
-	tr := p.tr
-	return GroupSchedule{
-		TimeSec: maxOf(
-			computeSec,
-			tr.DRAM/(hw.DRAMBandwidthTBs*1e12),
-			tr.SRAM/(hw.SRAMBandwidthTBs*1e12),
-			tr.NoC/nocBandwidth(hw),
-			tr.Transpose/(hw.SRAMBandwidthTBs*1e12*0.5),
-		),
-		Compute:       computeSec,
-		Traffic:       tr,
-		Pipelined:     p.pipelined,
-		ResidentBytes: p.resident,
-	}
+	tr := &p.tr
+	return maxOf(
+		computeSec,
+		tr.DRAM/(hw.DRAMBandwidthTBs*1e12),
+		tr.SRAM/(hw.SRAMBandwidthTBs*1e12),
+		tr.NoC/nocBandwidth(hw),
+		tr.Transpose/(hw.SRAMBandwidthTBs*1e12*0.5),
+	), computeSec
 }
 
 // costGroup prices nodes, in topological order, as one group and
 // materialises it with its PE allocation. The DP prices its candidates
 // by extending a groupPricer and calls this only for the groups it
 // chose; both give bit-identical costs.
-func (s *Scheduler) costGroup(hw *arch.HWConfig, nodes []*graph.Node) GroupSchedule {
-	p := s.newGroup(hw)
+func (p *groupPricer) costGroup(hw *arch.HWConfig, opt Options, nodes []*graph.Node) GroupSchedule {
+	p.newGroup(hw, opt)
 	for _, n := range nodes {
 		p.add(n)
 	}

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"crophe/internal/arch"
 	"crophe/internal/graph"
@@ -271,8 +273,8 @@ func TestGroupCostRespectsBaselineShares(t *testing.T) {
 	ntt := g.AddNode(graph.OpNTT, "ntt", shape)
 	ntt.SubNTTLen = 65536
 
-	s := New(arch.SHARP, DefaultOptions(DataflowMAD))
-	gs := s.costGroup(arch.SHARP, []*graph.Node{ntt})
+	var p groupPricer
+	gs := p.costGroup(arch.SHARP, DefaultOptions(DataflowMAD), []*graph.Node{ntt})
 	load := float64(ntt.ModMuls())
 	full := load / (float64(arch.SHARP.TotalLanes()) * effSpecialized * arch.SHARP.FreqGHz * 1e9)
 	if gs.Compute <= full {
@@ -349,5 +351,62 @@ func TestSearchStatsAndTelemetryMirror(t *testing.T) {
 	New(arch.CROPHE64, DefaultOptions(DataflowCROPHE)).Run(w)
 	if Stats().Candidates == mid.Candidates {
 		t.Fatal("always-on atomics stopped counting without a collector")
+	}
+}
+
+// cyclicAfterFingerprint returns a two-operator graph whose fingerprint
+// was taken while it was acyclic and which then gained a back edge: its
+// memo key is valid, but searching it fails, with a panic in the MAD
+// dataflow's topological order and a *CycleError in CROPHE's.
+func cyclicAfterFingerprint() *graph.Graph {
+	g := graph.New()
+	shape := graph.Tensor{Digits: 1, Limbs: 2, N: 64}
+	a := g.AddNode(graph.OpEWAdd, "a", shape)
+	b := g.AddNode(graph.OpEWMul, "b", shape)
+	g.Connect(a, b)
+	g.Fingerprint()
+	back := &graph.Edge{From: b, To: a, Shape: shape, Class: graph.Intermediate}
+	b.OutEdges = append(b.OutEdges, back)
+	a.InEdges = append(a.InEdges, back)
+	return g
+}
+
+// TestSegmentMemoizationReleasesFailedSearches checks that a segment search
+// that panics or fails leaves no memo entry behind: concurrent and later
+// runs of the same segment search it again and fail the same way
+// instead of waiting forever on an entry nobody will fill.
+func TestSegmentMemoizationReleasesFailedSearches(t *testing.T) {
+	w := &workload.Workload{Name: "cyclic", Params: testParams, DataParallel: 1,
+		Segments: []workload.Segment{{Name: "loop", G: cyclicAfterFingerprint(), Count: 1}}}
+	for _, df := range []Dataflow{DataflowMAD, DataflowCROPHE} {
+		s := New(arch.CROPHE64, DefaultOptions(df))
+		for round := 0; round < 2; round++ {
+			const callers = 4
+			failed := make(chan bool, callers)
+			for k := 0; k < callers; k++ {
+				go func() {
+					defer func() {
+						if r := recover(); r != nil {
+							failed <- true
+						}
+					}()
+					_, err := s.Schedule(context.Background(), w)
+					failed <- err != nil
+				}()
+			}
+			for k := 0; k < callers; k++ {
+				select {
+				case ok := <-failed:
+					if !ok {
+						t.Fatalf("%s round %d: a search of a cyclic segment succeeded", df, round)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s round %d: a search waited on a failed search's memo entry", df, round)
+				}
+			}
+		}
+		if n := len(s.segCache); n != 0 {
+			t.Fatalf("%s: %d memo entries left by failed searches", df, n)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"crophe/internal/arch"
 	"crophe/internal/graph"
@@ -146,8 +147,9 @@ func TestFactoryCallsOwnTheirSegments(t *testing.T) {
 
 // TestFactoryConcurrentUse calls one factory from 8 goroutines, each
 // walking the candidates in its own order and taking every fingerprint
-// and rewrite, and checks they all got the same graphs. Run it under
-// -race.
+// and rewrite, and checks they all got the same graph for each segment,
+// and the same graphs as serial calls of a factory of their own. Run it
+// under -race.
 func TestFactoryConcurrentUse(t *testing.T) {
 	f, _ := Lookup("helr1024", testParams)
 	const workers = 8
@@ -184,5 +186,66 @@ func TestFactoryConcurrentUse(t *testing.T) {
 				}
 			}
 		}
+	}
+	serial, _ := Lookup("helr1024", testParams)
+	for i, c := range candidates {
+		got := f(c.mode, c.rHyb)
+		for j, s := range got.Segments {
+			if s.G != results[0][i].raw[j] {
+				t.Fatalf("candidate %v, segment %s: a later call got a different graph", c, s.Name)
+			}
+		}
+		if err := sameWorkload(got, serial(c.mode, c.rHyb)); err != nil {
+			t.Fatalf("candidate %v: concurrent and serial builds differ: %v", c, err)
+		}
+	}
+}
+
+// TestFactoryBuildsKeysInParallel checks that one key's build does not
+// hold up another's: the first build waits until the second has started,
+// which a factory that builds under one lock never lets happen.
+func TestFactoryBuildsKeysInParallel(t *testing.T) {
+	c := newSegments(testParams)
+	started := make(chan struct{})
+	done := make(chan Segment)
+	go func() {
+		done <- c.segment(segmentKey{name: "a"}, 1, func(b *Builder) {
+			<-started
+			b.Input("a/in", 1)
+		})
+	}()
+	go func() {
+		done <- c.segment(segmentKey{name: "b"}, 1, func(b *Builder) {
+			close(started)
+			b.Input("b/in", 1)
+		})
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case s := <-done:
+			if s.G == nil || len(s.G.Nodes) != 1 {
+				t.Fatalf("segment %s: graph %v, want one input node", s.Name, s.G)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a segment build waited for another key's build")
+		}
+	}
+}
+
+// TestFactoryFailedBuildKeepsFailing checks that a segment whose build
+// panicked is never handed out as a nil graph: later calls of its key
+// panic too.
+func TestFactoryFailedBuildKeepsFailing(t *testing.T) {
+	c := newSegments(testParams)
+	k := segmentKey{name: "broken"}
+	for call := 0; call < 2; call++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("call %d of a key whose build panicked returned", call)
+				}
+			}()
+			c.segment(k, 1, func(b *Builder) { panic("builder bug") })
+		}()
 	}
 }

@@ -65,12 +65,21 @@ func bsgsDims(diags int) (n1, n2 int) {
 // of a factory. BSGS segments are keyed by their rotation structure;
 // every other segment is rotation-invariant and shared by every
 // candidate. The graphs are read-only once built (see graph.Graph);
-// each Segment value, and so its Count, is the caller's own.
+// each Segment value, and so its Count, is the caller's own. A graph is
+// built outside the lock, so concurrent callers build different keys at
+// once; callers of the same key wait for its one build.
 type segments struct {
 	p arch.ParamSet
 
 	mu     sync.Mutex
-	graphs map[segmentKey]*graph.Graph
+	graphs map[segmentKey]*builtGraph
+}
+
+// builtGraph is one key's graph, built once by whichever caller runs
+// once first.
+type builtGraph struct {
+	once sync.Once
+	g    *graph.Graph
 }
 
 // segmentKey names a segment graph by its builder's arguments. The
@@ -84,22 +93,30 @@ type segmentKey struct {
 }
 
 func newSegments(p arch.ParamSet) *segments {
-	return &segments{p: p, graphs: make(map[segmentKey]*graph.Graph)}
+	return &segments{p: p, graphs: make(map[segmentKey]*builtGraph)}
 }
 
 // segment returns the graph under k, running build on a fresh builder
 // the first time k is asked for, with the given count.
 func (c *segments) segment(k segmentKey, count int, build func(b *Builder)) Segment {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.graphs[k]
+	e, ok := c.graphs[k]
 	if !ok {
+		e = new(builtGraph)
+		c.graphs[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
 		b := NewBuilder(c.p)
 		build(b)
-		g = b.G
-		c.graphs[k] = g
+		e.g = b.G
+	})
+	if e.g == nil {
+		// The build panicked (a builder bug); sync.Once will not run it
+		// again, so every caller of the key fails the same way.
+		panic(fmt.Sprintf("workload: segment %s was not built", k.name))
 	}
-	return Segment{Name: k.name, G: g, Count: count}
+	return Segment{Name: k.name, G: e.g, Count: count}
 }
 
 // matVec is one BSGS PtMatVecMult segment.
