@@ -96,13 +96,15 @@ trace-smoke:
 	$(GO) run ./cmd/crophe-sim -tracecheck /tmp/crophe-trace.json
 
 # CLI smoke: run crophe-graph (summary, NTT-decomposed summary, DOT of
-# one segment) and crophe-sched once each. Each must exit 0, and the DOT
-# output must be a Graphviz digraph.
+# one segment) and crophe-sched once each. Each must exit 0, the summary
+# must carry the segment table's header and the DOT output must be a
+# Graphviz digraph.
 CLI_SMOKE_DIR ?= /tmp/crophe-cli-smoke
 
 cli-smoke:
 	mkdir -p $(CLI_SMOKE_DIR)
-	$(GO) run ./cmd/crophe-graph
+	$(GO) run ./cmd/crophe-graph > $(CLI_SMOKE_DIR)/graph.txt
+	grep -qE '^segment +count +ops +modmuls +inter MB +aux MB$$' $(CLI_SMOKE_DIR)/graph.txt
 	$(GO) run ./cmd/crophe-graph -nttdec
 	$(GO) run ./cmd/crophe-graph -dot c2s > $(CLI_SMOKE_DIR)/c2s.dot
 	grep -q '^digraph "c2s"' $(CLI_SMOKE_DIR)/c2s.dot

@@ -73,13 +73,13 @@ func main() {
 	fmt.Printf("workload %s (%s params, %s rotations%s): %d segments, %d total ops, %.2f G modmuls\n\n",
 		w.Name, params.Name, mode, dec(*nttdec), len(w.Segments), w.TotalOps(),
 		float64(w.TotalModMuls())/1e9)
-	fmt.Printf("%-16s %6s %7s %10s %11s %11s %9s\n",
-		"segment", "count", "ops", "modmuls", "inter MB", "aux MB", "fingerprint")
+	fmt.Printf("%-16s %6s %7s %10s %11s %11s\n",
+		"segment", "count", "ops", "modmuls", "inter MB", "aux MB")
 	for _, seg := range w.Segments {
 		s := seg.G.Summarise(wb)
-		fmt.Printf("%-16s %6d %7d %10.2e %11.1f %11.1f %9s\n",
+		fmt.Printf("%-16s %6d %7d %10.2e %11.1f %11.1f\n",
 			seg.Name, seg.Count, s.ComputeOps, float64(s.ModMuls),
-			s.InterBytes/1e6, s.AuxBytes/1e6, seg.G.Fingerprint()[:8])
+			s.InterBytes/1e6, s.AuxBytes/1e6)
 	}
 
 	// Aggregate kind histogram.

@@ -170,13 +170,11 @@ func HELRWorkload(p ParamSet) WorkloadFactory {
 	return f
 }
 
-// ResNetWorkload returns the encrypted ResNet benchmark factory. It takes
-// any layer count, so unlike the other two it builds every graph afresh
-// on each call.
+// ResNetWorkload returns the encrypted ResNet benchmark factory for any
+// layer count, sharing segment graphs across calls as
+// BootstrappingWorkload does.
 func ResNetWorkload(p ParamSet, layers int) WorkloadFactory {
-	return func(m workload.RotMode, r int) *Workload {
-		return workload.ResNet(p, layers, m, r)
-	}
+	return workload.ResNetFactory(p, layers)
 }
 
 // LookupHW maps a hardware name ("crophe64", "crophe36", "bts", "ark",

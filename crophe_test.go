@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"crophe/internal/graph"
 	"crophe/internal/sched"
 	"crophe/internal/workload"
 )
@@ -43,6 +44,53 @@ func TestFacadeWorkloadFactories(t *testing.T) {
 			t.Errorf("%s: empty workload", name)
 		}
 	}
+}
+
+// TestResNetWorkloadSharesSegments checks that one ResNetWorkload
+// factory hands every call the same graph for a rotation-invariant
+// segment, so Design.Evaluate searches it once, and that two factories
+// share nothing.
+func TestResNetWorkloadSharesSegments(t *testing.T) {
+	relu := func(w *Workload) *graph.Graph {
+		for _, s := range w.Segments {
+			if s.Name == "relu" {
+				return s.G
+			}
+		}
+		t.Fatal("no relu segment")
+		return nil
+	}
+	f := ResNetWorkload(ParamsSHARP, 20)
+	a, b := relu(f(RotMinKS, 0)), relu(f(workload.RotHybrid, 4))
+	if a != b {
+		t.Error("two calls of one ResNetWorkload factory built relu twice")
+	}
+	if relu(ResNetWorkload(ParamsSHARP, 20)(RotMinKS, 0)) == a {
+		t.Error("two ResNetWorkload factories share a segment graph")
+	}
+}
+
+// sameGraph reports whether two graphs have the same nodes (ID, kind,
+// name, shape, attributes) with the same in-edges (source, class, shape,
+// aux ID), in the same order.
+func sameGraph(a, b *graph.Graph) bool {
+	if len(a.Nodes) != len(b.Nodes) {
+		return false
+	}
+	for i, n := range a.Nodes {
+		m := b.Nodes[i]
+		if n.ID != m.ID || n.Kind != m.Kind || n.Name != m.Name || n.Out != m.Out ||
+			n.SubNTTLen != m.SubNTTLen || n.BConvWidth != m.BConvWidth || len(n.InEdges) != len(m.InEdges) {
+			return false
+		}
+		for j, e := range n.InEdges {
+			f := m.InEdges[j]
+			if e.From.ID != f.From.ID || e.Class != f.Class || e.Shape != f.Shape || e.AuxID != f.AuxID {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestFacadeSimulate(t *testing.T) {
@@ -115,8 +163,7 @@ func TestNameCatalogue(t *testing.T) {
 			continue
 		}
 		for i := range w.Segments {
-			if w.Segments[i].Count != want.Segments[i].Count ||
-				w.Segments[i].G.Fingerprint() != want.Segments[i].G.Fingerprint() {
+			if w.Segments[i].Count != want.Segments[i].Count || !sameGraph(w.Segments[i].G, want.Segments[i].G) {
 				t.Errorf("LookupWorkload(%q) segment %s differs", name, w.Segments[i].Name)
 			}
 		}

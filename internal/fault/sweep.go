@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"crophe/internal/arch"
 	"crophe/internal/parallel"
@@ -122,16 +121,17 @@ func WithResume(done map[int]SweepPoint) SweepOption {
 // maxSweepFrac of every resource class), each instantiated under the
 // same seed so rung k's fault set nests inside rung k+1's.
 //
-// Rungs are claimed in step order and run on the shared internal/parallel
-// pool (the caller plus any free tokens; at pool size 1, a plain
-// sequential loop), each landing in its index-addressed slot. Every rung
-// is deterministic per (hw, seed, step) and never sees a cancellable
-// context, so the result does not depend on the pool size.
-// WithJournal(observe) commits rungs serially, in step order, as the
-// landed prefix grows; WithResume(done) splices journaled rungs in
-// verbatim. ctx is checked before each rung is claimed and before each
-// commit: after cancellation no rung starts or is committed, and
-// in-flight results are dropped — a resume recomputes them identically.
+// Rungs are claimed in step order (parallel.ClaimEach) and run on the
+// shared internal/parallel pool (the caller plus any free tokens; at pool
+// size 1, a plain sequential loop), each landing in its index-addressed
+// slot; no rung is claimed after one fails. Every rung is deterministic
+// per (hw, seed, step) and never sees a cancellable context, so the
+// result does not depend on the pool size. WithJournal(observe) commits
+// rungs serially, in step order, as the landed prefix grows;
+// WithResume(done) splices journaled rungs in verbatim. ctx is checked
+// before each rung starts and before each commit: after cancellation no
+// rung starts or is committed, and in-flight results are dropped — a
+// resume recomputes them identically.
 //
 // Infeasible rungs are recorded in their point, not returned as errors;
 // RunSweep itself fails only on a step count below 2, plan-generation
@@ -149,21 +149,19 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 	res := &SweepResult{HW: hw.Name, Seed: seed, Points: make([]SweepPoint, steps)}
 	errs := make([]error, steps)
 	var (
-		claimed atomic.Int64
-		mu      sync.Mutex
-		landed  = make([]bool, steps)
-		next    int  // rungs [0, next) are committed
-		busy    bool // a goroutine is running the commit loop
+		mu     sync.Mutex
+		landed = make([]bool, steps)
+		next   int  // rungs [0, next) are committed
+		busy   bool // a goroutine is running the commit loop
 	)
-	parallel.For(steps, func(int) {
+	parallel.ClaimEach(parallel.Workers(), steps, func(i int) bool {
 		if ctx.Err() != nil {
-			return
+			return false
 		}
-		i := int(claimed.Add(1)) - 1
 		pt, spliced := cfg.done[i]
 		if !spliced {
 			if pt, errs[i] = runStep(hw, seed, steps, i, run); errs[i] != nil {
-				return
+				return false
 			}
 		}
 		res.Points[i] = pt
@@ -186,6 +184,7 @@ func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run
 			busy = false
 		}
 		mu.Unlock()
+		return true
 	})
 	if next < steps {
 		if errs[next] != nil {

@@ -174,28 +174,28 @@ func (n *Node) MoveElems() int64 {
 }
 
 // Graph is a DAG of operator nodes. A graph is built by AddNode, Connect
-// and ConnectAux and is read-only once a value derived from it has been
-// taken: Fingerprint and Decomposed compute theirs on first use and hand
-// the cached value to every later caller, so one graph can be shared by
-// every workload and scheduler that uses it. The builders panic on a
-// graph in that state.
+// and ConnectAux and is read-only once its decomposition has been taken:
+// Decomposed computes it on first use and hands the cached graph to
+// every later caller. The builders panic on a graph in that state. A
+// graph is shared by pointer between every workload and scheduler that
+// uses it, and the scheduler's segment memo is keyed by that pointer, so
+// no pass may change a graph once it has been handed out.
 type Graph struct {
 	Nodes []*Node
 	nexts int
 
-	sealed     atomic.Bool // a derived value has been taken, or g is one
-	fp         atomic.Pointer[string]
+	sealed     atomic.Bool // the decomposition has been taken, or g is one
 	decomposed atomic.Pointer[Graph]
 }
 
 // New creates an empty graph.
 func New() *Graph { return &Graph{} }
 
-// mustBeOpen panics if g is sealed: its cached fingerprint and
-// decomposition would no longer describe it.
+// mustBeOpen panics if g is sealed: its cached decomposition would no
+// longer describe it.
 func (g *Graph) mustBeOpen(op, name string) {
 	if g.sealed.Load() {
-		panic(fmt.Sprintf("graph: %s %q on a sealed graph of %d nodes (its fingerprint or decomposition has been taken)",
+		panic(fmt.Sprintf("graph: %s %q on a sealed graph of %d nodes (its decomposition has been taken)",
 			op, name, len(g.Nodes)))
 	}
 }
@@ -243,11 +243,22 @@ func (g *Graph) ComputeNodes() []*Node {
 
 // Topological returns a deterministic topological ordering (Kahn's
 // algorithm emitting the smallest-ID ready node first). It panics on
-// cycles, which would be a builder bug.
+// cycles, which would be a builder bug; TopologicalPrefix reports them.
+func (g *Graph) Topological() []*Node {
+	out := g.TopologicalPrefix()
+	if len(out) != len(g.Nodes) {
+		panic("graph: cycle detected")
+	}
+	return out
+}
+
+// TopologicalPrefix is Topological without the cycle check: it returns
+// the nodes Kahn's algorithm orders, which are all of g's nodes exactly
+// when g has no cycle.
 //
 // Node IDs are dense — AddNode assigns 0, 1, 2, … — so per-node state
 // here and in the other graph passes lives in slices indexed by ID.
-func (g *Graph) Topological() []*Node {
+func (g *Graph) TopologicalPrefix() []*Node {
 	indeg := make([]int, len(g.Nodes))
 	var ready idHeap
 	for _, n := range g.Nodes {
@@ -266,9 +277,6 @@ func (g *Graph) Topological() []*Node {
 				ready.push(e.To)
 			}
 		}
-	}
-	if len(out) != len(g.Nodes) {
-		panic("graph: cycle detected")
 	}
 	return out
 }

@@ -206,4 +206,26 @@ func ForChunk(n int, body func(lo, hi int)) {
 	}
 }
 
+// ClaimEach runs body(i) for every i in [0, n) on up to workers pool
+// workers, each claiming the next index from a shared counter, so items
+// of very different cost still spread evenly. Indices are claimed in
+// increasing order, every claimed index runs, and no new index is
+// claimed once a body has returned false. With workers 1 it is a plain
+// loop on the caller's goroutine.
+func ClaimEach(workers, n int, body func(i int) bool) {
+	var next atomic.Int64
+	var stop atomic.Bool
+	ForChunk(min(workers, n), func(int, int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !body(i) {
+				stop.Store(true)
+			}
+		}
+	})
+}
+
 type panicValue struct{ v any }

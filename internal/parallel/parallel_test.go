@@ -71,6 +71,41 @@ func TestSerialFallbackRunsInline(t *testing.T) {
 	})
 }
 
+// TestClaimEachRunsEveryClaimedIndexOnce stops the claim loop at index
+// stopAt: every index up to it must run exactly once, no index twice,
+// and a one-worker loop must run them in order and nothing after.
+func TestClaimEachRunsEveryClaimedIndexOnce(t *testing.T) {
+	const n, stopAt = 200, 37
+	for _, w := range []int{1, 2, 4} {
+		withWorkers(t, 4, func() {
+			for _, stop := range []bool{false, true} {
+				hits := make([]int32, n)
+				last := -1
+				ClaimEach(w, n, func(i int) bool {
+					atomic.AddInt32(&hits[i], 1)
+					if w == 1 {
+						if i != last+1 {
+							t.Errorf("workers=1: index %d after %d", i, last)
+						}
+						last = i
+					}
+					return !stop || i != stopAt
+				})
+				for i, h := range hits {
+					switch {
+					case h > 1:
+						t.Fatalf("workers=%d stop=%v: index %d ran %d times", w, stop, i, h)
+					case h == 0 && (!stop || i <= stopAt):
+						t.Fatalf("workers=%d stop=%v: index %d never ran", w, stop, i)
+					case h == 1 && stop && w == 1 && i > stopAt:
+						t.Fatalf("workers=1: index %d ran after the loop stopped", i)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestNestedForStaysBounded(t *testing.T) {
 	withWorkers(t, 4, func() {
 		var inFlight, peak atomic.Int64

@@ -10,8 +10,8 @@ import (
 // paper designs of ARK × bootstrapping), each through Design.Evaluate
 // with the fresh Scheduler it creates. Each iteration takes a new
 // workload factory, so neither segment graphs nor segment schedules
-// carry over between iterations: every iteration pays the builds,
-// rewrites and fingerprints one cell pays.
+// carry over between iterations: every iteration pays the builds and
+// rewrites one cell pays.
 func BenchmarkDesignEvaluateCold(b *testing.B) {
 	p := baseline.Pairings()[1]
 	designs := p.Designs()

@@ -65,14 +65,10 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 
 // TestSchedulerSharedAcrossGoroutines runs the five rotation candidates
 // of a CROPHE design, three times each, concurrently on one Scheduler.
-// Every run must equal a serial run on a fresh Scheduler, and the shared
-// memo must search each distinct segment once, as a serial pass of the
-// same runs over one Scheduler does. Node names are left out of the
-// comparison: a memo hit hands back the groups of the graph the key was
-// searched on, and two candidates' graphs can share a structure under
-// different names (Hoisting and Hybrid with r_Hyb 2 here), so which
-// names a run reports depends on which of the concurrent runs searched
-// the key first. Run it under -race.
+// Every run must equal a serial run on a fresh Scheduler, node names
+// included, and the shared memo must search each distinct segment once,
+// as a serial pass of the same runs over one Scheduler does. Run it
+// under -race.
 func TestSchedulerSharedAcrossGoroutines(t *testing.T) {
 	d := sched.PaperDesigns(arch.CROPHE64, arch.ARK)[2]
 	factory, _ := workload.Lookup("resnet-20", arch.ParamsARK)
@@ -86,7 +82,7 @@ func TestSchedulerSharedAcrossGoroutines(t *testing.T) {
 	for i, c := range cands {
 		ws[i] = d.Prepare(factory(c.mode, c.r))
 		h := fnv.New64a()
-		hashScheduleNodes(h, sched.New(d.HW, d.Options(0)).Run(ws[i]), false)
+		hashSchedule(h, sched.New(d.HW, d.Options(0)).Run(ws[i]))
 		want[i] = h.Sum64()
 	}
 
@@ -108,7 +104,7 @@ func TestSchedulerSharedAcrossGoroutines(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			h := fnv.New64a()
-			hashScheduleNodes(h, shared.Run(ws[k%len(ws)]), false)
+			hashSchedule(h, shared.Run(ws[k%len(ws)]))
 			got[k] = h.Sum64()
 		}(k)
 	}

@@ -62,39 +62,45 @@ func (d Design) Prepare(w *workload.Workload) *workload.Workload {
 //
 // The winner records its candidate in Rot and RHyb. The candidates'
 // graphs are built concurrently and their segments searched together on
-// one Scheduler, so a segment graph they share is searched once, for the
-// first candidate that has it. The winner is still picked in candidate
-// order, the first of equally fast candidates winning.
+// one Scheduler, so a segment graph the factory hands to several of them
+// is searched once. The winner is picked in candidate order, the first
+// of equally fast candidates winning.
 func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
-	sch := New(d.HW, d.Options(0))
-
-	type cand struct {
-		mode workload.RotMode
-		r    int
-	}
-	cands := []cand{{workload.RotMinKS, 0}, {workload.RotHoisted, 0}}
-	if d.HybridRot {
-		for _, r := range rHybCandidates {
-			cands = append(cands, cand{workload.RotHybrid, r})
-		}
-	}
-
-	// The winner is reported under the name of the first (Min-KS)
-	// candidate's workload.
-	ws := make([]*workload.Workload, len(cands))
-	claimEach(parallel.Workers(), len(cands), func(i int) bool {
-		ws[i] = d.Prepare(factory(cands[i].mode, cands[i].r))
-		return true
-	})
+	cands, ws := d.candidates(factory)
 	var best *Schedule
-	for i, res := range sch.runAll(ws) {
+	for i, res := range New(d.HW, d.Options(0)).runAll(ws) {
 		if best == nil || res.TimeSec < best.TimeSec {
 			best = res
 			best.Rot, best.RHyb = cands[i].mode, cands[i].r
 		}
 	}
+	// The winner is reported under the name of the first (Min-KS)
+	// candidate's workload.
 	best.Workload = ws[0].Name
 	return best
+}
+
+// candidate is one rotation structure Evaluate searches.
+type candidate struct {
+	mode workload.RotMode
+	r    int
+}
+
+// candidates returns the rotation structures the design may use, in
+// Evaluate's order, and their prepared workloads, built concurrently.
+func (d Design) candidates(factory WorkloadFactory) ([]candidate, []*workload.Workload) {
+	cands := []candidate{{workload.RotMinKS, 0}, {workload.RotHoisted, 0}}
+	if d.HybridRot {
+		for _, r := range rHybCandidates {
+			cands = append(cands, candidate{workload.RotHybrid, r})
+		}
+	}
+	ws := make([]*workload.Workload, len(cands))
+	parallel.ClaimEach(parallel.Workers(), len(cands), func(i int) bool {
+		ws[i] = d.Prepare(factory(cands[i].mode, cands[i].r))
+		return true
+	})
+	return cands, ws
 }
 
 // PaperDesigns returns the four Figure 9 design points for a CROPHE

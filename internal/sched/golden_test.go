@@ -64,12 +64,8 @@ func TestPaperDesignSchedulesGolden(t *testing.T) {
 }
 
 // hashSchedule feeds every reported number of a schedule, down to each
-// group's composition and PE allocation, into h.
-func hashSchedule(h hash.Hash64, s *sched.Schedule) { hashScheduleNodes(h, s, true) }
-
-// hashScheduleNodes is hashSchedule, with the names of the groups' nodes
-// left out unless names is set: their IDs are always hashed.
-func hashScheduleNodes(h hash.Hash64, s *sched.Schedule, names bool) {
+// group's composition (node IDs and names) and PE allocation, into h.
+func hashSchedule(h hash.Hash64, s *sched.Schedule) {
 	var buf [8]byte
 	u := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -102,9 +98,7 @@ func hashScheduleNodes(h hash.Hash64, s *sched.Schedule, names bool) {
 			i(len(g.Nodes))
 			for _, n := range g.Nodes {
 				i(n.ID)
-				if names {
-					str(n.Name)
-				}
+				str(n.Name)
 			}
 			i(g.Pipelined)
 			f(g.TimeSec)

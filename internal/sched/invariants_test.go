@@ -139,7 +139,7 @@ func TestInvariantMemoizationConsistent(t *testing.T) {
 	tc := allScheduleCases()[2]
 	s := New(tc.hw, tc.opt)
 	first := s.Run(tc.w)
-	second := s.Run(tc.w) // served from the fingerprint cache
+	second := s.Run(tc.w) // served from the segment memo
 	if first.TimeSec != second.TimeSec || first.Traffic != second.Traffic {
 		t.Fatal("memoised result differs")
 	}

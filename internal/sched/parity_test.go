@@ -1,9 +1,6 @@
 package sched
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -232,9 +229,6 @@ func checkOrders(t *testing.T, name string, g *graph.Graph) {
 	if a, b := ids(got), ids(refAuxAffinityOrder(g)); fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("%s: auxAffinityOrder %v, reference %v", name, a, b)
 	}
-	if got, want := g.Fingerprint(), refFingerprint(g); got != want {
-		t.Fatalf("%s: Fingerprint %s, reference %s", name, got, want)
-	}
 }
 
 // randomDAG builds a graph whose node IDs are not a topological order:
@@ -298,57 +292,6 @@ func refTopological(g *graph.Graph) []*graph.Node {
 		}
 	}
 	return out
-}
-
-// refFingerprint is the map-keyed Graph.Fingerprint that the ID-indexed
-// one replaced; the memo keys and crophe-graph's printed fingerprints
-// must not change.
-func refFingerprint(g *graph.Graph) string {
-	topo := refTopological(g)
-	pos := map[*graph.Node]int{}
-	for i, n := range topo {
-		pos[n] = i
-	}
-	auxNum := map[string]int{}
-	h := sha256.New()
-	buf := make([]byte, 8)
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf, uint64(int64(v)))
-		h.Write(buf)
-	}
-	for _, n := range topo {
-		for _, v := range []int{int(n.Kind), n.Out.Digits, n.Out.Limbs, n.Out.N, n.SubNTTLen, n.BConvWidth} {
-			writeInt(v)
-		}
-		edges := append([]*graph.Edge(nil), n.OutEdges...)
-		sort.Slice(edges, func(i, j int) bool {
-			pi, pj := pos[edges[i].To], pos[edges[j].To]
-			if pi != pj {
-				return pi < pj
-			}
-			return edges[i].Class < edges[j].Class
-		})
-		writeInt(len(edges))
-		for _, e := range edges {
-			for _, v := range []int{pos[e.To], int(e.Class), e.Shape.Digits, e.Shape.Limbs, e.Shape.N} {
-				writeInt(v)
-			}
-			if e.Class == graph.Auxiliary {
-				id, ok := auxNum[e.AuxID]
-				if !ok {
-					id = len(auxNum)
-					auxNum[e.AuxID] = id
-				}
-				writeInt(id)
-				if isEvk(e.AuxID) {
-					writeInt(1)
-				} else {
-					writeInt(0)
-				}
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // refAuxAffinityOrder is the map-and-sort aux-affinity order that

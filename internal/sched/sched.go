@@ -243,17 +243,16 @@ func budgetForDeadline(d time.Duration) int {
 // Once cut, the DP stops proposing k>1 groups and finishes the workload
 // with solo groups, which are always feasible.
 type searchState struct {
-	done      <-chan struct{} // nil when the context cannot expire
-	budget    int             // remaining k>1 candidates; <0 = unlimited
-	cut       bool
-	cacheable bool // segment results computed before any cut may be memoised
+	done   <-chan struct{} // nil when the context cannot expire
+	budget int             // remaining k>1 candidates; <0 = unlimited
+	cut    bool
 }
 
 func newSearchState(ctx context.Context, budget int) *searchState {
 	if budget <= 0 {
 		budget = -1 // unlimited
 	}
-	return &searchState{done: ctx.Done(), budget: budget, cacheable: true}
+	return &searchState{done: ctx.Done(), budget: budget}
 }
 
 // charge consumes one unit of multi-operator budget, reporting whether
@@ -263,7 +262,7 @@ func (st *searchState) charge() bool {
 		return false
 	}
 	if st.budget == 0 {
-		st.markCut()
+		st.cut = true
 		return false
 	}
 	if st.budget > 0 {
@@ -280,14 +279,9 @@ func (st *searchState) poll() {
 	}
 	select {
 	case <-st.done:
-		st.markCut()
+		st.cut = true
 	default:
 	}
-}
-
-func (st *searchState) markCut() {
-	st.cut = true
-	st.cacheable = false
 }
 
 // unbounded reports that the search can never be cut: no budget and a
@@ -305,7 +299,6 @@ func (st *searchState) unbounded() bool {
 // Scheduler.WithTelemetry) mirrors them as counters.
 var (
 	statCandidates atomic.Uint64 // candidate groups costed by the DP
-	statPruned     atomic.Uint64 // candidates rejected as infeasible (none are: see SearchStats)
 	statCacheHits  atomic.Uint64 // segment-schedule memo hits
 	statCacheMiss  atomic.Uint64 // segment-schedule memo misses
 )
@@ -324,7 +317,6 @@ type SearchStats struct {
 func Stats() SearchStats {
 	return SearchStats{
 		Candidates:  statCandidates.Load(),
-		Pruned:      statPruned.Load(),
 		CacheHits:   statCacheHits.Load(),
 		CacheMisses: statCacheMiss.Load(),
 	}
@@ -332,11 +324,7 @@ func Stats() SearchStats {
 
 // Scheduler binds a hardware configuration and options. It is safe for
 // concurrent use: concurrent runs share its segment memo, and each
-// segment search works in scratch of its own. A memo hit hands back the
-// groups of the graph the key was first searched on, so when concurrent
-// runs hold different graphs of one structure, the node names in their
-// groups depend on which run searched it first; runs searched together
-// (Design.Evaluate's candidates) resolve this in their order.
+// segment search works in scratch of its own.
 type Scheduler struct {
 	HW  *arch.HWConfig
 	Opt Options
@@ -349,13 +337,13 @@ type Scheduler struct {
 	// second (typically derated) configuration. Set with WithPricing.
 	priceHW *arch.HWConfig
 
-	// segCache memoises segment schedules by structural fingerprint —
-	// the paper's redundancy merge ("searches only once", §V-D). Keyed
-	// per (fingerprint, hardware identity, cluster count); the Scheduler
-	// is bound to one hardware configuration and option set, so the
-	// fingerprint alone suffices within one instance. It is single-flight:
-	// the first caller of a key searches it while later callers wait on
-	// its entry. mu guards the map, not the entries.
+	// segCache memoises segment schedules by graph identity — the
+	// paper's redundancy merge ("searches only once", §V-D), for the
+	// segment graphs a workload factory shares between its rotation
+	// candidates. The Scheduler is bound to one hardware configuration
+	// and option set, so (graph, cluster count, count) is the whole key.
+	// It is single-flight: the first caller of a key searches it while
+	// later callers wait on its entry. mu guards the map, not the entries.
 	mu       sync.Mutex
 	segCache map[segKey]*segEntry
 }
@@ -371,8 +359,7 @@ type segEntry struct {
 }
 
 type segKey struct {
-	fp       string
-	sramMB   float64
+	g        *graph.Graph
 	clusters int
 	count    int // residency amortisation depends on the repetition count
 }
@@ -491,9 +478,8 @@ type searchRun struct {
 // segments in one loop: workload by workload, each in segment order.
 // When no search can be cut, the loop runs on up to Workers() pool
 // workers; otherwise one segment at a time, because a budget is spent in
-// segment order. Either way the items take their memo entries in loop
-// order, under s.mu, so a key shared by several items is searched for
-// the first of them, on its graph, as a serial loop does, and the
+// segment order. Items that share a memo key share its graph, so a
+// search's result does not depend on which of them runs it, and the
 // schedules are the serial loop's bit for bit. Each schedule is summed
 // serially in segment order.
 func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([]*Schedule, error) {
@@ -538,39 +524,15 @@ func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([
 		}
 	}
 
-	if workers > 1 {
-		// A graph keeps its fingerprint once taken, so taking them all
-		// here, spread over the workers, keeps the memo lookups, which
-		// run under s.mu, short.
-		claimEach(workers, len(items), func(j int) bool {
-			items[j].r.w.Segments[items[j].seg].G.Fingerprint()
-			return true
-		})
-	}
-	var next int // guarded by s.mu
-	var stop atomic.Bool
-	parallel.ForChunk(min(workers, len(items)), func(int, int) {
-		for !stop.Load() {
-			s.mu.Lock()
-			j := next
-			next++
-			var e *segEntry
-			var owner bool
-			if j < len(items) {
-				e, owner = s.entryLocked(&items[j])
-			}
-			s.mu.Unlock()
-			if j >= len(items) {
-				return
-			}
-			it := &items[j]
-			var err error
-			it.r.out.Segments[it.seg], err = s.searchSegment(it, e, owner)
-			if err != nil {
-				it.r.errs[it.seg] = err
-				stop.Store(true)
-			}
-		}
+	parallel.ClaimEach(workers, len(items), func(j int) bool {
+		it := &items[j]
+		s.mu.Lock()
+		e, owner := s.entryLocked(it)
+		s.mu.Unlock()
+		var err error
+		it.r.out.Segments[it.seg], err = s.searchSegment(it, e, owner)
+		it.r.errs[it.seg] = err
+		return err == nil
 	})
 
 	out := make([]*Schedule, len(runs))
@@ -627,27 +589,6 @@ func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 	return out, nil
 }
 
-// claimEach runs body(i) for every i in [0, n) on up to workers pool
-// workers, each claiming the next index from a shared counter, so items of
-// very different cost still spread evenly. Indices are claimed in
-// increasing order, and no new index is claimed once a body has returned
-// false. With workers 1 it is a plain loop on the caller's goroutine.
-func claimEach(workers, n int, body func(i int) bool) {
-	var next atomic.Int64
-	var stop atomic.Bool
-	parallel.ForChunk(min(workers, n), func(int, int) {
-		for !stop.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if !body(i) {
-				stop.Store(true)
-			}
-		}
-	})
-}
-
 // clusterView is the per-cluster slice of a configuration under static
 // partitioning (CROPHE-p): compute, buffer capacity and bandwidths all
 // divide by the cluster count. DRAM bandwidth is chip-wide; each cluster
@@ -677,18 +618,19 @@ func clampFrac(f float64) float64 {
 
 // entryLocked sets the memo key of item it and returns the key's entry,
 // creating it when there is none yet; owner reports that it did, and
-// that it must search the segment and fill the entry. Once the anytime search is cut, the memo is
-// bypassed in both directions (nil entry): degraded (solo-group)
-// schedules must not poison the cache, and cached full-search results
-// must not leak into a cut run — the cut point, not wall-clock luck,
-// decides what a budgeted run returns. s.mu must be held.
+// that it must search the segment and fill the entry. Once the anytime
+// search is cut, the memo is bypassed in both directions (nil entry):
+// degraded (solo-group) schedules must not poison the cache, and cached
+// full-search results must not leak into a cut run — the cut point, not
+// wall-clock luck, decides what a budgeted run returns. s.mu must be
+// held.
 func (s *Scheduler) entryLocked(it *segItem) (e *segEntry, owner bool) {
 	r := it.r
 	if r.st.cut {
 		return nil, false
 	}
 	seg := r.w.Segments[it.seg]
-	it.key = segKey{fp: seg.G.Fingerprint(), sramMB: r.hw.SRAMCapacityMB, clusters: r.clusters, count: seg.Count}
+	it.key = segKey{g: seg.G, clusters: r.clusters, count: seg.Count}
 	if e, found := s.segCache[it.key]; found {
 		return e, false
 	}
@@ -698,8 +640,7 @@ func (s *Scheduler) entryLocked(it *segItem) (e *segEntry, owner bool) {
 }
 
 // searchSegment returns the schedule of item it's segment: the DP group
-// composition over its graph, memoised by structural fingerprint in
-// entry e (see entryLocked).
+// composition over its graph, memoised in entry e (see entryLocked).
 func (s *Scheduler) searchSegment(it *segItem, e *segEntry, owner bool) (SegmentSchedule, error) {
 	r := it.r
 	seg := r.w.Segments[it.seg]
@@ -718,8 +659,7 @@ func (s *Scheduler) searchSegment(it *segItem, e *segEntry, owner bool) (Segment
 				s.tel.EmitCounter("sched/seg_cache_hits", 1)
 			}
 			out := e.ss
-			out.Name = seg.Name
-			out.Count = seg.Count
+			out.Name = seg.Name // the key holds the graph and count, not the name
 			return out, nil
 		}
 		// The owner's search failed or was cut, and the entry is gone.
@@ -745,7 +685,7 @@ func (s *Scheduler) fill(e *segEntry, it *segItem) (out SegmentSchedule, err err
 	r := it.r
 	s.countMiss()
 	out, err = s.scheduleSegmentUncached(r.hw, r.price, r.w.Segments[it.seg], r.clusters, r.st)
-	if err == nil && r.st.cacheable {
+	if err == nil && !r.st.cut {
 		e.ss, e.ok = out, true
 	}
 	return out, err
@@ -814,7 +754,11 @@ func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg worklo
 		}
 		nodes = ordered
 	} else {
-		nodes = seg.G.ComputeNodes()
+		topo := seg.G.TopologicalPrefix()
+		if len(topo) != len(seg.G.Nodes) {
+			return SegmentSchedule{}, &CycleError{Segment: seg.Name, Ordered: len(topo), Total: len(seg.G.Nodes)}
+		}
+		nodes = slices.DeleteFunc(topo, func(n *graph.Node) bool { return !n.Kind.IsCompute() })
 	}
 	n := len(nodes)
 	if n == 0 {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -354,59 +355,94 @@ func TestSearchStatsAndTelemetryMirror(t *testing.T) {
 	}
 }
 
-// cyclicAfterFingerprint returns a two-operator graph whose fingerprint
-// was taken while it was acyclic and which then gained a back edge: its
-// memo key is valid, but searching it fails, with a panic in the MAD
-// dataflow's topological order and a *CycleError in CROPHE's.
-func cyclicAfterFingerprint() *graph.Graph {
+// cyclicGraph returns a two-operator graph with a dependency cycle.
+func cyclicGraph() *graph.Graph {
 	g := graph.New()
 	shape := graph.Tensor{Digits: 1, Limbs: 2, N: 64}
 	a := g.AddNode(graph.OpEWAdd, "a", shape)
 	b := g.AddNode(graph.OpEWMul, "b", shape)
 	g.Connect(a, b)
-	g.Fingerprint()
-	back := &graph.Edge{From: b, To: a, Shape: shape, Class: graph.Intermediate}
-	b.OutEdges = append(b.OutEdges, back)
-	a.InEdges = append(a.InEdges, back)
+	g.Connect(b, a)
 	return g
 }
 
+// danglingGraph returns a graph with an edge to a node outside g.Nodes,
+// whose ID is out of the graph's range: a search of it panics.
+func danglingGraph() *graph.Graph {
+	g := graph.New()
+	shape := graph.Tensor{Digits: 1, Limbs: 2, N: 64}
+	a := g.AddNode(graph.OpEWAdd, "a", shape)
+	g.Connect(a, &graph.Node{ID: 7, Kind: graph.OpEWMul, Name: "outside", Out: shape})
+	return g
+}
+
+// oneSegment wraps g as a one-segment workload.
+func oneSegment(name string, g *graph.Graph) *workload.Workload {
+	return &workload.Workload{Name: name, Params: testParams, DataParallel: 1,
+		Segments: []workload.Segment{{Name: "loop", G: g, Count: 1}}}
+}
+
+// TestScheduleReturnsCycleError checks that both dataflows reject a
+// cyclic segment with a *CycleError naming it, whether or not the
+// search is cut.
+func TestScheduleReturnsCycleError(t *testing.T) {
+	w := oneSegment("cyclic", cyclicGraph())
+	for _, df := range []Dataflow{DataflowMAD, DataflowCROPHE} {
+		for _, budget := range []int{0, 1} {
+			opt := DefaultOptions(df)
+			opt.SearchBudget = budget
+			_, err := New(arch.CROPHE64, opt).Schedule(context.Background(), w)
+			var ce *CycleError
+			if !errors.As(err, &ce) || ce.Segment != "loop" || ce.Ordered != 0 || ce.Total != 2 {
+				t.Errorf("%s budget %d: got %v, want a *CycleError for segment loop, 0 of 2 nodes", df, budget, err)
+			}
+		}
+	}
+}
+
 // TestSegmentMemoizationReleasesFailedSearches checks that a segment search
-// that panics or fails leaves no memo entry behind: concurrent and later
+// that fails or panics leaves no memo entry behind: concurrent and later
 // runs of the same segment search it again and fail the same way
 // instead of waiting forever on an entry nobody will fill.
 func TestSegmentMemoizationReleasesFailedSearches(t *testing.T) {
-	w := &workload.Workload{Name: "cyclic", Params: testParams, DataParallel: 1,
-		Segments: []workload.Segment{{Name: "loop", G: cyclicAfterFingerprint(), Count: 1}}}
-	for _, df := range []Dataflow{DataflowMAD, DataflowCROPHE} {
-		s := New(arch.CROPHE64, DefaultOptions(df))
-		for round := 0; round < 2; round++ {
-			const callers = 4
-			failed := make(chan bool, callers)
-			for k := 0; k < callers; k++ {
-				go func() {
-					defer func() {
-						if r := recover(); r != nil {
-							failed <- true
-						}
+	for _, c := range []struct {
+		w      *workload.Workload
+		panics bool // the search panics rather than returning an error
+	}{
+		{oneSegment("cyclic", cyclicGraph()), false},
+		{oneSegment("dangling", danglingGraph()), true},
+	} {
+		w := c.w
+		for _, df := range []Dataflow{DataflowMAD, DataflowCROPHE} {
+			s := New(arch.CROPHE64, DefaultOptions(df))
+			for round := 0; round < 2; round++ {
+				const callers = 4
+				failed := make(chan bool, callers)
+				for k := 0; k < callers; k++ {
+					go func() {
+						defer func() {
+							if r := recover(); r != nil {
+								failed <- c.panics
+							}
+						}()
+						_, err := s.Schedule(context.Background(), w)
+						failed <- err != nil && !c.panics
 					}()
-					_, err := s.Schedule(context.Background(), w)
-					failed <- err != nil
-				}()
-			}
-			for k := 0; k < callers; k++ {
-				select {
-				case ok := <-failed:
-					if !ok {
-						t.Fatalf("%s round %d: a search of a cyclic segment succeeded", df, round)
+				}
+				for k := 0; k < callers; k++ {
+					select {
+					case ok := <-failed:
+						if !ok {
+							t.Fatalf("%s %s round %d: a search did not fail the way it should", w.Name, df, round)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s %s round %d: a search waited on a failed search's memo entry", w.Name, df, round)
 					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("%s round %d: a search waited on a failed search's memo entry", df, round)
 				}
 			}
-		}
-		if n := len(s.segCache); n != 0 {
-			t.Fatalf("%s: %d memo entries left by failed searches", df, n)
+			if n := len(s.segCache); n != 0 {
+				t.Fatalf("%s %s: %d memo entries left by failed searches", w.Name, df, n)
+			}
 		}
 	}
 }

@@ -34,8 +34,8 @@ var freshBuilds = map[string]func(arch.ParamSet, RotMode, int) *Workload{
 }
 
 // sameWorkload reports the first difference between two workloads,
-// segment by segment: name, count, fingerprint and every node's kind,
-// name and shape.
+// segment by segment: name, count, and every node's kind, name, shape,
+// attributes and in-edges.
 func sameWorkload(got, want *Workload) error {
 	if got.Name != want.Name || got.Params != want.Params || got.DataParallel != want.DataParallel {
 		return fmt.Errorf("header %s/%s/%d, want %s/%s/%d",
@@ -49,17 +49,23 @@ func sameWorkload(got, want *Workload) error {
 		if g.Name != w.Name || g.Count != w.Count {
 			return fmt.Errorf("segment %d is %s×%d, want %s×%d", i, g.Name, g.Count, w.Name, w.Count)
 		}
-		if g.G.Fingerprint() != w.G.Fingerprint() {
-			return fmt.Errorf("segment %s: fingerprints differ", g.Name)
-		}
 		if len(g.G.Nodes) != len(w.G.Nodes) {
 			return fmt.Errorf("segment %s: %d nodes, want %d", g.Name, len(g.G.Nodes), len(w.G.Nodes))
 		}
 		for j, n := range g.G.Nodes {
 			m := w.G.Nodes[j]
-			if n.Kind != m.Kind || n.Name != m.Name || n.Out != m.Out {
+			if n.Kind != m.Kind || n.Name != m.Name || n.Out != m.Out || n.SubNTTLen != m.SubNTTLen || n.BConvWidth != m.BConvWidth {
 				return fmt.Errorf("segment %s node %d: %v %q %v, want %v %q %v",
 					g.Name, j, n.Kind, n.Name, n.Out, m.Kind, m.Name, m.Out)
+			}
+			if len(n.InEdges) != len(m.InEdges) {
+				return fmt.Errorf("segment %s node %q: %d in-edges, want %d", g.Name, n.Name, len(n.InEdges), len(m.InEdges))
+			}
+			for k, e := range n.InEdges {
+				f := m.InEdges[k]
+				if e.From.ID != f.From.ID || e.Class != f.Class || e.Shape != f.Shape || e.AuxID != f.AuxID {
+					return fmt.Errorf("segment %s node %q: in-edge %d differs", g.Name, n.Name, k)
+				}
 			}
 		}
 	}
@@ -146,8 +152,8 @@ func TestFactoryCallsOwnTheirSegments(t *testing.T) {
 }
 
 // TestFactoryConcurrentUse calls one factory from 8 goroutines, each
-// walking the candidates in its own order and taking every fingerprint
-// and rewrite, and checks they all got the same graph for each segment,
+// walking the candidates in its own order and taking every rewrite, and
+// checks they all got the same graph for each segment,
 // and the same graphs as serial calls of a factory of their own. Run it
 // under -race.
 func TestFactoryConcurrentUse(t *testing.T) {
@@ -166,11 +172,9 @@ func TestFactoryConcurrentUse(t *testing.T) {
 				w := f(candidates[i].mode, candidates[i].rHyb)
 				var r result
 				for _, s := range w.DecomposeNTTs().Segments {
-					s.G.Fingerprint()
 					r.dec = append(r.dec, s.G)
 				}
 				for _, s := range w.Segments {
-					s.G.Fingerprint()
 					r.raw = append(r.raw, s.G)
 				}
 				results[k][i] = r

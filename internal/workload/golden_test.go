@@ -10,9 +10,9 @@ import (
 	"crophe/internal/graph"
 )
 
-// goldenBuilderHash pins the builder's output where the fingerprint
-// does not reach: node IDs and names, the order of nodes and in-edges,
-// and aux IDs by name. A refactor of the builder must leave it
+// goldenBuilderHash pins the builder's output: every node's ID, kind,
+// name, shape and attributes, the order of nodes and in-edges, and aux
+// IDs by name. A refactor of the builder must leave it
 // unchanged; a change to the modelled graphs moves it on purpose, and
 // then the new constant comes with the reason.
 const goldenBuilderHash = 0x4f83adc5caa7e847

@@ -335,8 +335,18 @@ func Lookup(name string, p arch.ParamSet) (Factory, bool) {
 	if !ok {
 		return nil, false
 	}
+	return newFactory(p, build), true
+}
+
+// ResNetFactory is Lookup's factory for an encrypted ResNet of any layer
+// count, with a segment cache of its own.
+func ResNetFactory(p arch.ParamSet, layers int) Factory {
+	return newFactory(p, resNet(layers))
+}
+
+func newFactory(p arch.ParamSet, build func(*segments, RotMode, int) *Workload) Factory {
 	c := newSegments(p)
-	return func(mode RotMode, rHyb int) *Workload { return build(c, mode, rHyb) }, true
+	return func(mode RotMode, rHyb int) *Workload { return build(c, mode, rHyb) }
 }
 
 // DecomposeNTTs applies the four-step rewrite to every segment. Each
