@@ -64,9 +64,9 @@ bench-kernels:
 
 # One iteration of the cold scheduler benchmark (one Figure 9 cell, four
 # designs) under the race detector, on one CPU and on two: keeps the
-# allocation-free pricing path, the per-worker scratch, the shared
-# segment memo and the concurrent candidate and segment searches
-# race-checked and the benchmark compiling.
+# allocation-free pricing path, the per-worker scratch, the merge of
+# repeated segment searches and the concurrent candidate and segment
+# searches race-checked and the benchmark compiling.
 bench-sched:
 	$(GO) test -race -run='^$$' -bench BenchmarkDesignEvaluateCold -benchtime=1x -cpu 1,2 ./internal/sched/
 

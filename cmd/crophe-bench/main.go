@@ -97,7 +97,7 @@ func main() {
 	if *tracePath != "" {
 		tel = telemetry.New()
 	}
-	rep, err := bench.CollectWithTelemetry(ids, *fast, emit, tel)
+	rep, err := bench.Collect(ids, *fast, emit, tel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crophe-bench: %v\n", err)
 		os.Exit(1)

@@ -72,15 +72,12 @@ type Report struct {
 // completes (so -json keeps the human-readable output). Allocation deltas
 // come from the runtime's monotonic TotalAlloc/Mallocs counters, so they
 // are unaffected by GC timing; wall clock is the only noisy field.
-func Collect(ids []string, fast bool, emit func(id, rendered string)) (*Report, error) {
-	return CollectWithTelemetry(ids, fast, emit, nil)
-}
-
-// CollectWithTelemetry is Collect with an optional collector attached
-// (crophe-bench's -trace flag): each experiment becomes a wall-clock span
-// on the "Bench" track and the per-experiment counter deltas accumulate
-// into the collector. A nil collector behaves exactly like Collect.
-func CollectWithTelemetry(ids []string, fast bool, emit func(id, rendered string), tel *telemetry.Collector) (*Report, error) {
+//
+// tel, when non-nil (crophe-bench's -trace flag), receives a trace: each
+// experiment becomes a wall-clock span on the "Bench" track and the
+// per-experiment counter deltas accumulate into it. A nil tel records
+// no trace.
+func Collect(ids []string, fast bool, emit func(id, rendered string), tel *telemetry.Collector) (*Report, error) {
 	tel.SetTimeUnit("ms")
 	rep := &Report{
 		SchemaVersion: ReportSchemaVersion,

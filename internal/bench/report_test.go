@@ -109,7 +109,7 @@ func TestCollectProducesStableMetrics(t *testing.T) {
 		if out != "" {
 			rendered++
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCollectProducesStableMetrics(t *testing.T) {
 	}
 	// The model is deterministic: a second collection yields identical
 	// metrics (wall clock and allocations may differ).
-	rep2, err := Collect(ids, true, nil)
+	rep2, err := Collect(ids, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCollectRecordsCountersAndTrace(t *testing.T) {
 		t.Skip("experiment sweep in -short mode")
 	}
 	tel := telemetry.New()
-	rep, err := CollectWithTelemetry([]string{"table4"}, true, nil, tel)
+	rep, err := Collect([]string{"table4"}, true, nil, tel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,8 +178,8 @@ func (n *Node) MoveElems() int64 {
 // Decomposed computes it on first use and hands the cached graph to
 // every later caller. The builders panic on a graph in that state. A
 // graph is shared by pointer between every workload and scheduler that
-// uses it, and the scheduler's segment memo is keyed by that pointer, so
-// no pass may change a graph once it has been handed out.
+// uses it, and the scheduler merges the searches of one call by that
+// pointer, so no pass may change a graph once it has been handed out.
 type Graph struct {
 	Nodes []*Node
 	nexts int

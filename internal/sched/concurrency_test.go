@@ -49,7 +49,8 @@ func figure9Hashes(workers int) ([]uint64, sched.SearchStats) {
 // designs on a one-worker pool, where every candidate and segment is
 // searched in order on the caller, and on a four-worker pool, where they
 // fan out. The schedules must be bit-identical and the search counters
-// must add up to the same totals: one memo miss per distinct segment.
+// must add up to the same totals: one miss per distinct segment key of
+// each Evaluate call.
 func TestParallelSearchMatchesSerial(t *testing.T) {
 	serial, serialStats := figure9Hashes(1)
 	par, parStats := figure9Hashes(4)
@@ -66,9 +67,9 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 // TestSchedulerSharedAcrossGoroutines runs the five rotation candidates
 // of a CROPHE design, three times each, concurrently on one Scheduler.
 // Every run must equal a serial run on a fresh Scheduler, node names
-// included, and the shared memo must search each distinct segment once,
-// as a serial pass of the same runs over one Scheduler does. Run it
-// under -race.
+// included, and the search counters must equal those of a serial pass
+// of the same runs over one Scheduler: runs on one Scheduler share
+// nothing. Run it under -race.
 func TestSchedulerSharedAcrossGoroutines(t *testing.T) {
 	d := sched.PaperDesigns(arch.CROPHE64, arch.ARK)[2]
 	factory, _ := workload.Lookup("resnet-20", arch.ParamsARK)

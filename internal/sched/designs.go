@@ -61,9 +61,9 @@ func (d Design) Prepare(w *workload.Workload) *workload.Workload {
 //   - Each candidate graph goes through Prepare before scheduling.
 //
 // The winner records its candidate in Rot and RHyb. The candidates'
-// graphs are built concurrently and their segments searched together on
-// one Scheduler, so a segment graph the factory hands to several of them
-// is searched once. The winner is picked in candidate order, the first
+// graphs are built concurrently and their segments searched together in
+// one Scheduler call, so a segment graph the factory hands to several of
+// them is searched once. The winner is picked in candidate order, the first
 // of equally fast candidates winning.
 func (d Design) Evaluate(factory WorkloadFactory) *Schedule {
 	cands, ws := d.candidates(factory)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crophe/internal/baseline"
+	"crophe/internal/graph"
 	"crophe/internal/sched"
 	"crophe/internal/workload"
 )
@@ -35,8 +36,9 @@ func TestEvaluateRecordsWinner(t *testing.T) {
 // TestSegmentMemoizationKeepsOwnNodes runs the rotation candidates of
 // every Figure 9 cell and design through one Scheduler together, as
 // Evaluate does, and requires every group node of every candidate
-// schedule to be a node of that candidate's own segment graph: a memo
-// hit must not hand a candidate the groups of another graph.
+// schedule to be a node of that candidate's own segment graph: a
+// segment served by another's search must not get another graph's
+// groups.
 func TestSegmentMemoizationKeepsOwnNodes(t *testing.T) {
 	var total, foreign int
 	for _, p := range baseline.Pairings() {
@@ -73,4 +75,42 @@ func ownNodes(w *workload.Workload, s *sched.Schedule) (string, bool) {
 		}
 	}
 	return "", true
+}
+
+// TestSegmentMemoizationSearchesEachKeyOnce checks, on every Figure 9
+// cell's CROPHE designs, that Evaluate searches each distinct segment
+// key (graph, cluster count, repetition count) of its prepared
+// candidates once and serves every other segment as a hit.
+func TestSegmentMemoizationSearchesEachKeyOnce(t *testing.T) {
+	type key struct {
+		g               *graph.Graph
+		clusters, count int
+	}
+	for _, p := range baseline.Pairings() {
+		factories := p.WorkloadFactories()
+		for _, wl := range baseline.WorkloadNames() {
+			for _, d := range p.Designs() {
+				if d.Dataflow != sched.DataflowCROPHE {
+					continue
+				}
+				ws, ss := d.EvaluateAll(factories[wl])
+				keys := map[key]bool{}
+				segs := 0
+				for k, w := range ws {
+					for _, seg := range w.Segments {
+						keys[key{seg.G, ss[k].Clusters, seg.Count}] = true
+						segs++
+					}
+				}
+				before := sched.Stats()
+				d.Evaluate(factories[wl])
+				after := sched.Stats()
+				misses, hits := after.CacheMisses-before.CacheMisses, after.CacheHits-before.CacheHits
+				if misses != uint64(len(keys)) || hits != uint64(segs-len(keys)) {
+					t.Errorf("%s %s: %d misses and %d hits, want %d and %d",
+						d.Name, wl, misses, hits, len(keys), segs-len(keys))
+				}
+			}
+		}
+	}
 }

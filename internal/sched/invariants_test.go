@@ -134,14 +134,14 @@ func TestInvariantDeterminism(t *testing.T) {
 }
 
 func TestInvariantMemoizationConsistent(t *testing.T) {
-	// Scheduling the same workload twice through one Scheduler (memoised)
-	// must equal a fresh Scheduler's result.
+	// Scheduling the same workload twice through one Scheduler must
+	// give the same result: a Scheduler keeps no state between runs.
 	tc := allScheduleCases()[2]
 	s := New(tc.hw, tc.opt)
 	first := s.Run(tc.w)
-	second := s.Run(tc.w) // served from the segment memo
+	second := s.Run(tc.w)
 	if first.TimeSec != second.TimeSec || first.Traffic != second.Traffic {
-		t.Fatal("memoised result differs")
+		t.Fatal("a second run on one Scheduler differs from the first")
 	}
 }
 

@@ -9,8 +9,9 @@
 // deterministic topological order) are grouped into spatial
 // pipelining/sharing groups of bounded size, groups are costed with the
 // analytical model, and dynamic programming concatenates the best groups
-// over the whole graph (§V-D). Redundant subgraphs are costed once via the
-// workload's segment × count representation.
+// over the whole graph (§V-D). Redundant subgraphs are costed once: within
+// a workload by its segment × count representation, and across the
+// workloads of one call by merging the searches of shared segment graphs.
 package sched
 
 import (
@@ -299,8 +300,8 @@ func (st *searchState) unbounded() bool {
 // Scheduler.WithTelemetry) mirrors them as counters.
 var (
 	statCandidates atomic.Uint64 // candidate groups costed by the DP
-	statCacheHits  atomic.Uint64 // segment-schedule memo hits
-	statCacheMiss  atomic.Uint64 // segment-schedule memo misses
+	statCacheHits  atomic.Uint64 // segments served by another's search
+	statCacheMiss  atomic.Uint64 // segment searches run
 )
 
 // SearchStats is a snapshot of the cumulative search counters.
@@ -308,7 +309,11 @@ type SearchStats struct {
 	Candidates uint64
 	// Pruned counts candidates rejected as infeasible. The cost model
 	// has no capacity rule that rejects a group, so it stays 0.
-	Pruned      uint64
+	Pruned uint64
+	// CacheHits counts segments served by the search of an earlier
+	// segment of the same call with the same graph, cluster count and
+	// repetition count (see scheduleAll); CacheMisses counts the
+	// segment searches run.
 	CacheHits   uint64
 	CacheMisses uint64
 }
@@ -322,46 +327,31 @@ func Stats() SearchStats {
 	}
 }
 
-// Scheduler binds a hardware configuration and options. It is safe for
-// concurrent use: concurrent runs share its segment memo, and each
-// segment search works in scratch of its own.
+// Scheduler binds a hardware configuration and options. It holds
+// nothing but its configuration, so it is safe for concurrent use and a
+// run's result never depends on earlier runs: each call searches its
+// own segments, each search in scratch of its own.
 type Scheduler struct {
 	HW  *arch.HWConfig
 	Opt Options
 
 	// tel, when enabled, receives per-run search counters (candidates
-	// explored, pruned, memo hits). Set with WithTelemetry.
+	// explored, pruned, segment hits and misses). Set with WithTelemetry.
 	tel *telemetry.Collector
 
 	// priceHW, when set, re-prices the chosen group compositions on a
 	// second (typically derated) configuration. Set with WithPricing.
 	priceHW *arch.HWConfig
-
-	// segCache memoises segment schedules by graph identity — the
-	// paper's redundancy merge ("searches only once", §V-D), for the
-	// segment graphs a workload factory shares between its rotation
-	// candidates. The Scheduler is bound to one hardware configuration
-	// and option set, so (graph, cluster count, count) is the whole key.
-	// It is single-flight: the first caller of a key searches it while
-	// later callers wait on its entry. mu guards the map, not the entries.
-	mu       sync.Mutex
-	segCache map[segKey]*segEntry
 }
 
-// segEntry is one key of the segment memo. done is closed once the
-// search that created the entry has finished; ok then says whether ss
-// holds its result. A failed, panicked or cut search leaves ok false and
-// removes the entry, so its waiters search the key again.
-type segEntry struct {
-	done chan struct{}
-	ss   SegmentSchedule
-	ok   bool
-}
-
+// segKey identifies one segment search of a call. The Scheduler is
+// bound to one hardware configuration and option set, so the graph, the
+// cluster count and the repetition count (residency amortisation depends
+// on it) are the whole key.
 type segKey struct {
 	g        *graph.Graph
 	clusters int
-	count    int // residency amortisation depends on the repetition count
+	count    int
 }
 
 // New creates a scheduler.
@@ -372,7 +362,7 @@ func New(hw *arch.HWConfig, opt Options) *Scheduler {
 	if opt.Clusters < 1 {
 		opt.Clusters = 1
 	}
-	return &Scheduler{HW: hw, Opt: opt, segCache: make(map[segKey]*segEntry)}
+	return &Scheduler{HW: hw, Opt: opt}
 }
 
 // WithTelemetry attaches a collector that receives the run's search
@@ -455,12 +445,13 @@ func (s *Scheduler) Schedule(ctx context.Context, w *workload.Workload) (*Schedu
 	return out[0], nil
 }
 
-// segItem is one segment search of scheduleAll: segment seg of the
-// workload of run r, under memo key key (set by entryLocked).
+// segItem is one segment of scheduleAll: segment seg of the workload
+// of run r. src is the index of the item whose search serves it, its
+// own when it is searched.
 type segItem struct {
 	r   *searchRun
 	seg int
-	key segKey
+	src int
 }
 
 // searchRun is scheduleAll's state for one workload: its search state,
@@ -476,12 +467,20 @@ type searchRun struct {
 
 // scheduleAll schedules each of ws as Schedule does, searching all their
 // segments in one loop: workload by workload, each in segment order.
+//
 // When no search can be cut, the loop runs on up to Workers() pool
-// workers; otherwise one segment at a time, because a budget is spent in
-// segment order. Items that share a memo key share its graph, so a
-// search's result does not depend on which of them runs it, and the
-// schedules are the serial loop's bit for bit. Each schedule is summed
-// serially in segment order.
+// workers, and it first merges the call's redundant searches — the
+// paper's "searches only once" (§V-D) for the segment graphs a workload
+// factory hands to several rotation candidates: each segment with the
+// key (segKey) of an earlier one is not searched but served by that
+// one's search, renamed, and counted as a hit. Every item under one key
+// holds the same graph, so the schedules are the serial loop's bit for
+// bit.
+//
+// A bounded or cancellable call searches every segment, one at a time,
+// because a budget is spent in segment order and a cut schedule must not
+// stand in for a full one. Each schedule is summed serially in segment
+// order.
 func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([]*Schedule, error) {
 	price := s.pricing()
 	// Feasibility is a property of the machine the schedule will run on
@@ -492,13 +491,13 @@ func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([
 	hw := s.HW
 	runs := make([]searchRun, len(ws))
 	var items []segItem
-	workers := parallel.Workers()
+	merge := true
 	for k, w := range ws {
 		r := &runs[k]
 		r.w = w
 		r.st = newSearchState(ctx, s.Opt.SearchBudget)
 		if !r.st.unbounded() {
-			workers = 1
+			merge = false
 		}
 		clusters := s.Opt.Clusters
 		if clusters > w.DataParallel {
@@ -520,20 +519,63 @@ func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([
 			Segments: make([]SegmentSchedule, len(w.Segments))}
 		r.errs = make([]error, len(w.Segments))
 		for i := range w.Segments {
-			items = append(items, segItem{r: r, seg: i})
+			items = append(items, segItem{r: r, seg: i, src: len(items)})
+		}
+	}
+
+	workers := 1
+	if merge {
+		workers = parallel.Workers()
+		first := make(map[segKey]int)
+		for j := range items {
+			it := &items[j]
+			seg := it.r.w.Segments[it.seg]
+			k := segKey{g: seg.G, clusters: it.r.clusters, count: seg.Count}
+			if f, ok := first[k]; ok {
+				it.src = f
+			} else {
+				first[k] = j
+			}
 		}
 	}
 
 	parallel.ClaimEach(workers, len(items), func(j int) bool {
 		it := &items[j]
-		s.mu.Lock()
-		e, owner := s.entryLocked(it)
-		s.mu.Unlock()
+		if it.src != j {
+			return true // a repeat, served after the loop
+		}
+		r := it.r
+		statCacheMiss.Add(1)
+		if s.tel.Enabled() {
+			s.tel.EmitCounter("sched/seg_cache_misses", 1)
+		}
 		var err error
-		it.r.out.Segments[it.seg], err = s.searchSegment(it, e, owner)
-		it.r.errs[it.seg] = err
+		r.out.Segments[it.seg], err = s.scheduleSegment(r.hw, r.price, r.w.Segments[it.seg], r.clusters, r.st)
+		r.errs[it.seg] = err
 		return err == nil
 	})
+
+	// Serve the repeats in item order. Items are claimed in that order
+	// too, so up to the first failed search every source has its
+	// schedule; there the call fails, as a serial loop does, and no later
+	// repeat is served.
+	for j := range items {
+		it := &items[j]
+		if it.r.errs[it.seg] != nil {
+			break
+		}
+		if it.src == j {
+			continue
+		}
+		statCacheHits.Add(1)
+		if s.tel.Enabled() {
+			s.tel.EmitCounter("sched/seg_cache_hits", 1)
+		}
+		src := &items[it.src]
+		ss := src.r.out.Segments[src.seg]
+		ss.Name = it.r.w.Segments[it.seg].Name // the key holds the graph and count, not the name
+		it.r.out.Segments[it.seg] = ss
+	}
 
 	out := make([]*Schedule, len(runs))
 	for k := range runs {
@@ -547,11 +589,11 @@ func (s *Scheduler) scheduleAll(ctx context.Context, ws []*workload.Workload) ([
 
 // finish sums a run's segment schedules into its schedule, or returns
 // the error of its first failed segment. Items are claimed in order, so
-// every segment before a failed one was searched and this is the error
-// a serial loop returns.
+// every segment before a failed one has its schedule and this is the
+// error a serial loop returns.
 func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 	out, clusterPrice, clusters := r.out, r.price, r.clusters
-	var busyPE, busyNoC, busySRAM, busyDRAM float64
+	var busyNoC, busySRAM, busyDRAM float64
 	for i, ss := range out.Segments {
 		if r.errs[i] != nil {
 			return nil, r.errs[i]
@@ -559,9 +601,6 @@ func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 		out.TimeSec += ss.TimeSec * float64(ss.Count)
 		out.Traffic.Add(ss.Traffic.Scale(float64(ss.Count)))
 		c := float64(ss.Count)
-		for _, g := range ss.Groups {
-			busyPE += g.Compute * c
-		}
 		busyNoC += ss.Traffic.NoC / nocBandwidth(clusterPrice) * c
 		busySRAM += ss.Traffic.SRAM / (clusterPrice.SRAMBandwidthTBs * 1e12) * c
 		busyDRAM += ss.Traffic.DRAM / (clusterPrice.DRAMBandwidthTBs * 1e12) * c
@@ -571,7 +610,6 @@ func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 
 	if out.TimeSec > 0 {
 		wall := out.TimeSec * float64(clusters) // wall time per cluster batch
-		_ = busyPE
 		out.Util = Utilization{
 			// PE utilisation is useful work over chip peak — the metric
 			// under which Table IV's specialised baselines score low
@@ -616,88 +654,6 @@ func clampFrac(f float64) float64 {
 	return f
 }
 
-// entryLocked sets the memo key of item it and returns the key's entry,
-// creating it when there is none yet; owner reports that it did, and
-// that it must search the segment and fill the entry. Once the anytime
-// search is cut, the memo is bypassed in both directions (nil entry):
-// degraded (solo-group) schedules must not poison the cache, and cached
-// full-search results must not leak into a cut run — the cut point, not
-// wall-clock luck, decides what a budgeted run returns. s.mu must be
-// held.
-func (s *Scheduler) entryLocked(it *segItem) (e *segEntry, owner bool) {
-	r := it.r
-	if r.st.cut {
-		return nil, false
-	}
-	seg := r.w.Segments[it.seg]
-	it.key = segKey{g: seg.G, clusters: r.clusters, count: seg.Count}
-	if e, found := s.segCache[it.key]; found {
-		return e, false
-	}
-	e = &segEntry{done: make(chan struct{})}
-	s.segCache[it.key] = e
-	return e, true
-}
-
-// searchSegment returns the schedule of item it's segment: the DP group
-// composition over its graph, memoised in entry e (see entryLocked).
-func (s *Scheduler) searchSegment(it *segItem, e *segEntry, owner bool) (SegmentSchedule, error) {
-	r := it.r
-	seg := r.w.Segments[it.seg]
-	for {
-		switch {
-		case e == nil:
-			s.countMiss()
-			return s.scheduleSegmentUncached(r.hw, r.price, seg, r.clusters, r.st)
-		case owner:
-			return s.fill(e, it)
-		}
-		<-e.done
-		if e.ok {
-			statCacheHits.Add(1)
-			if s.tel.Enabled() {
-				s.tel.EmitCounter("sched/seg_cache_hits", 1)
-			}
-			out := e.ss
-			out.Name = seg.Name // the key holds the graph and count, not the name
-			return out, nil
-		}
-		// The owner's search failed or was cut, and the entry is gone.
-		s.mu.Lock()
-		e, owner = s.entryLocked(it)
-		s.mu.Unlock()
-	}
-}
-
-// fill searches the segment of item it for memo entry e, which it owns,
-// and publishes the result to e's waiters. The entry is closed on every exit
-// path; one that does not end with a memoisable schedule is first
-// removed from the memo.
-func (s *Scheduler) fill(e *segEntry, it *segItem) (out SegmentSchedule, err error) {
-	defer func() {
-		if !e.ok {
-			s.mu.Lock()
-			delete(s.segCache, it.key)
-			s.mu.Unlock()
-		}
-		close(e.done)
-	}()
-	r := it.r
-	s.countMiss()
-	out, err = s.scheduleSegmentUncached(r.hw, r.price, r.w.Segments[it.seg], r.clusters, r.st)
-	if err == nil && !r.st.cut {
-		e.ss, e.ok = out, true
-	}
-	return out, err
-}
-
-func (s *Scheduler) countMiss() {
-	statCacheMiss.Add(1)
-	if s.tel.Enabled() {
-		s.tel.EmitCounter("sched/seg_cache_misses", 1)
-	}
-}
-
 // dpScratch is the working memory of one segment search: the candidate
 // pricer, the DP table and the buffers of the segment-level passes. A
 // search takes one from scratchPool and puts it back when done, so
@@ -736,7 +692,7 @@ func resized[T any](buf []T, n int) []T {
 	return buf
 }
 
-func (s *Scheduler) scheduleSegmentUncached(hw, price *arch.HWConfig, seg workload.Segment, clusters int, st *searchState) (SegmentSchedule, error) {
+func (s *Scheduler) scheduleSegment(hw, price *arch.HWConfig, seg workload.Segment, clusters int, st *searchState) (SegmentSchedule, error) {
 	sc := scratchPool.Get().(*dpScratch)
 	defer scratchPool.Put(sc)
 	var nodes []*graph.Node

@@ -401,9 +401,10 @@ func TestScheduleReturnsCycleError(t *testing.T) {
 }
 
 // TestSegmentMemoizationReleasesFailedSearches checks that a segment search
-// that fails or panics leaves no memo entry behind: concurrent and later
-// runs of the same segment search it again and fail the same way
-// instead of waiting forever on an entry nobody will fill.
+// that fails or panics fails only its own call: concurrent and later
+// calls of the same segment on one Scheduler search it again and fail
+// the same way, none waiting on another. A call whose two workloads
+// share the failing graph returns its error and serves no hit.
 func TestSegmentMemoizationReleasesFailedSearches(t *testing.T) {
 	for _, c := range []struct {
 		w      *workload.Workload
@@ -436,13 +437,25 @@ func TestSegmentMemoizationReleasesFailedSearches(t *testing.T) {
 							t.Fatalf("%s %s round %d: a search did not fail the way it should", w.Name, df, round)
 						}
 					case <-time.After(10 * time.Second):
-						t.Fatalf("%s %s round %d: a search waited on a failed search's memo entry", w.Name, df, round)
+						t.Fatalf("%s %s round %d: a search waited on a failed search", w.Name, df, round)
 					}
 				}
 			}
-			if n := len(s.segCache); n != 0 {
-				t.Fatalf("%s %s: %d memo entries left by failed searches", w.Name, df, n)
-			}
+		}
+	}
+
+	g := cyclicGraph()
+	ws := []*workload.Workload{oneSegment("first", g), oneSegment("second", g)}
+	for _, df := range []Dataflow{DataflowMAD, DataflowCROPHE} {
+		before := Stats()
+		_, err := New(arch.CROPHE64, DefaultOptions(df)).scheduleAll(context.Background(), ws)
+		d := Stats()
+		var ce *CycleError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: two workloads sharing a cyclic graph gave %v, want a *CycleError", df, err)
+		}
+		if hits, misses := d.CacheHits-before.CacheHits, d.CacheMisses-before.CacheMisses; hits != 0 || misses != 1 {
+			t.Errorf("%s: %d hits and %d misses, want 0 and 1", df, hits, misses)
 		}
 	}
 }

@@ -103,7 +103,8 @@ func TestFactoryMatchesFreshBuilds(t *testing.T) {
 
 // TestFactorySharesInvariantSegments checks that one factory hands every
 // candidate the same graph for each rotation-invariant segment, and its
-// same four-step rewrite, while BSGS segments get a graph per candidate.
+// same four-step rewrite, while no other candidate's BSGS segment is the
+// Min-KS graph.
 func TestFactorySharesInvariantSegments(t *testing.T) {
 	for _, name := range Names() {
 		f, _ := Lookup(name, testParams)
@@ -131,6 +132,24 @@ func TestFactorySharesInvariantSegments(t *testing.T) {
 				}
 				if !shared || dec.Segments[j].G != firstDec.Segments[j].G {
 					t.Errorf("%s %v: invariant segment %s not shared", name, candidates[i], s.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestFactoryHybridStrideAtLeastN1IsHoisting checks that hybrid rotation
+// with r_Hyb = 8, the n1 of every BSGS segment under the Table III
+// parameter sets, gets the Hoisting graph of every segment: its baby-step
+// plan is Hoisting's.
+func TestFactoryHybridStrideAtLeastN1IsHoisting(t *testing.T) {
+	for _, p := range arch.Table3() {
+		for _, name := range Names() {
+			f, _ := Lookup(name, p)
+			hyb, hoist := f(RotHybrid, 8), f(RotHoisted, 0)
+			for j, s := range hyb.Segments {
+				if s.G != hoist.Segments[j].G {
+					t.Errorf("%s %s: segment %s of hybrid r_Hyb=8 is not the Hoisting graph", p.Name, name, s.Name)
 				}
 			}
 		}

@@ -15,7 +15,12 @@ import (
 // IDs by name. A refactor of the builder must leave it
 // unchanged; a change to the modelled graphs moves it on purpose, and
 // then the new constant comes with the reason.
-const goldenBuilderHash = 0x4f83adc5caa7e847
+//
+// 0x4f83adc5caa7e847 → 0x7e8a9ebbc76af02d: BSGS segments are built in the
+// canonical form of their rotation structure, so the hybrid r_Hyb = 8
+// candidate (r_Hyb ≥ n1 = 8) now gets the Hoisting graph, with
+// Hoisting's node names.
+const goldenBuilderHash = 0x7e8a9ebbc76af02d
 
 // TestBuilderGraphsGolden hashes every segment of every benchmark under
 // every Table III parameter set and every rotation candidate, whole and

@@ -77,6 +77,23 @@ func BabyPlan(n1 int, mode RotMode, rHyb int) []BabyStep {
 	return plan
 }
 
+// canonicalRot returns the plainest rotation structure whose BabyPlan
+// for n1 baby steps is that of (mode, rHyb): Hybrid with rHyb ≥ n1 has
+// one hoisted step from baby 0 and is Hoisting, Hybrid with rHyb ≤ 1 has
+// only unit steps and is Min-KS. Only Hybrid keeps a stride; the other
+// modes ignore it and get 0.
+func canonicalRot(n1 int, mode RotMode, rHyb int) (RotMode, int) {
+	switch {
+	case mode != RotHybrid:
+		return mode, 0
+	case rHyb >= n1:
+		return RotHoisted, 0
+	case rHyb <= 1:
+		return RotMinKS, 0
+	}
+	return mode, rHyb
+}
+
 // span returns lo, lo+1, ..., hi−1.
 func span(lo, hi int) []int {
 	var s []int

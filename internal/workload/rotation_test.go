@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestBabyPlanProperties checks the Figure 8 plan for every mode over
 // n1 in 1..33 and r_Hyb in {1, 2, 3, 4, 8}: each baby 1..n1−1 is made
@@ -44,6 +47,22 @@ func TestBabyPlanProperties(t *testing.T) {
 					if len(amounts) > r {
 						t.Fatalf("hybrid n1=%d r=%d uses %d distinct amounts", n1, r, len(amounts))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBabyPlanCanonicalForm checks that every rotation structure plans
+// the same baby steps as its canonical form, over n1 in 1..33, r_Hyb in
+// {0, 1, 2, 3, 4, 8, 64} and all three modes.
+func TestBabyPlanCanonicalForm(t *testing.T) {
+	for n1 := 1; n1 <= 33; n1++ {
+		for _, r := range []int{0, 1, 2, 3, 4, 8, 64} {
+			for _, mode := range []RotMode{RotMinKS, RotHoisted, RotHybrid} {
+				cm, cr := canonicalRot(n1, mode, r)
+				if got, want := BabyPlan(n1, mode, r), BabyPlan(n1, cm, cr); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n1=%d r=%d: plan %+v, canonical %s/%d plans %+v", mode, n1, r, got, cm, cr, want)
 				}
 			}
 		}

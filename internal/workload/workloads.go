@@ -119,12 +119,15 @@ func (c *segments) segment(k segmentKey, count int, build func(b *Builder)) Segm
 	return Segment{Name: k.name, G: e.g, Count: count}
 }
 
-// matVec is one BSGS PtMatVecMult segment.
+// matVec is one BSGS PtMatVecMult segment. It is keyed and built with
+// the canonical form of its rotation structure (canonicalRot), so
+// structures with one baby-step plan share one graph.
 func (c *segments) matVec(name string, level, diags int, mode RotMode, rHyb, count int) Segment {
+	n1, n2 := bsgsDims(diags)
+	mode, rHyb = canonicalRot(n1, mode, rHyb)
 	k := segmentKey{name: name, level: level, diags: diags, mode: mode, rHyb: rHyb}
 	return c.segment(k, count, func(b *Builder) {
 		in := b.Input(name+"/in", level)
-		n1, n2 := bsgsDims(diags)
 		b.Output(b.BSGSMatVec(in, level, n1, n2, diags, mode, rHyb, name))
 	})
 }
