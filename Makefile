@@ -110,22 +110,22 @@ cli-smoke:
 	grep -q '^digraph "c2s"' $(CLI_SMOKE_DIR)/c2s.dot
 	$(GO) run ./cmd/crophe-sched
 
-# Chaos smoke: the fault-injection tests under the race detector, a
+# Chaos smoke: the fault-injection and sweep tests under the race detector, a
 # seeded degraded run with a trace (validated incl. the Fault track), and
 # a deadline-bounded resilience sweep — the graceful-degradation paths
 # exercised end to end.
 CHAOS_SEED ?= 13
 
 chaos-smoke:
-	$(GO) test -race -run 'Fault|Degraded|Resilience|Anytime|Avoiding' ./internal/fault/ ./internal/sim/ ./internal/sched/ ./internal/mapper/ ./internal/noc/ .
+	$(GO) test -race -run 'Fault|Degraded|Resilience|Anytime|Avoiding|Sweep' ./internal/fault/ ./internal/sim/ ./internal/sched/ ./internal/mapper/ ./internal/noc/ .
 	$(GO) run ./cmd/crophe-sim -hw crophe64 -workload boot -faults rows:1,links:2,banks:8,hbm:0.8,stalls:2@150 -seed $(CHAOS_SEED) -deadline 500ms -trace /tmp/crophe-chaos-trace.json
 	$(GO) run ./cmd/crophe-sim -tracecheck /tmp/crophe-chaos-trace.json
 	$(GO) run ./cmd/crophe-sim -sweep 4 -seed $(CHAOS_SEED) -deadline 200ms
 
 # Serving smoke: build the real crophe-serve binary and drive it end to
 # end — health, memoized scheduling, a deadline-expiry partial, degraded
-# simulation, chaos panic isolation, a checkpointed sweep, SIGTERM
-# drain, and journal recovery across a restart. Pure Go driver, no curl.
+# simulation, chaos panic isolation, a synchronous sweep answered
+# byte-identically twice, and SIGTERM drain. Pure Go driver, no curl.
 SERVE_BIN ?= /tmp/crophe-serve-smoke
 
 serve-smoke:

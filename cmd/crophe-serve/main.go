@@ -2,35 +2,32 @@
 // HTTP/JSON service exposing schedule, simulate, degraded-simulate and
 // resilience-sweep operations with production hardening — admission
 // control with load shedding, per-request deadline propagation into the
-// scheduler's anytime budget, per-request panic isolation, graceful
-// drain on SIGTERM/SIGINT, and crash-safe sweep checkpointing.
+// scheduler's anytime budget, per-request panic isolation, and graceful
+// drain on SIGTERM/SIGINT.
 //
 // Usage:
 //
 //	crophe-serve [-addr host:port] [-workers N] [-queue N]
-//	             [-queue-wait D] [-drain-timeout D]
-//	             [-checkpoint-dir DIR] [-chaos]
+//	             [-queue-wait D] [-drain-timeout D] [-chaos]
 //
 // Endpoints:
 //
 //	GET  /healthz               liveness
 //	GET  /readyz                readiness (503 while draining)
-//	GET  /debug/vars            admission, request, memo and sweep counters
+//	GET  /debug/vars            admission, request and memo counters
 //	POST /v1/schedule           dataflow search for one workload
 //	POST /v1/simulate           schedule + cycle-level simulation
 //	POST /v1/simulate-degraded  seeded fault plan + degraded simulation
-//	POST /v1/sweeps             start (or re-address) a resilience sweep job
-//	GET  /v1/sweeps/{id}        poll a sweep job
+//	POST /v1/sweeps             resilience sweep: throughput retained per rung
 //
 // A request carries its deadline in the X-Crophe-Deadline header (a Go
 // duration) or a deadline_ms body field; a request whose deadline
 // expires mid-search returns its best-so-far schedule marked
-// "partial": true. Sweep jobs journal each completed rung to
-// -checkpoint-dir, so a killed and restarted server resumes from the
-// last completed rung and produces a byte-identical journal. -chaos
-// honours the chaos_panic request field (handlers panic on purpose) and
-// exists for smoke drills only. Malformed flag values print usage and
-// exit 2.
+// "partial": true. A sweep is answered within its request: its
+// deadline_ms is each rung's search budget, and the header bounds the
+// whole sweep. -chaos honours the chaos_panic request field (handlers
+// panic on purpose) and exists for smoke drills only. Malformed flag
+// values print usage and exit 2.
 package main
 
 import (
@@ -59,11 +56,10 @@ func main() {
 	queueSpec := flag.String("queue", "", "admission queue depth before load shedding (default 64)")
 	queueWaitSpec := flag.String("queue-wait", "", "max time a queued request waits for a slot (default 5s)")
 	drainSpec := flag.String("drain-timeout", "", "graceful shutdown drain budget (default 15s)")
-	checkpointDir := flag.String("checkpoint-dir", "", "journal sweep jobs here for crash-safe resume (empty: no persistence)")
 	chaosPanic := flag.Bool("chaos", false, "honour the chaos_panic request field (smoke drills only)")
 	flag.Parse()
 
-	cfg := serve.Config{CheckpointDir: *checkpointDir, AllowChaos: *chaosPanic}
+	cfg := serve.Config{AllowChaos: *chaosPanic}
 	var err error
 	if cfg.Addr, err = cliutil.ParseAddr(*addrSpec); err != nil {
 		usageExit("%v", err)
@@ -90,11 +86,10 @@ func main() {
 	}
 
 	// Drain on SIGTERM (the orchestrator's stop signal) and SIGINT:
-	// readiness flips immediately, in-flight work and the active sweep
-	// rung finish under the drain budget, checkpoints stay intact. The
-	// handler is installed before the listener announces, so a supervisor
-	// that stops us the instant we come up still gets a clean drain
-	// instead of the default-disposition kill.
+	// readiness flips immediately and in-flight requests finish under the
+	// drain budget. The handler is installed before the listener
+	// announces, so a supervisor that stops us the instant we come up
+	// still gets a clean drain instead of the default-disposition kill.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 

@@ -230,7 +230,7 @@ func runDegraded(hw *crophe.HWConfig, w *crophe.Workload, deadline time.Duration
 	seed int64, sweepSteps int, opts []crophe.SimOption) error {
 	ctx := context.Background()
 	if sweepSteps > 0 {
-		sw, err := crophe.RunResilienceSweepWith(ctx, hw, w, seed, sweepSteps, deadline)
+		sw, err := crophe.RunResilienceSweep(ctx, hw, w, seed, sweepSteps, deadline)
 		if err != nil {
 			return err
 		}

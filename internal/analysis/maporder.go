@@ -8,7 +8,7 @@ import (
 )
 
 // MapOrder protects the repository's byte-identical-output guarantees
-// (Chrome traces, JSONL sweep journals and bench reports) from Go's
+// (Chrome traces, sweep reports and bench reports) from Go's
 // randomised map iteration order. A
 // `range` over a map whose body feeds an order-sensitive sink —
 // appending to a slice that is never subsequently sorted, writing

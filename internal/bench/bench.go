@@ -383,6 +383,8 @@ var experiments = []experiment{
 		m := map[string]float64{}
 		for _, r := range rows {
 			m["table4/pe_util/"+r.Design] = r.Util.PE
+			m["table4/sram_util/"+r.Design] = r.Util.SRAM
+			m["table4/dram_util/"+r.Design] = r.Util.DRAM
 		}
 		return RenderTable4(rows), m, nil
 	}},

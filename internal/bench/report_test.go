@@ -182,6 +182,22 @@ func TestCollectRecordsCountersAndTrace(t *testing.T) {
 			t.Errorf("counter %s missing: %v", key, e.Counters)
 		}
 	}
+	// Table IV's PE, SRAM and DRAM columns are recorded for every design.
+	for _, design := range []string{"ARK+MAD", "CROPHE-64", "CROPHE-p-64", "SHARP+MAD", "CROPHE-36", "CROPHE-p-36"} {
+		for _, col := range []string{"pe_util", "sram_util", "dram_util"} {
+			key := "table4/" + col + "/" + design
+			if v, ok := e.Metrics[key]; !ok || v <= 0 || v > 1 {
+				t.Errorf("metric %s = %v (present %v); want a utilisation in (0, 1]", key, v, ok)
+			}
+		}
+	}
+	// As in the paper, CROPHE-p's DRAM utilisation is above CROPHE's on
+	// both machines.
+	for _, hw := range []string{"64", "36"} {
+		if p, c := e.Metrics["table4/dram_util/CROPHE-p-"+hw], e.Metrics["table4/dram_util/CROPHE-"+hw]; p <= c {
+			t.Errorf("CROPHE-p-%s DRAM utilisation %.4f not above CROPHE-%s's %.4f", hw, p, hw, c)
+		}
+	}
 	// The collector mirrors the counters and spans each experiment.
 	if tel.SpanCount() != 1 {
 		t.Fatalf("span count %d want 1 (one per experiment)", tel.SpanCount())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"crophe/internal/arch"
 	"crophe/internal/parallel"
@@ -20,7 +19,7 @@ type Outcome struct {
 }
 
 // Runner executes a workload on one degraded machine. The fault package
-// deliberately does not know how — crophe.RunResilienceSweepWith injects
+// deliberately does not know how — crophe.RunResilienceSweep injects
 // the façade's one schedule→simulate path (SimulateWorkloadContext with
 // WithFaults) here, keeping the dependency arrow pointing one way. A
 // returned error marks the rung infeasible.
@@ -87,35 +86,6 @@ func sweepSpec(hw *arch.HWConfig, frac float64) Spec {
 	return s
 }
 
-// sweepConfig is the resolved option set of one RunSweep call.
-type sweepConfig struct {
-	// observe, when set, receives each freshly computed rung once it and
-	// every earlier rung have landed — the append-only
-	// checkpoint-journaling hook. Spliced (done) rungs are not
-	// re-observed.
-	observe func(SweepPoint)
-	// done holds rungs already computed by a previous run, keyed by step
-	// index; they are spliced into the result verbatim instead of
-	// re-running.
-	done map[int]SweepPoint
-}
-
-// SweepOption configures RunSweep.
-type SweepOption func(*sweepConfig)
-
-// WithJournal hands each freshly computed rung to observe serially and
-// in step order, as the contiguous prefix of completed rungs grows — the
-// checkpoint-journaling hook.
-func WithJournal(observe func(SweepPoint)) SweepOption {
-	return func(c *sweepConfig) { c.observe = observe }
-}
-
-// WithResume splices previously computed rungs (keyed by step) into the
-// result instead of re-running them.
-func WithResume(done map[int]SweepPoint) SweepOption {
-	return func(c *sweepConfig) { c.done = done }
-}
-
 // RunSweep is the single entry point for resilience sweeps: steps rungs
 // (at least 2) of escalating fault load (rung 0 healthy, the last rung at
 // maxSweepFrac of every resource class), each instantiated under the
@@ -124,73 +94,37 @@ func WithResume(done map[int]SweepPoint) SweepOption {
 // Rungs are claimed in step order (parallel.ClaimEach) and run on the
 // shared internal/parallel pool (the caller plus any free tokens; at pool
 // size 1, a plain sequential loop), each landing in its index-addressed
-// slot; no rung is claimed after one fails. Every rung is deterministic
-// per (hw, seed, step) and never sees a cancellable context, so the
-// result does not depend on the pool size. WithJournal(observe) commits
-// rungs serially, in step order, as the landed prefix grows;
-// WithResume(done) splices journaled rungs in verbatim. ctx is checked
-// before each rung starts and before each commit: after cancellation no
-// rung starts or is committed, and in-flight results are dropped — a
-// resume recomputes them identically.
+// slot. Every rung is deterministic per (hw, seed, step) and never sees a
+// cancellable context, so the result does not depend on the pool size.
+// ctx is checked before each rung starts; no rung is claimed after one
+// fails or after cancellation.
 //
 // Infeasible rungs are recorded in their point, not returned as errors;
 // RunSweep itself fails only on a step count below 2, plan-generation
-// bugs, or cancellation (wrapping ctx.Err(), seed attached).
-func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run Runner, opts ...SweepOption) (*SweepResult, error) {
+// bugs (the first in step order), or cancellation before every rung ran
+// (wrapping ctx.Err(), seed attached).
+func RunSweep(ctx context.Context, hw *arch.HWConfig, seed int64, steps int, run Runner) (*SweepResult, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("fault: sweep needs at least 2 steps (a healthy rung and a faulted one), got %d", steps)
 	}
-	var cfg sweepConfig
-	for _, o := range opts {
-		if o != nil {
-			o(&cfg)
-		}
-	}
 	res := &SweepResult{HW: hw.Name, Seed: seed, Points: make([]SweepPoint, steps)}
 	errs := make([]error, steps)
-	var (
-		mu     sync.Mutex
-		landed = make([]bool, steps)
-		next   int  // rungs [0, next) are committed
-		busy   bool // a goroutine is running the commit loop
-	)
+	ran := make([]bool, steps)
 	parallel.ClaimEach(parallel.Workers(), steps, func(i int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		pt, spliced := cfg.done[i]
-		if !spliced {
-			if pt, errs[i] = runStep(hw, seed, steps, i, run); errs[i] != nil {
-				return false
-			}
-		}
-		res.Points[i] = pt
-		// Whichever goroutine finds the commit loop idle runs it. observe
-		// is called outside the lock, so a slow journal write never stops
-		// other rungs from landing, and observe calls never overlap.
-		mu.Lock()
-		landed[i] = true
-		if !busy {
-			busy = true
-			for next < steps && landed[next] && ctx.Err() == nil {
-				step := next
-				mu.Unlock()
-				if _, spliced := cfg.done[step]; !spliced && cfg.observe != nil {
-					cfg.observe(res.Points[step])
-				}
-				mu.Lock()
-				next++
-			}
-			busy = false
-		}
-		mu.Unlock()
-		return true
+		res.Points[i], errs[i] = runStep(hw, seed, steps, i, run)
+		ran[i] = true
+		return errs[i] == nil
 	})
-	if next < steps {
-		if errs[next] != nil {
-			return nil, errs[next]
+	for i := range ran {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		return nil, fmt.Errorf("fault: sweep interrupted before step %d (seed %d): %w", next, seed, ctx.Err())
+		if !ran[i] {
+			return nil, fmt.Errorf("fault: sweep interrupted before step %d (seed %d): %w", i, seed, ctx.Err())
+		}
 	}
 	if res.Points[0].Err == "" {
 		res.Baseline = res.Points[0].Outcome.TimeSec

@@ -609,7 +609,10 @@ func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 	out.TimeSec /= float64(clusters)
 
 	if out.TimeSec > 0 {
-		wall := out.TimeSec * float64(clusters) // wall time per cluster batch
+		// Wall time per cluster batch. busySRAM and busyDRAM are priced
+		// on one cluster's bandwidth slice, so over this wall they are
+		// already chip-wide fractions.
+		wall := out.TimeSec * float64(clusters)
 		out.Util = Utilization{
 			// PE utilisation is useful work over chip peak — the metric
 			// under which Table IV's specialised baselines score low
@@ -617,7 +620,7 @@ func (s *Scheduler) finish(r *searchRun) (*Schedule, error) {
 			PE:   clampFrac(float64(r.w.TotalModMuls()) / (s.pricing().PeakModMulsPerSec() * out.TimeSec)),
 			NoC:  clampFrac(busyNoC / wall),
 			SRAM: clampFrac(busySRAM / wall),
-			DRAM: clampFrac(busyDRAM / wall / float64(clusters)),
+			DRAM: clampFrac(busyDRAM / wall),
 		}
 	}
 	out.Partial = r.st.cut

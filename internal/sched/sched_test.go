@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -456,6 +457,30 @@ func TestSegmentMemoizationReleasesFailedSearches(t *testing.T) {
 		}
 		if hits, misses := d.CacheHits-before.CacheHits, d.CacheMisses-before.CacheMisses; hits != 0 || misses != 1 {
 			t.Errorf("%s: %d hits and %d misses, want 0 and 1", df, hits, misses)
+		}
+	}
+}
+
+// TestDRAMUtilizationOneDefinition: for every paper design, CROPHE-p
+// included, Util.DRAM is the schedule's DRAM traffic over what the
+// chip's DRAM bandwidth moves in the schedule's time — one definition,
+// whatever the cluster count.
+func TestDRAMUtilizationOneDefinition(t *testing.T) {
+	for _, pair := range []struct{ cro, base *arch.HWConfig }{
+		{arch.CROPHE64, arch.ARK},
+		{arch.CROPHE36, arch.SHARP},
+	} {
+		params := arch.ParamsFor(pair.cro)
+		for _, name := range workload.Names() {
+			factory, _ := workload.Lookup(name, params)
+			for _, d := range PaperDesigns(pair.cro, pair.base) {
+				s := d.Evaluate(factory)
+				want := clampFrac(s.Traffic.DRAM / (d.HW.DRAMBandwidthTBs * 1e12 * s.TimeSec))
+				if want <= 0 || math.Abs(s.Util.DRAM-want) > 1e-9*want {
+					t.Errorf("%s %s: Util.DRAM %.6f, want traffic over bandwidth × time %.6f",
+						d.Name, name, s.Util.DRAM, want)
+				}
+			}
 		}
 	}
 }

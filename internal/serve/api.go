@@ -75,9 +75,8 @@ type SweepRequest struct {
 	DeadlineMS int    `json:"deadline_ms,omitempty"` // per-rung anytime budget
 }
 
-// SweepPointSummary is one journaled rung rendered for clients. TimeMS
-// is a display value (TimeSec × 1e3); the checkpoint journal keeps the
-// exact point.
+// SweepPointSummary is one rung rendered for clients. TimeMS is a
+// display value (TimeSec × 1e3).
 type SweepPointSummary struct {
 	Step       int     `json:"step"`
 	FracFailed float64 `json:"frac_failed"`
@@ -88,19 +87,14 @@ type SweepPointSummary struct {
 	Err        string  `json:"error,omitempty"`
 }
 
-// SweepStatus is the GET /v1/sweeps/{id} response (and the POST
-// response, minus points while running).
-type SweepStatus struct {
-	ID         string              `json:"id"`
-	State      string              `json:"state"`
+// SweepResponse is the POST /v1/sweeps response: the request's
+// parameters, the healthy baseline and the retained-throughput curve.
+type SweepResponse struct {
 	HW         string              `json:"hw"`
 	Workload   string              `json:"workload"`
 	Seed       int64               `json:"seed"`
 	Steps      int                 `json:"steps"`
 	DeadlineMS int                 `json:"deadline_ms,omitempty"`
-	Completed  int                 `json:"completed_steps"`
-	Created    *bool               `json:"created,omitempty"` // POST only
-	Error      string              `json:"error,omitempty"`
 	BaselineMS float64             `json:"baseline_ms,omitempty"`
 	Points     []SweepPointSummary `json:"points,omitempty"`
 }

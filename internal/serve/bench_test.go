@@ -4,41 +4,33 @@ import (
 	"context"
 	"net/http"
 	"testing"
-	"time"
 )
 
-// BenchmarkSweepJob times one journaled 16-rung crophe64/helr sweep job
-// from POST /v1/sweeps until polling reports it done. Every iteration
-// gets a fresh server and checkpoint directory (outside the timer), so
-// no job is deduplicated by ID or recovered from an earlier journal.
-func BenchmarkSweepJob(b *testing.B) {
+// BenchmarkSweepRequest times one 16-rung crophe64/helr resilience sweep
+// answered by POST /v1/sweeps through the typed client, on one server
+// started outside the timer.
+func BenchmarkSweepRequest(b *testing.B) {
+	s := New(Config{Addr: "127.0.0.1:0"})
+	if err := s.Start(); err != nil {
+		b.Fatalf("Start: %v", err)
+	}
+	hc := &http.Client{}
+	c := NewClient(s.Addr(), WithHTTPClient(hc))
 	ctx := context.Background()
 	req := SweepRequest{HW: "crophe64", Workload: "helr", Seed: 100, Steps: 16}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New(Config{Addr: "127.0.0.1:0", CheckpointDir: b.TempDir()})
-		if err := s.Start(); err != nil {
-			b.Fatalf("Start: %v", err)
-		}
-		hc := &http.Client{}
-		c := NewClient("http://"+s.Addr(), WithHTTPClient(hc))
-		b.StartTimer()
-
-		st, err := c.StartSweep(ctx, req)
-		for err == nil && st.State == jobRunning {
-			time.Sleep(time.Millisecond)
-			st, err = c.SweepStatus(ctx, st.ID)
-		}
-		b.StopTimer()
+		sw, err := c.Sweep(ctx, req)
 		if err != nil {
-			b.Fatalf("sweep job: %v", err)
+			b.Fatalf("sweep: %v", err)
 		}
-		if st.State != jobDone || len(st.Points) != req.Steps {
-			b.Fatalf("sweep job ended %s with %d points (error %q)", st.State, len(st.Points), st.Error)
+		if len(sw.Points) != req.Steps {
+			b.Fatalf("sweep answered %d points; want %d", len(sw.Points), req.Steps)
 		}
-		hc.CloseIdleConnections()
-		if err := s.Shutdown(); err != nil {
-			b.Fatalf("Shutdown: %v", err)
-		}
+	}
+	b.StopTimer()
+	hc.CloseIdleConnections()
+	if err := s.Shutdown(); err != nil {
+		b.Fatalf("Shutdown: %v", err)
 	}
 }

@@ -305,20 +305,12 @@ func (c *Client) SimulateDegraded(ctx context.Context, req DegradedRequest) (*De
 	return &out, nil
 }
 
-// StartSweep starts (or re-addresses — the job ID is deterministic in
-// the parameters) an asynchronous resilience sweep (POST /v1/sweeps).
-func (c *Client) StartSweep(ctx context.Context, req SweepRequest) (*SweepStatus, error) {
-	var out SweepStatus
+// Sweep runs a resilience sweep (POST /v1/sweeps) and returns its
+// retained-throughput curve. A context deadline bounds the whole sweep;
+// req.DeadlineMS is each rung's anytime search budget.
+func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+	var out SweepResponse
 	if err := c.doRetry(ctx, http.MethodPost, "/v1/sweeps", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// SweepStatus polls a sweep job (GET /v1/sweeps/{id}).
-func (c *Client) SweepStatus(ctx context.Context, id string) (*SweepStatus, error) {
-	var out SweepStatus
-	if err := c.doRetry(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"crophe"
 	"crophe/internal/sched"
@@ -201,6 +202,59 @@ func (s *Server) handleSimulateDegraded(w http.ResponseWriter, r *http.Request) 
 			Escalated:     res.Integrity.Escalated,
 			PenaltyCycles: res.Integrity.PenaltyCycles(),
 		}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleSweep runs a resilience sweep inside the request: steps rungs of
+// escalating fault load under one seed, each simulated on
+// crophe.DegradedDesign. The body's deadline_ms is each rung's anytime
+// budget, not a whole-request timeout, so it does not go through
+// requestBudget. The sweep runs under the request context, so the
+// deadline header or a client disconnect stops it before the next rung
+// starts (a 500); each rung itself is uncancellable, so every answered
+// curve is deterministic in its parameters. The seed is registered
+// first, so a panic escaping the sweep becomes a 500 carrying it.
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req SweepRequest
+	if err := decodeJSON(r, &req); err != nil {
+		s.metrics.badInput.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	hw, factory, err := lookup(req.HW, req.Workload)
+	if err != nil {
+		s.metrics.badInput.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Steps < 2 || req.Steps > 256 {
+		s.metrics.badInput.Add(1)
+		writeError(w, http.StatusBadRequest, "steps must be in [2, 256], got %d", req.Steps)
+		return
+	}
+	registerSeed(r, req.Seed)
+
+	sw, err := crophe.RunResilienceSweep(r.Context(), hw, factory(crophe.RotHoisted, 0), req.Seed, req.Steps,
+		time.Duration(req.DeadlineMS)*time.Millisecond)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "sweep: %v", err)
+		return
+	}
+	resp := SweepResponse{
+		HW: req.HW, Workload: req.Workload, Seed: req.Seed,
+		Steps: req.Steps, DeadlineMS: req.DeadlineMS, BaselineMS: sw.Baseline * 1e3,
+	}
+	for _, pt := range sw.Points {
+		resp.Points = append(resp.Points, SweepPointSummary{
+			Step:       pt.Step,
+			FracFailed: pt.FracFailed,
+			FaultCount: pt.FaultCount,
+			TimeMS:     pt.Outcome.TimeSec * 1e3,
+			Retained:   pt.Retained(sw.Baseline),
+			Partial:    pt.Outcome.Partial,
+			Err:        pt.Err,
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

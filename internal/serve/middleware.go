@@ -67,8 +67,9 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 // requestBudget returns the context and declared deadline the scheduler
 // should run under, folding in a per-request deadline_ms body field (in
 // effect only when no header already armed one). The returned context is
-// always derived from r.Context(), so client disconnects and the drain
-// path propagate; the returned duration is the deterministic
+// always derived from r.Context(), so the deadline header and client
+// disconnects propagate (the drain waits for a request rather than
+// cancelling it); the returned duration is the deterministic
 // sched.Design.Options input. cancel is non-nil always.
 func (s *Server) requestBudget(r *http.Request, bodyDeadlineMS int) (context.Context, context.CancelFunc, time.Duration) {
 	st := stateFrom(r)

@@ -164,13 +164,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGracefulDrainNoGoroutineLeak: serve traffic, start a checkpointed
-// sweep, then drain — every goroutine the server started must be gone.
+// TestGracefulDrainNoGoroutineLeak: serve traffic, then drain while a
+// synchronous sweep is in flight — the sweep answers 200 (it finished
+// inside the drain) or 503 (the drain refused it), and every goroutine
+// the server started is gone afterwards.
 func TestGracefulDrainNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
-	s := startServer(t, Config{CheckpointDir: t.TempDir()})
+	s := startServer(t, Config{})
 	client := &http.Client{}
 	base := "http://" + s.Addr()
 
@@ -181,16 +183,30 @@ func TestGracefulDrainNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("schedule %d = %d %v (err %v)", i, code, body, err)
 		}
 	}
-	// A sweep job is mid-flight when the drain starts; the drain must
-	// stop it at a rung boundary and reap its goroutine.
-	code, body, _, err := postRaw(client, base+"/v1/sweeps",
-		map[string]any{"hw": "crophe64", "workload": "helr", "seed": 3, "steps": 8, "deadline_ms": 2}, nil)
-	if err != nil || code != 202 {
-		t.Fatalf("start sweep = %d %v (err %v)", code, body, err)
+	type result struct {
+		code int
+		body map[string]any
+		err  error
 	}
+	swept := make(chan result, 1)
+	go func() {
+		code, body, _, err := postRaw(client, base+"/v1/sweeps",
+			map[string]any{"hw": "crophe64", "workload": "helr", "seed": 3, "steps": 64, "deadline_ms": 2}, nil)
+		swept <- result{code, body, err}
+	}()
+	waitFor(t, "the sweep to hold a worker slot", func() bool { return s.queue.InUse() > 0 })
 
 	if err := s.Shutdown(); err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+	r := <-swept
+	if r.err != nil || (r.code != http.StatusOK && r.code != http.StatusServiceUnavailable) {
+		t.Fatalf("sweep during drain = %d %v (err %v); want 200 or 503", r.code, r.body, r.err)
+	}
+	if r.code == http.StatusOK {
+		if points, _ := r.body["points"].([]any); len(points) != 64 {
+			t.Fatalf("sweep answered during drain has %d points; want 64", len(points))
+		}
 	}
 	client.CloseIdleConnections()
 	waitGoroutines(t, baseline)

@@ -23,14 +23,13 @@
 //	    responses carrying the fault seed (the resilience.go
 //	    recoverFaultPanic convention) while the process keeps serving.
 //	  - Graceful shutdown flips /readyz, rejects new work with 503, drains
-//	    in-flight requests and sweep jobs under a drain deadline, and
-//	    leaves no goroutines behind.
-//	  - Long resilience sweeps run asynchronously behind a job API
-//	    (POST /v1/sweeps, GET /v1/sweeps/{id}) that journals each completed
-//	    rung to an append-only, CRC-framed checkpoint file, so a
-//	    crashed-and-restarted server resumes from the last completed rung
-//	    (quarantining any corrupt suffix) and finishes byte-identical to an
-//	    uninterrupted run.
+//	    in-flight requests under a drain deadline, and leaves no
+//	    goroutines behind.
+//
+// Every operation, a resilience sweep included, is one request answered
+// synchronously: POST /v1/sweeps runs all its rungs inside the request
+// (well under a second even at its 256-rung cap), so the server keeps no
+// state between requests beyond the schedule memo.
 //
 // See the "Serving architecture" section of DESIGN.md.
 package serve
@@ -65,12 +64,9 @@ type Config struct {
 	// QueueWait bounds how long an admitted-to-the-queue request may wait
 	// for a worker slot before it is shed. Default 5s.
 	QueueWait time.Duration
-	// DrainTimeout bounds graceful shutdown: in-flight requests and
-	// in-flight sweep rungs get this long to finish. Default 15s.
+	// DrainTimeout bounds graceful shutdown: in-flight requests get this
+	// long to finish. Default 15s.
 	DrainTimeout time.Duration
-	// CheckpointDir is where sweep jobs journal completed rungs. Empty
-	// disables persistence (jobs still run, but do not survive restarts).
-	CheckpointDir string
 	// AllowChaos honours the chaos_panic request field, which makes a
 	// handler panic on purpose — the chaos-acceptance hook. Never enable
 	// outside tests and smoke drills.
@@ -106,7 +102,6 @@ type Server struct {
 	cfg     Config
 	queue   *parallel.Queue
 	metrics metrics
-	jobs    *jobManager
 
 	// jitterRand drives the deterministic Retry-After jitter; guarded by
 	// jitterMu because rand.Rand is not concurrency-safe.
@@ -134,7 +129,6 @@ func New(cfg Config) *Server {
 		queue:      parallel.NewSharedQueue(cfg.Workers),
 		jitterRand: rand.New(rand.NewSource(retryJitterSeed)),
 	}
-	s.jobs = newJobManager(cfg.CheckpointDir)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -143,8 +137,7 @@ func New(cfg Config) *Server {
 	mux.Handle("POST /v1/schedule", s.pipeline(s.handleSchedule))
 	mux.Handle("POST /v1/simulate", s.pipeline(s.handleSimulate))
 	mux.Handle("POST /v1/simulate-degraded", s.pipeline(s.handleSimulateDegraded))
-	mux.Handle("POST /v1/sweeps", s.pipeline(s.handleStartSweep))
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
+	mux.Handle("POST /v1/sweeps", s.pipeline(s.handleSweep))
 
 	s.httpSrv = &http.Server{Handler: mux}
 	return s
@@ -159,13 +152,7 @@ func (s *Server) pipeline(h http.HandlerFunc) http.Handler {
 }
 
 // Start binds the listener and begins serving in a background goroutine.
-// Unfinished checkpointed sweep jobs found in CheckpointDir are resumed
-// before the listener opens, so /v1/sweeps/{id} is consistent from the
-// first request.
 func (s *Server) Start() error {
-	if err := s.jobs.recover(); err != nil {
-		return fmt.Errorf("serve: recovering checkpointed sweeps: %w", err)
-	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
@@ -189,10 +176,10 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains the server: readiness flips immediately (load
-// balancers stop routing, new requests get 503), in-flight requests and
-// in-flight sweep rungs get up to DrainTimeout to finish, then the
-// listener closes. Safe to call once; returns the drain error if the
-// deadline expired with work still in flight.
+// balancers stop routing, new requests get 503), in-flight requests get
+// up to DrainTimeout to finish, then the listener closes. Safe to call
+// once; returns the drain error if the deadline expired with work still
+// in flight.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.draining {
@@ -204,22 +191,7 @@ func (s *Server) Shutdown() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
-
-	// Stop sweep jobs first: their journals make interruption safe. No
-	// rung starts or is committed after cancellation; in-flight rungs run
-	// to completion and are dropped (a restart recomputes them
-	// byte-identically), or the process exits at the drain deadline with
-	// the journal intact.
-	jobsDone := s.jobs.stop()
-	err := s.httpSrv.Shutdown(ctx)
-	select {
-	case <-jobsDone:
-	case <-ctx.Done():
-		if err == nil {
-			err = fmt.Errorf("serve: sweep jobs still draining at the deadline: %w", ctx.Err())
-		}
-	}
-	return err
+	return s.httpSrv.Shutdown(ctx)
 }
 
 // draining reports whether Shutdown has begun.

@@ -377,7 +377,7 @@ func TestVarsEndpoint(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("vars = %d %v", code, body)
 	}
-	for _, key := range []string{"admission", "requests", "schedule_memo", "sweeps"} {
+	for _, key := range []string{"admission", "requests", "schedule_memo"} {
 		if _, ok := body[key]; !ok {
 			t.Errorf("vars missing %q section: %v", key, body)
 		}

@@ -20,10 +20,9 @@ type metrics struct {
 }
 
 // handleVars is the /debug/vars-style observability endpoint: admission
-// state, request counters, schedule-memo hit rates and sweep counts.
+// state, request counters and schedule-memo hit rates.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	memo := crophe.ScheduleMemoStats()
-	running, done := s.jobs.counts()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"admission": map[string]any{
 			"workers":     s.queue.Cap(),
@@ -48,10 +47,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"size":      memo.Size,
 			"capacity":  memo.Capacity,
 			"hit_rate":  memo.HitRate(),
-		},
-		"sweeps": map[string]any{
-			"running": running,
-			"done":    done,
 		},
 	})
 }

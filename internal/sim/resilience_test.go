@@ -19,7 +19,7 @@ import (
 // Acceptance tests of the fault-injection subsystem threaded end to end
 // through the one schedule→simulate path (crophe.SimulateWorkloadContext
 // with WithFaults, reached through crophe.SimulateDegraded and
-// crophe.RunResilienceSweepWith): per-seed bit-determinism, graceful
+// crophe.RunResilienceSweep): per-seed bit-determinism, graceful
 // degradation under every single fault, monotone throughput loss as
 // faults accumulate, and near-zero overhead when faults are off.
 
@@ -231,7 +231,7 @@ func TestMixedFaultsNeverBeatHealthy(t *testing.T) {
 
 func TestResilienceSweepEndToEnd(t *testing.T) {
 	w := resilienceWorkload()
-	sweep, err := crophe.RunResilienceSweepWith(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
+	sweep, err := crophe.RunResilienceSweep(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestResilienceSweepEndToEnd(t *testing.T) {
 		prev = r
 	}
 	// Bit-determinism of the whole sweep.
-	again, err := crophe.RunResilienceSweepWith(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
+	again, err := crophe.RunResilienceSweep(context.Background(), arch.CROPHE64, w, 13, 4, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,37 +83,23 @@ func SimulateDegraded(ctx context.Context, m *FaultMachine, w *Workload, opts ..
 	return SimulateWorkloadContext(ctx, DegradedDesign(m.Base), w, 0, append(opts[:len(opts):len(opts)], WithFaults(m))...)
 }
 
-// SweepOption configures RunResilienceSweepWith; build them with the
-// SweepWith* constructors below (aliased from internal/fault).
-type SweepOption = fault.SweepOption
-
-// SweepWithJournal hands each freshly computed rung to observe serially
-// and in step order, as the completed prefix grows — the serving layer's
-// checkpoint-journaling hook.
-func SweepWithJournal(observe func(ResiliencePoint)) SweepOption { return fault.WithJournal(observe) }
-
-// SweepWithResume splices previously journaled rungs (keyed by step)
-// into the result instead of re-running them.
-func SweepWithResume(done map[int]ResiliencePoint) SweepOption { return fault.WithResume(done) }
-
-// RunResilienceSweepWith is the single option-based resilience-sweep
-// entry point: it degrades hw over steps escalating fault rungs (seeded,
-// bit-deterministic) and reports throughput retained at each rung, with
-// options selecting journaling and resume. Rungs run concurrently on the
-// shared worker pool (see internal/fault.RunSweep for the contract).
+// RunResilienceSweep degrades hw over steps escalating fault rungs
+// (seeded, bit-deterministic) and reports throughput retained at each
+// rung. Rungs run concurrently on the shared worker pool (see
+// internal/fault.RunSweep for the contract).
 //
 // deadline bounds each rung's schedule search via the deterministic
 // anytime budget; 0 leaves the search unbounded. Each rung schedules
 // under an uncancellable context — ctx is consulted only before a rung
-// starts and before it is committed — so every completed rung is
-// deterministic per (hw, seed, step, steps, deadline bucket): sweeps
-// interrupted and resumed produce reports byte-identical to one
-// uninterrupted run. Each rung is one SimulateWorkloadContext call with
-// DegradedDesign(hw) and WithFaults, so a panic escaping a rung becomes
-// that rung's seed-tagged Err; one escaping the sweep itself is
-// recovered into the returned error, tagged with the seed.
-func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int, deadline time.Duration,
-	opts ...SweepOption) (sw *ResilienceSweep, err error) {
+// starts — so every rung is deterministic per (hw, seed, step, steps,
+// deadline bucket), and a sweep cancelled before its last rung started
+// returns an error, never a partial curve. Each rung is one
+// SimulateWorkloadContext call with DegradedDesign(hw) and WithFaults,
+// so a panic escaping a rung becomes that rung's seed-tagged Err; one
+// escaping the sweep itself is recovered into the returned error, tagged
+// with the seed.
+func RunResilienceSweep(ctx context.Context, hw *HWConfig, w *Workload, seed int64, steps int,
+	deadline time.Duration) (sw *ResilienceSweep, err error) {
 	defer recoverFaultPanic(seed, &err)
 	d := DegradedDesign(hw)
 	run := func(m *FaultMachine) (fault.Outcome, error) {
@@ -123,5 +109,5 @@ func RunResilienceSweepWith(ctx context.Context, hw *HWConfig, w *Workload, seed
 		}
 		return fault.Outcome{TimeSec: res.TimeSec, Cycles: res.Cycles, Partial: s.Partial}, nil
 	}
-	return fault.RunSweep(ctx, hw, seed, steps, run, opts...)
+	return fault.RunSweep(ctx, hw, seed, steps, run)
 }

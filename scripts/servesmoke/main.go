@@ -1,10 +1,10 @@
 // Command servesmoke is the serve-smoke driver: it exercises a real
 // crophe-serve binary end to end — health, scheduling, the memo path,
 // deadline-expiry partials, degraded simulation, chaos panic isolation,
-// a checkpointed sweep job, SIGTERM drain, and checkpoint recovery
-// across a restart. It is a plain Go program (no curl, no shell) built
-// on the typed serve.Client, so `make serve-smoke` and CI run the
-// identical drill through the same client production callers use.
+// a synchronous resilience sweep answered identically twice, and
+// SIGTERM drain. It is a plain Go program (no curl, no shell) built on
+// the typed serve.Client, so `make serve-smoke` and CI run the identical
+// drill through the same client production callers use.
 //
 // Usage:
 //
@@ -21,10 +21,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -57,13 +57,8 @@ func fatalf(format string, a ...any) {
 
 // start launches the binary and parses the listen address off its
 // "crophe-serve: listening on ..." startup line.
-func start(bin, checkpointDir string, chaos bool, extraArgs ...string) *server {
-	args := []string{"-addr", "127.0.0.1:0", "-checkpoint-dir", checkpointDir, "-queue-wait", "5s"}
-	if chaos {
-		args = append(args, "-chaos")
-	}
-	args = append(args, extraArgs...)
-	cmd := exec.Command(bin, args...)
+func start(bin string) *server {
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-queue-wait", "5s", "-chaos")
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -127,25 +122,23 @@ func (s *server) getJSON(path string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-// waitDone polls a sweep job through the client until it finishes.
-func (s *server) waitDone(id string, timeout time.Duration) *serve.SweepStatus {
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := s.client.SweepStatus(context.Background(), id)
-		if err != nil {
-			fatalf("sweep poll: %v", err)
-		}
-		switch st.State {
-		case "done":
-			return st
-		case "failed":
-			fatalf("sweep failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			fatalf("sweep did not finish: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+// postRaw POSTs a JSON body and returns the status and the raw response
+// body, for probes that compare bytes.
+func (s *server) postRaw(path string, in any) (int, []byte) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		fatalf("encoding POST %s: %v", path, err)
 	}
+	resp, err := http.Post("http://"+s.addr+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		fatalf("POST %s: reading %d response: %v", path, resp.StatusCode, err)
+	}
+	return resp.StatusCode, raw
 }
 
 func step(format string, a ...any) { fmt.Printf("servesmoke: "+format+"\n", a...) }
@@ -159,13 +152,8 @@ func main() {
 		os.Exit(2)
 	}
 	ctx := context.Background()
-	checkpoints, err := os.MkdirTemp("", "servesmoke-*")
-	if err != nil {
-		fatalf("temp dir: %v", err)
-	}
-	defer os.RemoveAll(checkpoints)
 
-	s := start(*bin, checkpoints, true)
+	s := start(*bin)
 	step("server up on %s", s.addr)
 
 	if code, _ := s.getJSON("/healthz"); code != 200 {
@@ -229,22 +217,25 @@ func main() {
 	}
 	step("chaos panic isolated as a typed 500")
 
-	// A checkpointed sweep job: idempotent start, poll to done.
+	// A synchronous sweep: one request answers the whole curve, and the
+	// same request answered again is the same bytes.
 	sweep := serve.SweepRequest{HW: "crophe64", Workload: "helr", Seed: 5, Steps: 4, DeadlineMS: 3}
-	st, err := s.client.StartSweep(ctx, sweep)
-	if err != nil || st.Created == nil || !*st.Created {
-		fatalf("start sweep = %+v (%v); want created=true", st, err)
+	sw, err := s.client.Sweep(ctx, sweep)
+	if err != nil {
+		fatalf("sweep: %v", err)
 	}
-	id := st.ID
-	st, err = s.client.StartSweep(ctx, sweep)
-	if err != nil || st.ID != id || st.Created == nil || *st.Created {
-		fatalf("repeat sweep POST = %+v (%v); want same id, created=false", st, err)
+	if len(sw.Points) != 4 || sw.BaselineMS <= 0 {
+		fatalf("sweep = %+v; want 4 points and a positive baseline", sw)
 	}
-	final := s.waitDone(id, 30*time.Second)
-	if len(final.Points) != 4 {
-		fatalf("done sweep has %d points; want 4", len(final.Points))
+	code, first := s.postRaw("/v1/sweeps", sweep)
+	if code != http.StatusOK {
+		fatalf("raw sweep POST = %d %s; want 200", code, first)
 	}
-	step("sweep %s done (4 rungs journaled)", id)
+	code, second := s.postRaw("/v1/sweeps", sweep)
+	if code != http.StatusOK || !bytes.Equal(first, second) {
+		fatalf("repeat sweep POST = %d %s; want 200 and the first body %s", code, second, first)
+	}
+	step("sweep answered 4 rungs, identically on repeat")
 
 	code, body := s.getJSON("/debug/vars")
 	if code != 200 {
@@ -257,32 +248,6 @@ func main() {
 
 	s.drain()
 	step("SIGTERM drain clean")
-
-	// The journal survived the drain and carries the done terminator.
-	journals, err := filepath.Glob(filepath.Join(checkpoints, "*.sweep.jsonl"))
-	if err != nil || len(journals) != 1 {
-		fatalf("checkpoint dir holds %d journals (err %v); want 1", len(journals), err)
-	}
-	raw, err := os.ReadFile(journals[0])
-	if err != nil {
-		fatalf("reading journal: %v", err)
-	}
-	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	if !bytes.Contains(lines[len(lines)-1], []byte(`"done":true`)) {
-		fatalf("journal tail %q is not the done terminator", lines[len(lines)-1])
-	}
-
-	// A restarted server recovers the finished job from its journal.
-	s2 := start(*bin, checkpoints, false)
-	st, err = s2.client.SweepStatus(ctx, id)
-	if err != nil || st.State != "done" {
-		fatalf("recovered sweep = %+v (%v); want done", st, err)
-	}
-	if len(st.Points) != 4 {
-		fatalf("recovered sweep has %d points; want 4", len(st.Points))
-	}
-	s2.drain()
-	step("restart recovered the finished sweep from its journal")
 
 	fmt.Println("servesmoke: PASS")
 }
